@@ -17,11 +17,53 @@
 // runs with the same seed, submission sequence, and fault plan produce
 // byte-identical fleet reports no matter how the goroutines interleave,
 // even through drive deaths and rebuilds.
+//
+// # One round pipeline
+//
+// Every round, whatever the redundancy, runs the same stages (execRound)
+// over its drive-bound actions, rebuild items first, then host actions
+// in schedule order:
+//
+//	plan      reads wanted, writes placed, reconstructions laid out
+//	phase 1   every planned read, plus the writes that need no input
+//	resolve   reconstructions XORed into their result buffers
+//	phase 2   reads a transient fault refused, re-served another way
+//	phase 3   rebuild copies, then the writes that waited for phase 1
+//	settle    per-home write outcomes, stale fences, loss accounting
+//	phase 4   derived (parity) chunks, from the writes that landed
+//
+// A phase batches per drive (internal reads in first-want order, then
+// host ops in schedule order), executes concurrently and joins at a
+// barrier; a phase with no ops costs nothing. A write is staged in the
+// earliest phase whose inputs it has: with no derived chunk to keep
+// consistent it joins phase 1 in op order, so a later read of the page in
+// the same round sees it on the drive; a write that dirties a derived
+// chunk waits for the row's old data and parity, lands in phase 3, and
+// later reads of its page in the round are forwarded host-side. All
+// planning state is array-owned scratch, recycled every round.
+//
+// The layout (none, mirror, rotating parity) is a pure value that
+// answers address questions only: where a page lives and so which slots
+// a write must reach (homes), which chunks XOR back to a chunk (peers: a
+// mirror partner is the one-component case, a parity row is every
+// written peer), and which derived chunk a write dirties. A host read
+// and a rebuild item reconstruct through the same path. Health, QoS and
+// rebuild policy stay in the pipeline; a new scheme is a new layout
+// value, not another executor.
+//
+// # Buffers and result lifetime
+//
+// A read that carries Op.Buf is decoded, copied or reconstructed into
+// it and Result.Data aliases it in every mode: direct, mirror-partner,
+// reconstructed, round-forwarded and cache-hit reads alike. Drain hands
+// back an array-owned result slice, valid until the next Drain, Flush or
+// Close.
 package array
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -133,7 +175,7 @@ type Result struct {
 // a phase's dispatch and its barrier.
 type Array struct {
 	cfg   Config
-	mode  string
+	lay   layout
 	cache *hostCache
 	sched *scheduler
 
@@ -146,7 +188,6 @@ type Array struct {
 	rebuildTen *tenant
 
 	pageBytes    int
-	stripes      int // stripe rows per drive
 	perDriveLPAs int
 	volumePages  int
 
@@ -176,46 +217,16 @@ type Array struct {
 	retired     [4]obs.LatencyHist // clean, retried, soft, write
 
 	// scr is the round's reusable staging (front-end confined). The
-	// results handed back from round are copied by Drain before the next
-	// round recycles them.
-	scr roundScratch
+	// results handed back from round are copied by Drain, into drained,
+	// before the next round recycles them.
+	scr     roundScratch
+	drained []Result
 	// phaseWG is runPhase's reusable barrier: phases are strictly
 	// sequential, so the group is always at zero between uses.
 	phaseWG sync.WaitGroup
 
 	rebuilds []*RebuildReport
 	closed   bool
-}
-
-// fill records one cache-miss read whose data back-fills the cache
-// after the round's barrier.
-type fill struct{ slot, page int }
-
-// roundScratch holds the per-round staging slices reused across rounds,
-// so a steady-state round performs no allocations of its own: host
-// results, drive-bound actions, cache fills, the per-slot phase batches,
-// and the flat executor's read/write bookkeeping.
-type roundScratch struct {
-	results []Result
-	acts    []action
-	fills   []fill
-	batches [][]driveOp
-	reads   []pendingRead
-	writes  []flatWrite
-}
-
-// phaseBatches returns the reusable per-slot batch staging, emptied.
-// Only the single-phase flat executor uses it; the multi-phase parity
-// executor allocates per phase (overlapping lifetimes).
-func (a *Array) phaseBatches(n int) [][]driveOp {
-	if len(a.scr.batches) != n {
-		a.scr.batches = make([][]driveOp, n)
-	}
-	b := a.scr.batches
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
 }
 
 // New opens an array of cfg.Drives fresh drives plus cfg.Spares hot
@@ -242,11 +253,11 @@ func New(cfg Config) (*Array, error) {
 	if cfg.HitLatency == 0 {
 		cfg.HitLatency = time.Microsecond
 	}
-	mode, err := normalizeRedundancy(cfg.Redundancy, cfg.Drives)
+	lay, err := newLayout(cfg.Redundancy, cfg.Drives, cfg.StripePages)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Redundancy = mode
+	cfg.Redundancy = lay.name
 	if cfg.Spares < 0 {
 		return nil, fmt.Errorf("array: negative spare count %d", cfg.Spares)
 	}
@@ -272,8 +283,8 @@ func New(cfg Config) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Array{cfg: cfg, mode: mode, cache: cache, sched: sched}
-	if mode != RedundancyNone {
+	a := &Array{cfg: cfg, lay: lay, cache: cache, sched: sched}
+	if lay.redundant() {
 		if _, dup := sched.byName[rebuildTenant]; dup {
 			return nil, fmt.Errorf("array: tenant name %q is reserved when redundancy is enabled", rebuildTenant)
 		}
@@ -321,18 +332,22 @@ func New(cfg Config) (*Array, error) {
 	a.sparePool = append(a.sparePool, a.allDrives[cfg.Drives:]...)
 	a.pageBytes = a.allDrives[0].disp.Geometry().PageDataBytes
 	perDrive := a.allDrives[0].part.Capacity()
-	a.stripes = perDrive / cfg.StripePages
-	if a.stripes == 0 {
+	stripes := perDrive / cfg.StripePages // stripe rows per drive
+	if stripes == 0 {
 		a.Close()
 		return nil, fmt.Errorf("array: stripe unit %d exceeds drive capacity %d pages",
 			cfg.StripePages, perDrive)
 	}
-	a.perDriveLPAs = a.stripes * cfg.StripePages
-	a.volumePages = a.perDriveLPAs * a.dataSlots()
+	a.perDriveLPAs = stripes * cfg.StripePages
+	a.volumePages = a.perDriveLPAs * lay.dataSlots()
 	a.written = make([]bool, a.volumePages)
-	if mode == RedundancyParity {
+	if lay.parity {
 		a.parityOK = make([]bool, a.perDriveLPAs)
 	}
+	a.scr.batches = make([][]driveOp, cfg.Drives)
+	a.scr.rs.idx = make([]int32, cfg.Drives*a.perDriveLPAs)
+	a.scr.fwd = make([]int32, a.volumePages)
+	a.scr.rowIdx = make([]int32, a.perDriveLPAs)
 	return a, nil
 }
 
@@ -379,19 +394,24 @@ func (a *Array) Submit(op Op) error {
 // schedule order. A rebuild whose sources stay down (a second fault
 // inside the repair window) is abandoned with its losses on record
 // rather than spinning forever.
+//
+// The returned slice is owned by the array and valid until the next
+// Drain, Flush or Close; callers that keep results longer copy them.
+// (Result.Data is the caller's Op.Buf, or a page the result owns.)
 func (a *Array) Drain() ([]Result, error) {
 	if a.closed {
 		return nil, ErrClosed
 	}
-	var out []Result
+	out := a.drained[:0]
 	idle, idleLimit := 0, 4*a.perDriveLPAs+1024
 	for a.sched.pending() > 0 || a.rebuildActive() {
 		progress := a.rebuiltPages
 		res, err := a.round()
+		out = append(out, res...)
 		if err != nil {
+			a.drained = out
 			return out, err
 		}
-		out = append(out, res...)
 		if a.sched.pending() == 0 && a.rebuildActive() {
 			if a.rebuiltPages == progress {
 				idle++
@@ -406,24 +426,24 @@ func (a *Array) Drain() ([]Result, error) {
 	// Dirty evictions raised by the last round's cache fills would
 	// otherwise sit staged forever (they are already counted as
 	// writebacks): land them before handing control back.
-	a.drainPending()
+	a.writeBack(a.pendingWB)
+	a.pendingWB = a.pendingWB[:0]
+	a.drained = out
 	return out, nil
 }
 
-// drainPending executes any carried write-backs as one extra round.
-func (a *Array) drainPending() {
-	if len(a.pendingWB) == 0 {
+// writeBack executes staged write-backs as one extra round of their own
+// (no host result slot: they are the cache's own traffic).
+func (a *Array) writeBack(wbs []writeback) {
+	if len(wbs) == 0 {
 		return
 	}
-	acts := a.wbActions(a.pendingWB)
-	a.pendingWB = nil
-	a.advance(a.execRound(acts, false))
+	a.scr.acts = appendWriteBacks(a.scr.acts[:0], wbs)
+	a.advance(a.execRound(a.scr.acts, false))
 }
 
-// wbActions converts staged write-backs into round actions (no host
-// result slot: they are the cache's own traffic).
-func (a *Array) wbActions(wbs []writeback) []action {
-	acts := make([]action, 0, len(wbs))
+// appendWriteBacks converts staged write-backs into round actions.
+func appendWriteBacks(acts []action, wbs []writeback) []action {
 	for _, wb := range wbs {
 		acts = append(acts, action{write: true, page: wb.page, data: wb.data})
 	}
@@ -432,8 +452,8 @@ func (a *Array) wbActions(wbs []writeback) []action {
 
 // round runs one scheduling round: fire scheduled faults, refill
 // buckets, pick fairly, serve from cache, then hand the drive-bound
-// actions (plus any rebuild traffic) to the redundancy-mode executor
-// and judge each faulted drive's UBER climate at the barrier.
+// actions (plus any rebuild traffic) to the round pipeline and judge
+// each faulted drive's UBER climate at the barrier.
 func (a *Array) round() ([]Result, error) {
 	a.rounds++
 	roundStart := a.clock
@@ -446,27 +466,18 @@ func (a *Array) round() ([]Result, error) {
 		if wait <= 0 {
 			return nil, fmt.Errorf("array: scheduler stalled with %d ops pending", a.sched.pending())
 		}
-		a.stalls++
-		a.trace.Span1(hostTidSched, "qos_stall", a.clock, wait, "round", a.rounds)
-		a.advance(wait)
+		a.stall(wait)
 		return nil, nil
 	}
 
-	if cap(a.scr.results) < len(picked) {
-		a.scr.results = make([]Result, len(picked))
-	}
-	results := a.scr.results[:len(picked)]
-	for i := range results {
-		results[i] = Result{}
-	}
+	results := slices.Grow(a.scr.results[:0], len(picked))[:len(picked)]
+	clear(results)
 	a.scr.results = results
 	acts := a.scr.acts[:0]
 
 	// Dirty evictions from the previous round's cache fills flush
 	// first, preserving first-dirtied order ahead of new traffic.
-	for _, wb := range a.pendingWB {
-		acts = append(acts, action{write: true, page: wb.page, data: wb.data})
-	}
+	acts = appendWriteBacks(acts, a.pendingWB)
 	a.pendingWB = a.pendingWB[:0]
 
 	fills := a.scr.fills[:0]
@@ -487,7 +498,7 @@ func (a *Array) round() ([]Result, error) {
 				r.Latency = a.cfg.HitLatency
 				hostTime += a.cfg.HitLatency
 				if wb := a.cache.put(op.Page, op.Data, true); wb != nil {
-					acts = append(acts, a.wbActions([]writeback{*wb})...)
+					acts = append(acts, action{write: true, page: wb.page, data: wb.data})
 				}
 				continue
 			}
@@ -500,12 +511,7 @@ func (a *Array) round() ([]Result, error) {
 			t.stats.BytesRead += int64(len(data))
 			a.trace.Instant1(hostTidCache, "cache_hit", a.clock, "page", int64(op.Page))
 			r.CacheHit = true
-			if op.Buf != nil {
-				r.Data = op.Buf[:len(data)]
-				copy(r.Data, data)
-			} else {
-				r.Data = append([]byte(nil), data...)
-			}
+			r.Data = copyInto(op.Buf, data)
 			r.Latency = a.cfg.HitLatency
 			hostTime += a.cfg.HitLatency
 			continue
@@ -521,7 +527,7 @@ func (a *Array) round() ([]Result, error) {
 	// water once it crosses the high water, in first-dirtied order.
 	high, low := a.watermarks()
 	if a.cache.enabled() && a.cache.dirtyCount() >= high {
-		acts = append(acts, a.wbActions(a.cache.flush(a.cache.dirtyCount()-low))...)
+		acts = appendWriteBacks(acts, a.cache.flush(a.cache.dirtyCount()-low))
 	}
 	a.scr.acts, a.scr.fills = acts, fills
 
@@ -567,9 +573,7 @@ func (a *Array) round() ([]Result, error) {
 		if wait <= 0 {
 			wait = time.Microsecond
 		}
-		a.stalls++
-		a.trace.Span1(hostTidSched, "qos_stall", a.clock, wait, "round", a.rounds)
-		a.advance(wait)
+		a.stall(wait)
 		return nil, nil
 	}
 	a.advance(crit + hostTime)
@@ -578,6 +582,18 @@ func (a *Array) round() ([]Result, error) {
 			"round", a.rounds, "ops", int64(len(picked)))
 	}
 	return results, nil
+}
+
+// copyInto serves a host read from host memory (a cache hit, a write
+// forwarded inside its round): into the caller's Op.Buf when there is
+// one, which the result then aliases, else into a page of its own.
+func copyInto(buf, data []byte) []byte { return append(buf[:0:len(buf)], data...) }
+
+// stall jumps the fleet clock over a wait no op can shorten.
+func (a *Array) stall(wait time.Duration) {
+	a.stalls++
+	a.trace.Span1(hostTidSched, "qos_stall", a.clock, wait, "round", a.rounds)
+	a.advance(wait)
 }
 
 // watermarks resolves the configured dirty watermarks against their
@@ -614,12 +630,8 @@ func (a *Array) Flush() error {
 	if a.closed {
 		return ErrClosed
 	}
-	wbs := append(a.pendingWB, a.cache.flush(0)...)
-	a.pendingWB = nil
-	if len(wbs) == 0 {
-		return nil
-	}
-	a.advance(a.execRound(a.wbActions(wbs), false))
+	a.writeBack(append(a.pendingWB, a.cache.flush(0)...))
+	a.pendingWB = a.pendingWB[:0]
 	return nil
 }
 

@@ -163,7 +163,7 @@ func TestArrayStriping(t *testing.T) {
 	for _, tc := range []struct{ page, drive int }{
 		{0, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 0}, {12, 1},
 	} {
-		if drv, _ := w.locate(tc.page); drv != tc.drive {
+		if drv, _ := w.lay.locate(tc.page); drv != tc.drive {
 			t.Fatalf("stripe 4: page %d on drive %d, want %d", tc.page, drv, tc.drive)
 		}
 	}
@@ -383,11 +383,11 @@ func TestFleetDeterminism(t *testing.T) {
 }
 
 // BenchmarkFleetIOPS measures fleet throughput scaling across drive
-// counts; CI archives its output as BENCH_array.json.
+// counts.
 func BenchmarkFleetIOPS(b *testing.B) {
 	for _, drives := range []int{1, 4, 16} {
-		// '=' keeps the drive count out of benchjson's GOMAXPROCS-suffix
-		// trimming (a trailing -N would be stripped from the name).
+		// '=' keeps the drive count apart from the -GOMAXPROCS suffix go
+		// test appends to benchmark names.
 		b.Run(fmt.Sprintf("drives=%d", drives), func(b *testing.B) {
 			cfg := testConfig(drives)
 			cfg.Cache = CacheConfig{Pages: 64}

@@ -38,12 +38,23 @@ type driveOp struct {
 	lpa   int
 	slot  int
 	data  []byte
-	// dst, for host reads, is the caller-owned destination buffer from
-	// Op.Buf: the page decodes straight into it and the Result's Data
-	// aliases it. nil reads allocate their own copy.
+	// dst, for reads, is the destination the page decodes straight into:
+	// the caller-owned Op.Buf (Result.Data aliases it) or an internal
+	// sink's page. nil reads allocate their own copy.
 	dst []byte
 	res *Result
 	out *internalRead
+}
+
+// internalRead is the sink of a drive op with no host result slot: RMW
+// old values, reconstruction peers, parity updates, rebuild traffic.
+// Owned by exactly one worker between dispatch and barrier. buf is the
+// page an internal read decodes into, kept with the pooled sink.
+type internalRead struct {
+	data []byte
+	err  error
+	lat  time.Duration
+	buf  []byte
 }
 
 // fill routes an op's outcome to its sink. Latency accumulates rather
@@ -110,6 +121,38 @@ type drive struct {
 type driveJob struct {
 	batch []driveOp
 	wg    *sync.WaitGroup
+}
+
+// runPhase hands each slot's non-empty batch to its attached member,
+// blocks at the barrier and empties the batches for the next phase;
+// returns the phase's critical path (the slowest member's modelled
+// time). Batches for slots with no member are a planner bug.
+func (a *Array) runPhase(batches [][]driveOp) time.Duration {
+	// a.phaseWG is reusable: the barrier below returns only once the
+	// count is back to zero, and phases never overlap on the front-end
+	// goroutine — hoisting it off the stack saves one heap allocation
+	// per phase (the pointer escapes through the job channel).
+	wg := &a.phaseWG
+	for i, b := range batches {
+		if len(b) == 0 {
+			continue
+		}
+		d := a.slots[i].d
+		if d == nil {
+			panic(fmt.Sprintf("array: phase batch for detached slot %d", i))
+		}
+		wg.Add(1)
+		d.jobs <- driveJob{batch: b, wg: wg}
+	}
+	wg.Wait()
+	var crit time.Duration
+	for i, b := range batches {
+		if len(b) > 0 {
+			crit = max(crit, a.slots[i].d.roundElapsed)
+			batches[i] = b[:0]
+		}
+	}
+	return crit
 }
 
 // newDrive builds one drive: Dies×BlocksPerDie of NAND behind its own

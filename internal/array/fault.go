@@ -177,7 +177,7 @@ func (a *Array) kill(s *slot) {
 		s.d.close()
 		s.d = nil
 	}
-	if a.mode != RedundancyNone {
+	if a.lay.redundant() {
 		a.attachSpare(s)
 	}
 }

@@ -7,35 +7,55 @@ import (
 	"testing"
 )
 
-// TestParityGeometry pins the RAID-5 address math: locate and pageOf
-// are inverses, no data page ever lands on its row's parity slot, and
-// every (slot, lpa) cell is used at most once.
+// TestParityGeometry pins the layouts' address math: locate and pageOf
+// are inverses on every home, no data page ever lands on its row's
+// derived slot, every (slot, lpa) cell is used at most once, and each
+// chunk's peer range holds exactly the slots that XOR back to it.
 func TestParityGeometry(t *testing.T) {
-	for _, sp := range []int{1, 4} {
-		a := &Array{cfg: Config{Drives: 5, StripePages: sp}, mode: RedundancyParity}
-		seen := map[[2]int]int{}
-		pages := 5 * 4 * sp * 4 // a few full parity rotations
-		for p := 0; p < pages; p++ {
-			drv, lpa := a.locate(p)
-			row, _ := a.rowOff(lpa)
-			if drv == a.parityLoc(row) {
-				t.Fatalf("stripe %d: page %d landed on parity slot %d", sp, p, drv)
+	for _, tc := range []struct {
+		mode   string
+		drives int
+	}{{RedundancyNone, 4}, {RedundancyMirror, 6}, {RedundancyParity, 5}} {
+		for _, sp := range []int{1, 4} {
+			lay, err := newLayout(tc.mode, tc.drives, sp)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if back := a.pageOf(drv, lpa); back != p {
-				t.Fatalf("stripe %d: pageOf(locate(%d)) = %d", sp, p, back)
+			seen := map[[2]int]int{}
+			pages := lay.dataSlots() * sp * 4 * tc.drives // a few full parity rotations
+			for p := 0; p < pages; p++ {
+				drv, lpa := lay.locate(p)
+				hlpa, homes, n := lay.homes(p)
+				if hlpa != lpa || homes[0] != drv {
+					t.Fatalf("%s/%d: homes(%d) = %v@%d, locate says %d@%d", tc.mode, sp, p, homes[:n], hlpa, drv, lpa)
+				}
+				for _, h := range homes[:n] {
+					if h == lay.derived(lpa) {
+						t.Fatalf("%s/%d: page %d landed on derived slot %d", tc.mode, sp, p, h)
+					}
+					if back := lay.pageOf(h, lpa); back != p {
+						t.Fatalf("%s/%d: pageOf(home %d of page %d) = %d", tc.mode, sp, h, p, back)
+					}
+					key := [2]int{h, lpa}
+					if prev, dup := seen[key]; dup {
+						t.Fatalf("%s/%d: pages %d and %d share slot %d lpa %d", tc.mode, sp, prev, p, h, lpa)
+					}
+					seen[key] = p
+					lo, hi := lay.peers(h)
+					wantPeers := map[string]int{RedundancyNone: 0, RedundancyMirror: 1, RedundancyParity: tc.drives - 1}[tc.mode]
+					if h < lo || h >= hi || hi-lo-1 != wantPeers {
+						t.Fatalf("%s/%d: peers(%d) = [%d,%d), want %d peers around it", tc.mode, sp, h, lo, hi, wantPeers)
+					}
+				}
 			}
-			key := [2]int{drv, lpa}
-			if prev, dup := seen[key]; dup {
-				t.Fatalf("stripe %d: pages %d and %d share slot %d lpa %d", sp, prev, p, drv, lpa)
-			}
-			seen[key] = p
-		}
-		// Every parity cell resolves to no data page.
-		for row := 0; row < 8; row++ {
-			pd := a.parityLoc(row)
-			for off := 0; off < sp; off++ {
-				if got := a.pageOf(pd, row*sp+off); got != -1 {
-					t.Fatalf("parity cell slot %d row %d resolved to page %d", pd, row, got)
+			// Every derived cell resolves to no data page.
+			for lpa := 0; lpa < 8*sp; lpa++ {
+				if pd := lay.derived(lpa); pd >= 0 {
+					if got := lay.pageOf(pd, lpa); got != -1 {
+						t.Fatalf("%s/%d: derived cell slot %d lpa %d resolved to page %d", tc.mode, sp, pd, lpa, got)
+					}
+				} else if tc.mode == RedundancyParity {
+					t.Fatalf("parity layout names no derived slot at lpa %d", lpa)
 				}
 			}
 		}
@@ -338,7 +358,7 @@ func TestNoneModeHonestLoss(t *testing.T) {
 	}
 	deadErrs := 0
 	for _, r := range mustDrain(t, a) {
-		drv, _ := a.locate(r.Page)
+		drv, _ := a.lay.locate(r.Page)
 		if r.Err != nil {
 			if !errors.Is(r.Err, ErrDriveDead) {
 				t.Fatalf("read page %d: unexpected error %v", r.Page, r.Err)
@@ -604,8 +624,7 @@ func TestFleetDeterminismUnderFaults(t *testing.T) {
 
 // BenchmarkDegradedRead measures the reconstruction overhead: reads of
 // a parity fleet before and after one member dies (no spare, so every
-// read of the dead slot reconstructs). CI archives it in
-// BENCH_rebuild.json.
+// read of the dead slot reconstructs).
 func BenchmarkDegradedRead(b *testing.B) {
 	for _, state := range []string{"healthy", "degraded"} {
 		b.Run(state, func(b *testing.B) {
@@ -632,7 +651,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 			// slot 3 — so the delta is purely the reconstruction cost.
 			var targets []int
 			for p := 0; p < warm; p++ {
-				if drv, _ := a.locate(p); drv == 3 {
+				if drv, _ := a.lay.locate(p); drv == 3 {
 					targets = append(targets, p)
 				}
 			}
@@ -673,7 +692,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 
 // BenchmarkRebuild measures modelled rebuild throughput vs fleet size:
 // one member dies with a hot spare standing by and Drain carries the
-// rebuild to convergence. CI archives it in BENCH_rebuild.json.
+// rebuild to convergence.
 func BenchmarkRebuild(b *testing.B) {
 	for _, drives := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("drives=%d", drives), func(b *testing.B) {
@@ -755,7 +774,7 @@ func runRebuildClobber(t *testing.T, cfg Config, deadSlot int, overlap func(lpa 
 		submitted := 0
 		for k := 0; k < budget && cur+k < a.perDriveLPAs; k++ {
 			lpa := cur + k
-			pg := a.pageOf(deadSlot, lpa)
+			pg := a.lay.pageOf(deadSlot, lpa)
 			if pg >= 0 && overlap(lpa) {
 				w(pg, 1)
 				submitted++

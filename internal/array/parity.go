@@ -1,10 +1,5 @@
-// Redundancy geometry and the phased round executors. The array runs
-// every round as a short sequence of barriers: internal reads (RMW old
-// values, reconstruction peers, rebuild sources), recovery reads for
-// transient faults, data writes, then parity writes. Each phase batches
-// per drive, executes concurrently, and joins before the next phase's
-// order-sensitive planning — the same determinism contract as the
-// original single-barrier round, just deeper.
+// The round pipeline: one executor for every redundancy layout. The
+// package comment describes its stages; roundScratch holds its state.
 package array
 
 import (
@@ -13,103 +8,6 @@ import (
 	"fmt"
 	"time"
 )
-
-// Redundancy modes.
-const (
-	// RedundancyNone stripes with no cross-drive protection.
-	RedundancyNone = "none"
-	// RedundancyParity rotates RAID-5 parity across the stripe: N-1
-	// data chunks plus one parity chunk per row, parity drive = row mod N.
-	RedundancyParity = "parity"
-	// RedundancyMirror pairs drives (2k, 2k+1) as RAID-1 copies.
-	RedundancyMirror = "mirror"
-)
-
-// normalizeRedundancy resolves the config string.
-func normalizeRedundancy(mode string, drives int) (string, error) {
-	switch mode {
-	case "", RedundancyNone:
-		return RedundancyNone, nil
-	case RedundancyParity:
-		if drives < 3 {
-			return "", fmt.Errorf("array: parity redundancy needs >= 3 drives, got %d", drives)
-		}
-		return RedundancyParity, nil
-	case RedundancyMirror:
-		if drives < 2 || drives%2 != 0 {
-			return "", fmt.Errorf("array: mirror redundancy needs an even drive count >= 2, got %d", drives)
-		}
-		return RedundancyMirror, nil
-	}
-	return "", fmt.Errorf("array: unknown redundancy mode %q", mode)
-}
-
-// dataSlots is how many of the N slots hold distinct data per stripe
-// row under the active mode.
-func (a *Array) dataSlots() int {
-	switch a.mode {
-	case RedundancyParity:
-		return a.cfg.Drives - 1
-	case RedundancyMirror:
-		return a.cfg.Drives / 2
-	}
-	return a.cfg.Drives
-}
-
-// locate maps a volume page to its primary (slot, drive-local LPA).
-func (a *Array) locate(page int) (drv, lpa int) {
-	sp := a.cfg.StripePages
-	stripe, off := page/sp, page%sp
-	ds := a.dataSlots()
-	row, k := stripe/ds, stripe%ds
-	lpa = row*sp + off
-	switch a.mode {
-	case RedundancyParity:
-		pd := row % a.cfg.Drives
-		if k < pd {
-			drv = k
-		} else {
-			drv = k + 1
-		}
-	case RedundancyMirror:
-		drv = k * 2
-	default:
-		drv = k
-	}
-	return drv, lpa
-}
-
-// rowOff splits a drive-local LPA into (stripe row, page offset).
-func (a *Array) rowOff(lpa int) (row, off int) {
-	return lpa / a.cfg.StripePages, lpa % a.cfg.StripePages
-}
-
-// parityLoc is the slot holding the parity chunk of a stripe row.
-func (a *Array) parityLoc(row int) int { return row % a.cfg.Drives }
-
-// pageOf inverts locate: the volume page stored on slot at lpa, or -1
-// when the slot holds parity there (or mirrors another slot's primary).
-func (a *Array) pageOf(slotID, lpa int) int {
-	sp := a.cfg.StripePages
-	row, off := a.rowOff(lpa)
-	ds := a.dataSlots()
-	switch a.mode {
-	case RedundancyParity:
-		pd := a.parityLoc(row)
-		if slotID == pd {
-			return -1
-		}
-		k := slotID
-		if slotID > pd {
-			k = slotID - 1
-		}
-		return (row*ds+k)*sp + off
-	case RedundancyMirror:
-		return (row*ds+slotID/2)*sp + off
-	default:
-		return (row*ds+slotID)*sp + off
-	}
-}
 
 // xorInto accumulates src into dst. Parity accumulation and degraded-
 // read reconstruction both funnel through here, so the loop runs
@@ -127,105 +25,103 @@ func xorInto(dst, src []byte) {
 	}
 }
 
-// internalRead is a drive read or write with no host result slot: RMW
-// old values, reconstruction peers, parity updates, rebuild traffic.
-// Owned by exactly one worker between dispatch and barrier.
-type internalRead struct {
-	data []byte
-	err  error
-	lat  time.Duration
-}
-
-// readKey identifies one deduplicated internal read.
-type readKey struct{ slot, lpa int }
-
-// readSet collects the internal reads one phase needs, deduplicated,
-// in deterministic first-want order.
-type readSet struct {
-	order []readKey
-	m     map[readKey]*internalRead
-}
-
-func newReadSet() *readSet { return &readSet{m: map[readKey]*internalRead{}} }
-
-// want registers (slot, lpa) for the phase and returns its shared slot.
-func (rs *readSet) want(slot, lpa int) *internalRead {
-	k := readKey{slot, lpa}
-	if ir, ok := rs.m[k]; ok {
-		return ir
-	}
-	ir := &internalRead{}
-	rs.m[k] = ir
-	rs.order = append(rs.order, k)
-	return ir
-}
-
-// stage appends the set's reads to the per-slot batches in want order.
-func (rs *readSet) stage(batches [][]driveOp) {
-	for _, k := range rs.order {
-		batches[k.slot] = append(batches[k.slot], driveOp{lpa: k.lpa, slot: k.slot, out: rs.m[k]})
-	}
-}
-
-// runPhase hands each slot's non-empty batch to its attached member and
-// blocks at the barrier; returns the phase's critical path (the slowest
-// member's modelled time). Batches for slots with no member are a
-// planner bug.
-func (a *Array) runPhase(batches [][]driveOp) time.Duration {
-	any := false
-	for _, b := range batches {
-		if len(b) > 0 {
-			any = true
-			break
+// xorPages overwrites dst with the XOR of the components once all of
+// them have been read; it returns the slowest read's latency, or the
+// first read error with dst untouched.
+func xorPages(dst []byte, comps []*internalRead) (lat time.Duration, err error) {
+	for _, c := range comps {
+		if c.err != nil {
+			return 0, c.err
 		}
+		lat = max(lat, c.lat)
 	}
-	if !any {
-		return 0
+	clear(dst)
+	for _, c := range comps {
+		xorInto(dst, c.data)
 	}
-	// a.phaseWG is reusable: the barrier below returns only once the
-	// count is back to zero, and phases never overlap on the front-end
-	// goroutine — hoisting it off the stack saves one heap allocation
-	// per phase (the pointer escapes through the job channel).
-	wg := &a.phaseWG
-	for i, b := range batches {
-		if len(b) == 0 {
-			continue
-		}
-		d := a.slots[i].d
-		if d == nil {
-			panic(fmt.Sprintf("array: phase batch for detached slot %d", i))
-		}
-		wg.Add(1)
-		d.jobs <- driveJob{batch: b, wg: wg}
-	}
-	wg.Wait()
-	var crit time.Duration
-	for i, b := range batches {
-		if len(b) == 0 {
-			continue
-		}
-		if e := a.slots[i].d.roundElapsed; e > crit {
-			crit = e
-		}
-	}
-	return crit
+	return lat, nil
 }
 
 // action is one drive-bound host operation in round order: a read miss
 // or a write leaving the cache layer (res == nil for cache write-backs,
-// which have no host result slot).
+// which have no host result slot). buf is a read's Op.Buf.
 type action struct {
 	write bool
 	page  int
 	data  []byte
-	// buf is the read's caller-owned destination (Op.Buf), threaded to
-	// the serving drive so the page decodes without a per-op allocation.
-	buf []byte
-	res *Result
+	buf   []byte
+	res   *Result
 }
 
-// loseWrite accounts one unrecoverable write honestly: a result slot
-// gets the typed error; a write-back bumps the cache-loss counter.
+// hostRead is one host read miss in flight: served straight from the
+// home slot (a degraded read when that is not drv, the page's primary),
+// or, with slot < 0, reconstructed by XORing comps into dst. Kept so a
+// persistent transient fault can be recovered in phase 2.
+type hostRead struct {
+	res       *Result
+	page      int
+	slot, drv int
+	dst       []byte
+	comps     []*internalRead
+}
+
+// pwrite is one write reaching the drives this round: its writable homes
+// with one sink each (a nil sink means act.res carries the outcome), and
+// for a write that dirties a derived chunk the row plan it feeds.
+type pwrite struct {
+	act      *action
+	lpa      int
+	n        int
+	slots    [maxCopies]int
+	outs     [maxCopies]*internalRead
+	row      int           // index into scratch rows, -1 without a derived chunk
+	degraded bool          // no writable home: the derived chunk alone carries the content
+	oldData  *internalRead // RMW old value
+	ok       bool          // landed on at least one home
+}
+
+// op is the drive op carrying the write to its i-th home.
+func (w *pwrite) op(i int) driveOp {
+	op := driveOp{write: true, lpa: w.lpa, slot: w.slots[i], data: w.act.data, out: w.outs[i]}
+	if op.out == nil {
+		op.res = w.act.res
+	}
+	return op
+}
+
+// err is the outcome of the write to its i-th home.
+func (w *pwrite) err(i int) error {
+	if w.outs[i] == nil {
+		return w.act.res.Err
+	}
+	return w.outs[i].err
+}
+
+// prow accumulates one touched derived chunk's update plan: either a
+// delta chain (old parity ⊕ old data ⊕ new data per write) or an
+// absolute recompute from the row's current values.
+type prow struct {
+	l, pd     int
+	absolute  bool
+	skip      bool // derived slot unwritable: updates are dropped, honestly
+	landed    bool // one of its writes landed
+	oldParity *internalRead
+	peers     []peerRead
+	writes    []int // indexes into the round's writes, op order
+	stage     *internalRead
+}
+
+// peerRead is one data chunk of a row under absolute recompute: had
+// reports content from before the round, wanted into ir (nil when the
+// member cannot be read).
+type peerRead struct {
+	page int
+	had  bool
+	ir   *internalRead
+}
+
+// loseWrite accounts one write that landed nowhere, honestly: a result
+// slot gets the typed error; a write-back bumps the cache-loss counter.
 func (a *Array) loseWrite(s *slot, act *action, cause error) {
 	s.lostWrites++
 	if act.res != nil {
@@ -233,786 +129,520 @@ func (a *Array) loseWrite(s *slot, act *action, cause error) {
 		act.res.Err = fmt.Errorf("array: write page %d lost: %w", act.page, cause)
 		return
 	}
-	s.wbErrors++
 	a.cache.stats.WritebackLost++
 }
 
-// execRound executes one round's drive-bound actions under the active
-// redundancy mode, interleaving rebuild traffic when allowed, and
-// returns the round's accumulated critical-path time.
+// loseUnplaced is loseWrite for a write no member could even be tried
+// for; a write-back counts the slot's write-back error here, since no
+// target outcome will.
+func (a *Array) loseUnplaced(s *slot, act *action) {
+	if act.res == nil {
+		s.wbErrors++
+	}
+	a.loseWrite(s, act, ErrDriveDead)
+}
+
+// execRound executes one round's drive-bound actions, interleaving
+// rebuild traffic when allowed, and returns the round's accumulated
+// critical-path time.
 func (a *Array) execRound(acts []action, allowRebuild bool) time.Duration {
-	var items []rbItem
+	sc := &a.scr
 	if allowRebuild {
-		items = a.planRebuild()
+		a.planRebuild()
 	}
-	var crit time.Duration
-	if a.mode == RedundancyParity {
-		crit = a.execParity(acts, items)
-	} else {
-		crit = a.execFlat(acts, items)
+	for i := range acts {
+		if act := &acts[i]; act.write {
+			a.planWrite(act)
+		} else if wi := sc.fwd[act.page]; wi != 0 {
+			// A write of the page waits for phase 3 and is the newest
+			// version: forward it host-side.
+			act.res.Drive, _ = a.lay.locate(act.page)
+			act.res.Data = copyInto(act.buf, sc.pw[wi-1].act.data)
+			act.res.Latency = a.cfg.HitLatency
+		} else if err := a.stageRead(act.res, act.page, act.buf, -1); err != nil {
+			act.res.Drive, _ = a.lay.locate(act.page)
+			act.res.Err = err
+		}
 	}
-	a.finishRebuild(items)
+
+	// Phase 1, then phase 2 for the reads a transient fault refused.
+	crit := a.runReads(0)
+	served := len(sc.reads)
+	for i := 0; i < served; i++ {
+		hr := sc.reads[i]
+		if fault := hr.res.Err; hr.slot >= 0 && errors.Is(fault, ErrDriveFault) {
+			hr.res.Err = nil
+			if a.stageRead(hr.res, hr.page, hr.dst, hr.slot) != nil {
+				hr.res.Err = fault // the injected fault stands as the honest error
+			}
+		}
+	}
+	crit += a.runReads(served)
+
+	a.settleWrites(false)
+	crit += a.runDataWrites()
+	a.settleWrites(true)
+	crit += a.runDerivedWrites()
+	a.finishRebuild()
+	sc.recycle()
 	return crit
 }
 
-// pendingRead tracks a host read served directly in phase 1 so a
-// persistent transient fault can be recovered in phase 2.
-type pendingRead struct {
-	res  *Result
-	page int
-	slot int // serving slot
-}
+// staleParity is wantComps' verdict on a derived chunk that no longer
+// matches its row.
+const staleParity = -2
 
-// flatWrite is one host write's fan-out in the flat executor: up to two
-// targets (primary plus mirror partner), with a nil out entry where
-// act.res carries the result instead.
-type flatWrite struct {
-	act   *action
-	lpa   int
-	n     int
-	slots [2]int
-	outs  [2]*internalRead
-}
-
-// execFlat is the single-mixed-batch executor for the none and mirror
-// modes: reads and writes stay interleaved per drive in op order
-// (preserving read-after-write semantics within a round), with a
-// recovery phase for transient read faults and a spare-write phase for
-// rebuild traffic.
-func (a *Array) execFlat(acts []action, items []rbItem) time.Duration {
-	n := len(a.slots)
-	batches := a.phaseBatches(n)
-
-	// Rebuild sources: the partner image is read in phase 1 but only
-	// written onto the spare in phase 3, after host writes — so any
-	// same-round host write to the same page invalidates the copy below.
-	for i := range items {
-		it := &items[i]
-		if it.skip {
-			continue
+// wantComps registers the reads that XOR back to chunk (slot, lpa): the
+// row's derived chunk first, then every peer holding written data. It
+// stops at the first component it cannot use and names it in bad —
+// staleParity, or the slot that is unreadable (or is avoid, which just
+// refused the read), -1 when all is well — leaving the reads wanted so
+// far in the phase.
+func (a *Array) wantComps(slot, lpa, avoid int, comps []*internalRead) (_ []*internalRead, bad int) {
+	pd := a.lay.derived(lpa)
+	if pd >= 0 && pd != slot {
+		if !a.parityOK[lpa] {
+			return comps, staleParity
 		}
-		src := a.slots[it.srcSlot]
-		if !src.readable(it.lpa) {
-			it.lost = true
-			continue
+		if pd == avoid || !a.slots[pd].readable(lpa) {
+			return comps, pd
 		}
-		it.read = &internalRead{}
-		batches[it.srcSlot] = append(batches[it.srcSlot], driveOp{lpa: it.lpa, slot: it.srcSlot, out: it.read})
+		comps = append(comps, a.want(pd, lpa))
 	}
-
-	writes := a.scr.writes[:0]
-	reads := a.scr.reads[:0]
-
-	for ai := range acts {
-		act := &acts[ai]
-		drv, lpa := a.locate(act.page)
-		if act.write {
-			targets := [2]int{drv, -1}
-			nt := 1
-			if a.mode == RedundancyMirror {
-				targets[1] = drv ^ 1
-				nt = 2
-			}
-			fw := flatWrite{act: act, lpa: lpa}
-			carried := false
-			for _, t := range targets[:nt] {
-				if !a.slots[t].writable() {
-					continue
-				}
-				op := driveOp{write: true, lpa: lpa, data: act.data, slot: t}
-				var out *internalRead
-				if !carried && act.res != nil {
-					op.res = act.res
-					carried = true
-				} else {
-					out = &internalRead{}
-					op.out = out
-				}
-				batches[t] = append(batches[t], op)
-				fw.slots[fw.n] = t
-				fw.outs[fw.n] = out
-				fw.n++
-			}
-			if fw.n == 0 {
-				a.loseWrite(a.slots[drv], act, ErrDriveDead)
-				continue
-			}
-			writes = append(writes, fw)
+	lo, hi := a.lay.peers(slot)
+	for j := lo; j < hi; j++ {
+		if j == slot || j == pd || !a.written[a.lay.pageOf(j, lpa)] {
 			continue
 		}
-		// Read: primary slot, mirror partner as fallback.
-		srv := -1
-		if a.slots[drv].readable(lpa) {
-			srv = drv
-		} else if a.mode == RedundancyMirror && a.slots[drv^1].readable(lpa) {
-			srv = drv ^ 1
+		if j == avoid || !a.slots[j].readable(lpa) {
+			return comps, j
 		}
-		if srv < 0 {
-			act.res.Drive = drv
-			act.res.Err = fmt.Errorf("array: read page %d: %w", act.page, ErrDriveDead)
+		comps = append(comps, a.want(j, lpa))
+	}
+	return comps, -1
+}
+
+// stageRead plans one host read into the read phase being built: from
+// the first readable home other than avoid (a slot that just refused it),
+// else through reconstruction.
+func (a *Array) stageRead(res *Result, page int, dst []byte, avoid int) error {
+	sc := &a.scr
+	lpa, homes, n := a.lay.homes(page)
+	drv := homes[0]
+	var hr *hostRead
+	sc.reads, hr = grow(sc.reads)
+	*hr = hostRead{res: res, page: page, slot: -1, drv: drv, dst: dst, comps: hr.comps[:0]}
+	for _, t := range homes[:n] {
+		if t == avoid || !a.slots[t].readable(lpa) {
 			continue
 		}
-		if srv != drv {
+		if t != drv {
 			a.slots[drv].degradedReads++
 		}
-		batches[srv] = append(batches[srv], driveOp{lpa: lpa, slot: srv, dst: act.buf, res: act.res})
-		reads = append(reads, pendingRead{res: act.res, page: act.page, slot: srv})
+		hr.slot = t
+		sc.hostOps = append(sc.hostOps, driveOp{lpa: lpa, slot: t, dst: dst, res: res})
+		return nil
 	}
-	a.scr.writes, a.scr.reads = writes, reads
-
-	crit := a.runPhase(batches)
-
-	// Phase 2: recover transient-faulted reads from the mirror partner.
-	// The recovery batch is allocated only when a fault actually fired —
-	// the common clean round stays allocation-free.
-	if a.mode == RedundancyMirror {
-		var rec [][]driveOp
-		for _, pr := range reads {
-			if pr.res.Err == nil || !isFault(pr.res.Err) {
-				continue
-			}
-			other := pr.slot ^ 1
-			_, lpa := a.locate(pr.page)
-			if !a.slots[other].readable(lpa) {
-				continue
-			}
-			a.slots[pr.slot].degradedReads++
-			pr.res.Err = nil
-			if rec == nil {
-				rec = make([][]driveOp, n)
-			}
-			rec[other] = append(rec[other], driveOp{lpa: lpa, slot: other, res: pr.res})
-		}
-		if rec != nil {
-			crit += a.runPhase(rec)
+	var err error
+	switch {
+	case !a.lay.redundant():
+		err = fmt.Errorf("array: read page %d: %w", page, ErrDriveDead)
+	case !a.written[page]:
+		err = fmt.Errorf("array: page %d never written (drive %d %s)", page, drv, a.slots[drv].state)
+	default:
+		var bad int
+		if hr.comps, bad = a.wantComps(drv, lpa, avoid, hr.comps); bad == staleParity {
+			err = fmt.Errorf("array: page %d unreconstructable: parity stale: %w", page, ErrDriveDead)
+		} else if bad >= 0 {
+			err = fmt.Errorf("array: page %d unreconstructable: drive %d down too: %w", page, bad, ErrDriveDead)
 		}
 	}
-
-	// Write bookkeeping: written[] on any success, stale marks on
-	// partial mirror failures.
-	for wi := range writes {
-		fw := &writes[wi]
-		anyOK := false
-		for i, t := range fw.slots[:fw.n] {
-			var err error
-			if fw.outs[i] == nil {
-				err = fw.act.res.Err
-			} else {
-				err = fw.outs[i].err
-			}
-			s := a.slots[t]
-			if err == nil {
-				anyOK = true
-				s.markFresh(fw.lpa)
-			} else {
-				s.markStale(fw.lpa)
-				if fw.outs[i] != nil {
-					s.wbErrors++
-				}
-			}
-		}
-		if anyOK {
-			a.written[fw.act.page] = true
-		} else if fw.act.res == nil {
-			a.cache.stats.WritebackLost++
-			a.slots[fw.slots[0]].lostWrites++
-		} else {
-			a.slots[fw.slots[0]].lostWrites++
-		}
+	if err != nil {
+		sc.reads = sc.reads[:len(sc.reads)-1]
+		return err
 	}
+	a.slots[drv].degradedReads++
+	return nil
+}
 
-	// Invalidate rebuild copies clobbered by same-round host writes: the
-	// source image was read in phase 1, so a host write to the same page
-	// that landed on either mirror half makes that image stale. If it
-	// landed on the rebuilding slot itself the spare already holds the
-	// newest content (markFresh marked the page rebuilt); if it landed
-	// only on the partner, the copy retries next round from the fresh
-	// source. Only a write that failed everywhere leaves the phase-1
-	// image canonical.
-	for i := range items {
-		it := &items[i]
-		if it.skip || it.lost || it.read == nil {
+// runReads dispatches a read phase — the read set in want order, then
+// the host ops in schedule order — and closes it for reads[from:]: a
+// read served by a home other than the primary is booked as degraded,
+// a reconstruction XORs its components into the host's buffer.
+func (a *Array) runReads(from int) time.Duration {
+	sc := &a.scr
+	for _, op := range sc.rs.order {
+		sc.batches[op.slot] = append(sc.batches[op.slot], op)
+	}
+	for _, op := range sc.hostOps {
+		sc.batches[op.slot] = append(sc.batches[op.slot], op)
+	}
+	crit := a.runPhase(sc.batches)
+	a.resetReadSet()
+	sc.hostOps = sc.hostOps[:0]
+
+	for i := from; i < len(sc.reads); i++ {
+		hr := &sc.reads[i]
+		if hr.slot >= 0 {
+			if hr.slot != hr.drv && hr.res.Err == nil {
+				// The refused attempt it may follow cost no drive time.
+				a.recordDegraded(hr.res, hr.page, hr.drv, hr.res.Latency)
+			}
 			continue
 		}
-		for wi := range writes {
-			fw := &writes[wi]
-			if fw.lpa != it.lpa {
-				continue
-			}
-			for j, t := range fw.slots[:fw.n] {
-				if t != it.s.id && t != it.srcSlot {
-					continue
-				}
-				var err error
-				if fw.outs[j] == nil {
-					err = fw.act.res.Err
-				} else {
-					err = fw.outs[j].err
-				}
-				if err == nil {
-					it.skip = true
-					break
-				}
-			}
-			if it.skip {
-				break
-			}
+		if hr.dst == nil {
+			hr.dst = make([]byte, a.pageBytes)
 		}
+		hr.res.Drive = hr.drv
+		lat, err := xorPages(hr.dst[:a.pageBytes], hr.comps)
+		if err != nil {
+			hr.res.Err = fmt.Errorf("array: degraded read page %d: %w", hr.page, err)
+			continue
+		}
+		hr.res.Data = hr.dst[:a.pageBytes]
+		hr.res.Latency += lat
+		a.recordDegraded(hr.res, hr.page, hr.drv, lat)
 	}
-
-	// Phase 3: rebuild copies onto the spare.
-	crit += a.stageRebuildWrites(items, func(it *rbItem) []byte {
-		if it.read == nil || it.read.err != nil {
-			return nil
-		}
-		return it.read.data
-	})
 	return crit
 }
 
-// isFault reports whether an op error is an injected transient fault.
-func isFault(err error) bool { return errors.Is(err, ErrDriveFault) }
-
-// pwrite is one parity-mode write reaching the drives this round.
-type pwrite struct {
-	act                *action
-	drv, lpa, row, off int
-	l                  int  // parity page index (== parity lpa)
-	degraded           bool // target dead with no spare: parity alone carries the content
-	oldData            *internalRead
-	out                *internalRead // internal data-write result when act.res is nil
-	ok                 bool          // data write landed
+// recordDegraded books one degraded read of a page whose primary slot is
+// drv: class histogram, reconstructed bytes, the host-side service time,
+// and the trace span. lat is the slowest component read; the span covers
+// that window only and starts at the round's clock (which advances when
+// the round ends), so it nests inside the round's span even when the
+// read is the round's entire critical path.
+func (a *Array) recordDegraded(res *Result, page, drv int, lat time.Duration) {
+	res.Latency += a.cfg.HitLatency
+	a.slots[drv].reconBytes += int64(a.pageBytes)
+	a.latDegraded.Record(lat + a.cfg.HitLatency)
+	a.trace.Span2(hostTidRecov, "reconstruct", a.clock, lat,
+		"page", int64(page), "slot", int64(drv))
 }
 
-// prow accumulates one touched parity page's update plan: either a
-// delta chain (old parity ⊕ old data ⊕ new data per write) or an
-// absolute recompute from the row's current values.
-type prow struct {
-	l, row, pd int
-	absolute   bool
-	skip       bool // parity slot unwritable: updates are dropped, honestly
-	oldParity  *internalRead
-	peers      []peerRead
-	writes     []int // indexes into pw, op order
-	stage      *internalRead
-	val        []byte
-}
-
-// peerRead is one row member's current value wanted for an absolute
-// parity recompute; ir == nil marks a member that cannot be read.
-type peerRead struct {
-	slot, page int
-	ir         *internalRead
-}
-
-// recRead is one host read served by reconstruction: XOR of the row's
-// readable peers and its parity.
-type recRead struct {
-	res   *Result
-	page  int
-	drv   int
-	comps []*internalRead
-}
-
-// execParity is the phased RAID-5 executor: phase 1 reads (primary
-// host reads, RMW old values, reconstruction peers, rebuild sources),
-// phase 2 recovery reads for transient faults, phase 3 data writes
-// (rebuild copies first, so same-round host writes win), phase 4
-// parity writes computed only from writes that actually landed.
-func (a *Array) execParity(acts []action, items []rbItem) time.Duration {
-	n := len(a.slots)
-	rs := newReadSet()
-	prows := map[int]*prow{}
-	var prowOrder []int
-	var pw []pwrite
-	var recs []recRead
-	var reads []pendingRead
-	var hostOps []driveOp
-	pendingData := map[int][]byte{}
-
-	getProw := func(row, off int) *prow {
-		l := row*a.cfg.StripePages + off
-		if pr, ok := prows[l]; ok {
-			return pr
-		}
-		pd := a.parityLoc(row)
-		pr := &prow{l: l, row: row, pd: pd}
-		if !a.slots[pd].writable() {
-			pr.skip = true
-		}
-		prows[l] = pr
-		prowOrder = append(prowOrder, l)
-		return pr
-	}
-	makeAbsolute := func(pr *prow) {
-		if pr.absolute || pr.skip {
-			pr.absolute = true
-			pr.oldParity = nil
-			return
-		}
-		pr.absolute = true
-		pr.oldParity = nil
-		if pr.peers != nil {
-			return
-		}
-		for j := 0; j < n; j++ {
-			if j == pr.pd {
-				continue
-			}
-			pj := a.pageOf(j, pr.l)
-			if pj < 0 || !a.written[pj] {
-				continue
-			}
-			p := peerRead{slot: j, page: pj}
-			if a.slots[j].readable(pr.l) {
-				p.ir = rs.want(j, pr.l)
-			}
-			pr.peers = append(pr.peers, p)
-		}
-	}
-
-	// Rebuild source planning shares the phase-1 read set.
-	for i := range items {
-		it := &items[i]
-		row, _ := a.rowOff(it.lpa)
-		pd := a.parityLoc(row)
-		if it.s.id == pd {
-			it.parityRebuild = true
-			for j := 0; j < n; j++ {
-				if j == pd {
-					continue
-				}
-				pj := a.pageOf(j, it.lpa)
-				if pj < 0 || !a.written[pj] {
-					continue
-				}
-				if !a.slots[j].readable(it.lpa) {
-					it.skip = true // peer also down: retry a later round
-					break
-				}
-				it.comps = append(it.comps, rs.want(j, it.lpa))
-			}
+// planWrite stages one write on every writable home of its page. With no
+// derived chunk it has no inputs and joins phase 1 in op order; otherwise
+// it joins the row's update plan and waits for phase 3.
+func (a *Array) planWrite(act *action) {
+	sc := &a.scr
+	lpa, homes, n := a.lay.homes(act.page)
+	w := pwrite{act: act, lpa: lpa, row: -1}
+	for _, t := range homes[:n] {
+		if !a.slots[t].writable() {
 			continue
 		}
-		if !a.parityOK[it.lpa] {
-			it.lost = true // content existed only on the dead member
-			continue
+		if w.n > 0 || act.res == nil {
+			w.outs[w.n] = sc.newSink(0)
 		}
-		ok := a.slots[pd].readable(it.lpa)
-		if ok {
-			it.comps = append(it.comps, rs.want(pd, it.lpa))
-		} else {
-			it.skip = true
+		w.slots[w.n] = t
+		w.n++
+	}
+	pd := a.lay.derived(lpa)
+	if pd < 0 {
+		if w.n == 0 {
+			a.loseUnplaced(a.slots[homes[0]], act)
+			return
 		}
-		for j := 0; ok && j < n; j++ {
-			if j == pd || j == it.s.id {
-				continue
-			}
-			pj := a.pageOf(j, it.lpa)
-			if pj < 0 || !a.written[pj] {
-				continue
-			}
-			if !a.slots[j].readable(it.lpa) {
-				it.skip = true
-				it.comps = nil
-				break
-			}
-			it.comps = append(it.comps, rs.want(j, it.lpa))
+		for i := range w.slots[:w.n] {
+			sc.hostOps = append(sc.hostOps, w.op(i))
 		}
+		sc.pw = append(sc.pw, w)
+		return
 	}
 
-	// Host action walk, in schedule order.
-	for ai := range acts {
-		act := &acts[ai]
-		drv, lpa := a.locate(act.page)
-		row, off := a.rowOff(lpa)
-		st := a.slots[drv]
-		if !act.write {
-			if v, ok := pendingData[act.page]; ok {
-				// Read-after-write inside the round: the accepted write
-				// is the newest version; forward it host-side.
-				act.res.Drive = drv
-				act.res.Data = append([]byte(nil), v...)
-				act.res.Latency = a.cfg.HitLatency
-				continue
-			}
+	// Read-modify-write against the row's derived chunk. Such layouts
+	// keep one home per page.
+	st := a.slots[homes[0]]
+	pr := a.rowPlan(lpa, pd)
+	if w.n > 0 {
+		if a.written[act.page] {
 			if st.readable(lpa) {
-				hostOps = append(hostOps, driveOp{lpa: lpa, slot: drv, res: act.res})
-				reads = append(reads, pendingRead{res: act.res, page: act.page, slot: drv})
-				continue
+				w.oldData = a.want(st.id, lpa)
+			} else {
+				a.makeAbsolute(pr) // old value only reachable through the row
 			}
-			rec, err := a.planRecon(rs, act.page, drv, lpa)
-			if err != nil {
-				act.res.Drive = drv
-				act.res.Err = err
-				continue
-			}
-			rec.res = act.res
-			recs = append(recs, rec)
+		}
+	} else {
+		if pr.skip {
+			a.loseUnplaced(st, act)
+			return
+		}
+		w.degraded = true
+		w.slots[0] = st.id
+		a.makeAbsolute(pr)
+		if act.res != nil {
+			act.res.Drive = st.id
+		}
+	}
+	switch {
+	case pr.skip || pr.absolute:
+	case !a.parityOK[lpa]:
+		if a.anyRowWritten(lpa) {
+			a.makeAbsolute(pr) // stale parity: re-establish from the row
+		}
+	case !a.slots[pd].readable(lpa):
+		a.makeAbsolute(pr)
+	case pr.oldParity == nil:
+		pr.oldParity = a.want(pd, lpa)
+	}
+	w.row = int(sc.rowIdx[lpa]) - 1
+	pr.writes = append(pr.writes, len(sc.pw))
+	sc.pw = append(sc.pw, w)
+	sc.fwd[act.page] = int32(len(sc.pw))
+}
+
+// rowPlan returns the round's update plan for the derived chunk at
+// (pd, l), creating it on first touch.
+func (a *Array) rowPlan(l, pd int) *prow {
+	sc := &a.scr
+	if i := sc.rowIdx[l]; i != 0 {
+		return &sc.rows[i-1]
+	}
+	var pr *prow
+	sc.rows, pr = grow(sc.rows)
+	*pr = prow{l: l, pd: pd, skip: !a.slots[pd].writable(), peers: pr.peers[:0], writes: pr.writes[:0]}
+	sc.rowIdx[l] = int32(len(sc.rows))
+	return pr
+}
+
+// makeAbsolute switches a row plan to a recompute from the row's current
+// values, wanting every written chunk it can read.
+func (a *Array) makeAbsolute(pr *prow) {
+	planned := pr.absolute
+	pr.absolute = true
+	pr.oldParity = nil
+	if planned || pr.skip {
+		return
+	}
+	for j := range a.slots {
+		pj := a.lay.pageOf(j, pr.l)
+		if pj < 0 {
 			continue
 		}
-
-		w := pwrite{act: act, drv: drv, lpa: lpa, row: row, off: off, l: lpa}
-		pr := getProw(row, off)
-		if st.writable() {
-			if a.written[act.page] {
-				if st.readable(lpa) {
-					w.oldData = rs.want(drv, lpa)
-				} else {
-					makeAbsolute(pr) // old value only reachable through the row
-				}
-			}
-			if act.res == nil {
-				w.out = &internalRead{}
-			}
-		} else {
-			w.degraded = true
-			if pr.skip {
-				a.loseWrite(st, act, ErrDriveDead)
-				continue
-			}
-			makeAbsolute(pr)
-			if act.res != nil {
-				act.res.Drive = drv
-			}
+		p := peerRead{page: pj, had: a.written[pj]}
+		if p.had && a.slots[j].readable(pr.l) {
+			p.ir = a.want(j, pr.l)
 		}
-		if !pr.skip && !pr.absolute {
-			if a.parityOK[pr.l] {
-				if a.slots[pr.pd].readable(pr.l) {
-					if pr.oldParity == nil {
-						pr.oldParity = rs.want(pr.pd, pr.l)
+		pr.peers = append(pr.peers, p)
+	}
+}
+
+// anyRowWritten reports whether any data page of the row holding the
+// derived chunk at lpa l has ever landed on a drive.
+func (a *Array) anyRowWritten(l int) bool {
+	for j := range a.slots {
+		if pj := a.lay.pageOf(j, l); pj >= 0 && a.written[pj] {
+			return true
+		}
+	}
+	return false
+}
+
+// settleWrites folds the outcomes of the writes staged in phase 1
+// (deferred false) or phase 3 (true) into the slots: fresh marks and
+// written[] where a home took the data, a write-back error per failed
+// internal target, loss accounting for a write no home took.
+//
+// A failed phase-1 home is fenced as stale until a write lands on it. A
+// phase-3 one is not: parity is updated only from writes that landed, so
+// the row stays consistent with the member's old content. A phase-1
+// write that landed also defers the rebuild items it raced — the rebuild
+// read its sources in the same phase, so a write onto the rebuilding slot
+// (the spare already holds the newest content) or onto one of its
+// sources (the image read is stale) must win. Phase-3 writes sit behind
+// the rebuild copies in their batches and win by order.
+func (a *Array) settleWrites(deferred bool) {
+	sc := &a.scr
+	for wi := range sc.pw {
+		w := &sc.pw[wi]
+		if w.degraded || (w.row >= 0) != deferred {
+			continue
+		}
+		var firstErr error
+		for i, t := range w.slots[:w.n] {
+			s, err := a.slots[t], w.err(i)
+			if err == nil {
+				w.ok = true
+				s.markFresh(w.lpa)
+				for j := 0; !deferred && j < len(sc.items); j++ {
+					it := &sc.items[j]
+					if lo, hi := a.lay.peers(it.s.id); it.lpa == w.lpa && lo <= t && t < hi {
+						it.skip = true
 					}
-				} else {
-					makeAbsolute(pr)
 				}
-			} else if a.anyRowWritten(pr.l) {
-				makeAbsolute(pr) // stale parity: re-establish from the row
+				continue
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+			if !deferred {
+				s.markStale(w.lpa)
+			}
+			if w.outs[i] != nil {
+				s.wbErrors++
 			}
 		}
-		pr.writes = append(pr.writes, len(pw))
-		pendingData[act.page] = act.data
-		pw = append(pw, w)
-	}
-
-	// Phase 1: every planned read.
-	batches := make([][]driveOp, n)
-	rs.stage(batches)
-	for _, op := range hostOps {
-		batches[op.slot] = append(batches[op.slot], op)
-	}
-	crit := a.runPhase(batches)
-
-	// Resolve phase-1 reconstructions.
-	for _, rec := range recs {
-		a.resolveRecon(rec)
-	}
-
-	// Phase 2: transient-faulted primary reads recover through the row.
-	rs2 := newReadSet()
-	var recs2 []recRead
-	for _, prd := range reads {
-		if !isFault(prd.res.Err) {
+		if !w.ok {
+			a.loseWrite(a.slots[w.slots[0]], w.act, firstErr)
 			continue
 		}
-		drv, lpa := a.locate(prd.page)
-		rec, err := a.planRecon(rs2, prd.page, drv, lpa)
-		if err != nil {
-			continue // the injected fault stands as the honest error
+		a.written[w.act.page] = true
+		if deferred {
+			sc.rows[w.row].landed = true
 		}
-		prd.res.Err = nil
-		rec.res = prd.res
-		recs2 = append(recs2, rec)
 	}
-	if len(rs2.order) > 0 {
-		b2 := make([][]driveOp, n)
-		rs2.stage(b2)
-		crit += a.runPhase(b2)
-	}
-	for _, rec := range recs2 {
-		a.resolveRecon(rec)
-	}
+}
 
-	// Phase 3: rebuild copies first, then host data writes.
-	b3 := make([][]driveOp, n)
-	for i := range items {
-		it := &items[i]
+// runDataWrites is phase 3: rebuild copies first, then the host writes
+// that waited for their row's reads, so same-round host writes win.
+func (a *Array) runDataWrites() time.Duration {
+	sc := &a.scr
+	for i := range sc.items {
+		it := &sc.items[i]
 		if it.skip || it.lost {
 			continue
 		}
-		val := make([]byte, a.pageBytes)
-		bad := false
-		for _, c := range it.comps {
-			if c.err != nil {
-				bad = true
-				break
-			}
-			xorInto(val, c.data)
-		}
-		if bad {
-			it.skip = true
+		val := sc.newSink(a.pageBytes).buf
+		if _, err := xorPages(val, it.comps); err != nil {
+			it.skip = true // a source read failed: retry a later round
 			continue
 		}
-		it.write = &internalRead{}
-		b3[it.s.id] = append(b3[it.s.id], driveOp{write: true, lpa: it.lpa, slot: it.s.id, data: val, out: it.write})
+		it.write = sc.newSink(0)
+		sc.batches[it.s.id] = append(sc.batches[it.s.id],
+			driveOp{write: true, lpa: it.lpa, slot: it.s.id, data: val, out: it.write})
 	}
-	for i := range pw {
-		w := &pw[i]
-		if w.degraded {
-			continue
+	for wi := range sc.pw {
+		if w := &sc.pw[wi]; w.row >= 0 && !w.degraded {
+			sc.batches[w.slots[0]] = append(sc.batches[w.slots[0]], w.op(0))
 		}
-		op := driveOp{write: true, lpa: w.lpa, slot: w.drv, data: w.act.data, res: w.act.res, out: w.out}
-		b3[w.drv] = append(b3[w.drv], op)
 	}
-	crit += a.runPhase(b3)
+	return a.runPhase(sc.batches)
+}
 
-	// Post-barrier write bookkeeping: only landed writes feed parity.
-	fin := map[int][]byte{}
-	for i := range pw {
-		w := &pw[i]
-		if w.degraded {
-			fin[w.act.page] = w.act.data // resolved by the parity write
-			continue
-		}
-		var err error
-		if w.out != nil {
-			err = w.out.err
-		} else {
-			err = w.act.res.Err
-		}
-		if err == nil {
-			w.ok = true
-			a.written[w.act.page] = true
-			a.slots[w.drv].markFresh(w.lpa)
-			fin[w.act.page] = w.act.data
-		} else {
-			a.slots[w.drv].lostWrites++
-			if w.out != nil {
-				a.slots[w.drv].wbErrors++
-				a.cache.stats.WritebackLost++
-			}
-		}
-	}
-
-	// Compute and stage phase-4 parity writes.
-	b4 := make([][]driveOp, n)
-	staged4 := false
-	for _, l := range prowOrder {
-		pr := prows[l]
+// runDerivedWrites is phase 4: compute each touched derived chunk from
+// the writes that landed and write it; a chunk that cannot be computed
+// or written goes stale and takes its degraded writes with it.
+func (a *Array) runDerivedWrites() time.Duration {
+	sc := &a.scr
+	for i := range sc.rows {
+		pr := &sc.rows[i]
 		if pr.skip {
-			if a.parityOK[l] && a.rowChanged(pr, pw) {
-				a.parityOK[l] = false
+			if a.parityOK[pr.l] && pr.landed {
+				a.parityOK[pr.l] = false
 				a.parityStale++
 			}
 			continue
 		}
-		val, ok := a.parityValue(pr, pw, fin)
+		val, ok := a.parityValue(pr)
 		if !ok {
-			a.parityOK[l] = false
-			a.parityStale++
-			a.failDegraded(pr, pw)
+			a.failRow(pr)
 			continue
 		}
 		if val == nil {
 			continue // nothing landed on this row
 		}
-		pr.val = val
-		pr.stage = &internalRead{}
-		b4[pr.pd] = append(b4[pr.pd], driveOp{write: true, lpa: l, slot: pr.pd, data: val, out: pr.stage})
-		staged4 = true
+		pr.stage = sc.newSink(0)
+		sc.batches[pr.pd] = append(sc.batches[pr.pd],
+			driveOp{write: true, lpa: pr.l, slot: pr.pd, data: val, out: pr.stage})
 	}
-	if staged4 {
-		crit += a.runPhase(b4)
-	}
-	for _, l := range prowOrder {
-		pr := prows[l]
+	crit := a.runPhase(sc.batches)
+	for i := range sc.rows {
+		pr := &sc.rows[i]
 		if pr.stage == nil {
 			continue
 		}
-		if pr.stage.err == nil {
-			a.parityOK[l] = true
-			a.slots[pr.pd].markFresh(l)
-			for _, wi := range pr.writes {
-				w := &pw[wi]
-				if !w.degraded {
-					continue
-				}
+		if pr.stage.err != nil {
+			a.failRow(pr)
+			continue
+		}
+		a.parityOK[pr.l] = true
+		a.slots[pr.pd].markFresh(pr.l)
+		for _, wi := range pr.writes {
+			if w := &sc.pw[wi]; w.degraded {
 				a.written[w.act.page] = true
 				if w.act.res != nil {
 					w.act.res.Latency += pr.stage.lat
 				}
 			}
-		} else {
-			a.parityOK[l] = false
-			a.parityStale++
-			a.failDegraded(pr, pw)
 		}
 	}
 	return crit
 }
 
-// planRecon plans a reconstruction read of one page whose primary slot
-// cannot serve it: every written peer of the row plus the parity chunk.
-func (a *Array) planRecon(rs *readSet, page, drv, lpa int) (recRead, error) {
-	row, _ := a.rowOff(lpa)
-	pd := a.parityLoc(row)
-	if !a.written[page] {
-		return recRead{}, fmt.Errorf("array: page %d never written (drive %d %s)", page, drv, a.slots[drv].state)
-	}
-	if !a.parityOK[lpa] {
-		return recRead{}, fmt.Errorf("array: page %d unreconstructable: parity stale: %w", page, ErrDriveDead)
-	}
-	rec := recRead{page: page, drv: drv}
-	if !a.slots[pd].readable(lpa) {
-		return recRead{}, fmt.Errorf("array: page %d unreconstructable: parity drive %d down too: %w", page, pd, ErrDriveDead)
-	}
-	rec.comps = append(rec.comps, rs.want(pd, lpa))
-	for j := 0; j < len(a.slots); j++ {
-		if j == pd || j == drv {
-			continue
-		}
-		pj := a.pageOf(j, lpa)
-		if pj < 0 || !a.written[pj] {
-			continue
-		}
-		if !a.slots[j].readable(lpa) {
-			return recRead{}, fmt.Errorf("array: page %d unreconstructable: peer drive %d down too: %w", page, j, ErrDriveDead)
-		}
-		rec.comps = append(rec.comps, rs.want(j, lpa))
-	}
-	a.slots[drv].degradedReads++
-	return rec, nil
-}
-
-// resolveRecon XORs a reconstruction's components into the host result.
-// The degraded-read class histogram and trace span record here: the
-// reconstruction costs its slowest component read plus the host-side
-// XOR service time, starting at the round's clock (the fleet clock does
-// not advance until the round ends, so the span nests inside the
-// round's).
-func (a *Array) resolveRecon(rec recRead) {
-	var lat time.Duration
-	for _, c := range rec.comps {
-		if c.err != nil {
-			rec.res.Drive = rec.drv
-			rec.res.Err = fmt.Errorf("array: degraded read page %d: %w", rec.page, c.err)
-			return
-		}
-		if c.lat > lat {
-			lat = c.lat
-		}
-	}
-	data := make([]byte, a.pageBytes)
-	for _, c := range rec.comps {
-		xorInto(data, c.data)
-	}
-	rec.res.Drive = rec.drv
-	rec.res.Data = data
-	rec.res.Latency += lat + a.cfg.HitLatency
-	a.slots[rec.drv].reconBytes += int64(a.pageBytes)
-	a.latDegraded.Record(lat + a.cfg.HitLatency)
-	// The span covers the component-read window only (the host-side XOR
-	// service time is not part of any drive's timeline), which keeps it
-	// nested inside the round span even when the reconstruction is the
-	// round's entire critical path.
-	a.trace.Span2(hostTidRecov, "reconstruct", a.clock, lat,
-		"page", int64(rec.page), "slot", int64(rec.drv))
-}
-
-// anyRowWritten reports whether any data page of the row holding
-// parity page l has ever landed on a drive.
-func (a *Array) anyRowWritten(l int) bool {
-	for j := 0; j < len(a.slots); j++ {
-		if pj := a.pageOf(j, l); pj >= 0 && a.written[pj] {
-			return true
-		}
-	}
-	return false
-}
-
-// rowChanged reports whether any of the prow's writes landed.
-func (a *Array) rowChanged(pr *prow, pw []pwrite) bool {
+// failRow marks a derived chunk stale and surfaces the loss of every
+// degraded write that relied on it.
+func (a *Array) failRow(pr *prow) {
+	a.parityOK[pr.l] = false
+	a.parityStale++
 	for _, wi := range pr.writes {
-		if pw[wi].ok {
-			return true
-		}
-	}
-	return false
-}
-
-// failDegraded surfaces the loss of every degraded write on a parity
-// row whose parity update could not land.
-func (a *Array) failDegraded(pr *prow, pw []pwrite) {
-	for _, wi := range pr.writes {
-		w := &pw[wi]
-		if w.degraded {
-			a.loseWrite(a.slots[w.drv], w.act, ErrDriveDead)
+		if w := &a.scr.pw[wi]; w.degraded {
+			a.loseUnplaced(a.slots[w.slots[0]], w.act)
 		}
 	}
 }
 
-// parityValue computes the new parity for a touched row. Returns
+// lastData returns the data of the last write to page in pr.writes[:upTo]
+// that landed (or, with degradedToo, rides on the derived chunk), or nil.
+func (a *Array) lastData(pr *prow, upTo, page int, degradedToo bool) []byte {
+	for i := upTo - 1; i >= 0; i-- {
+		w := &a.scr.pw[pr.writes[i]]
+		if w.act.page == page && (w.ok || degradedToo && w.degraded) {
+			return w.act.data
+		}
+	}
+	return nil
+}
+
+// parityValue computes the new derived chunk for a touched row. Returns
 // (nil, true) when nothing landed, (nil, false) when the update is
 // uncomputable (stale parity results).
-func (a *Array) parityValue(pr *prow, pw []pwrite, fin map[int][]byte) ([]byte, bool) {
+func (a *Array) parityValue(pr *prow) ([]byte, bool) {
+	sc := &a.scr
+	if pr.oldParity != nil && pr.oldParity.err != nil {
+		return nil, false
+	}
+	val := sc.newSink(a.pageBytes).buf
+	clear(val)
 	if pr.absolute {
-		val := make([]byte, a.pageBytes)
-		covered := map[int]bool{}
+		// Every data chunk of the row at its final value: this round's
+		// last write to it, else the value read in phase 1, else (never
+		// written) zeros.
 		for _, p := range pr.peers {
-			if v, ok := fin[p.page]; ok {
+			v := a.lastData(pr, len(pr.writes), p.page, true)
+			if v == nil && p.had {
+				if p.ir == nil || p.ir.err != nil {
+					return nil, false
+				}
+				v = p.ir.data
+			}
+			if v != nil {
 				xorInto(val, v)
-				covered[p.page] = true
-				continue
-			}
-			if p.ir == nil || p.ir.err != nil {
-				return nil, false
-			}
-			xorInto(val, p.ir.data)
-			covered[p.page] = true
-		}
-		for _, wi := range pr.writes {
-			w := &pw[wi]
-			if covered[w.act.page] {
-				continue
-			}
-			if v, ok := fin[w.act.page]; ok {
-				xorInto(val, v)
-				covered[w.act.page] = true
 			}
 		}
 		return val, true
 	}
 	// Delta chain over the writes that landed, in op order.
-	if pr.oldParity != nil && pr.oldParity.err != nil {
-		return nil, false
-	}
-	val := make([]byte, a.pageBytes)
 	if pr.oldParity != nil {
 		copy(val, pr.oldParity.data)
 	}
-	chain := map[int][]byte{}
-	changed := false
-	for _, wi := range pr.writes {
-		w := &pw[wi]
+	for i, wi := range pr.writes {
+		w := &sc.pw[wi]
 		if !w.ok {
 			continue
 		}
-		old, seen := chain[w.act.page]
-		if !seen {
-			if w.oldData != nil {
-				if w.oldData.err != nil {
-					return nil, false
-				}
-				old = w.oldData.data
+		old := a.lastData(pr, i, w.act.page, false)
+		if old == nil && w.oldData != nil {
+			if w.oldData.err != nil {
+				return nil, false
 			}
+			old = w.oldData.data
 		}
 		if old != nil {
 			xorInto(val, old)
 		}
 		xorInto(val, w.act.data)
-		chain[w.act.page] = w.act.data
-		changed = true
 	}
-	if !changed {
+	if !pr.landed {
 		return nil, true
 	}
 	return val, true

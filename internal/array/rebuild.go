@@ -1,14 +1,14 @@
 // Background rebuild: when a dead slot gets a hot spare, a cursor
-// sweeps the drive-local address space, reconstructing each page that
-// holds live content (mirror: copy from the partner; parity: XOR of
-// the row's peers, or a parity recompute when the slot owns the row's
-// parity chunk) and writing it onto the spare. Rebuild traffic is just
+// sweeps the drive-local address space, reconstructing each chunk that
+// holds live content from the peers the layout names (the mirror
+// partner's copy; the XOR of the row under parity, which for the row's
+// parity chunk is a recompute) and writing it onto the spare, through
+// the same reconstruct-then-write path of the round pipeline that
+// serves degraded reads. Rebuild traffic is just
 // another QoS tenant — it competes for round budget through the same
 // token bucket machinery as host tenants, so a throttled rebuild
 // visibly stretches the repair window in the report.
 package array
-
-import "time"
 
 // rebuildTenant is the reserved QoS tenant name carrying rebuild I/O.
 const rebuildTenant = "rebuild"
@@ -16,19 +16,15 @@ const rebuildTenant = "rebuild"
 // rebuildCheckpointEvery is the progress-checkpoint stride in pages.
 const rebuildCheckpointEvery = 32
 
-// rbItem is one page of rebuild work planned for a round.
+// rbItem is one chunk of rebuild work planned for a round.
 type rbItem struct {
 	s   *slot
 	lpa int
 
-	srcSlot       int  // flat modes: the partner slot supplying the copy
-	parityRebuild bool // parity mode: this lpa holds the row's parity chunk
-
-	skip bool // sources unavailable this round: retry later
+	skip bool // sources unavailable or overtaken this round: retry later
 	lost bool // unrecoverable: counted, cursor moves on
 
-	comps []*internalRead // parity mode: XOR components
-	read  *internalRead   // flat modes: partner read
+	comps []*internalRead // the reads that XOR back to the chunk
 	write *internalRead   // the spare write's result
 }
 
@@ -93,33 +89,21 @@ func (a *Array) attachSpare(s *slot) {
 }
 
 // rebuildNeeded reports whether the slot's spare is missing live
-// content at lpa (pages that never held data, or mirror secondaries,
-// rebuild for free).
+// content at lpa: a data chunk (or mirror copy) whose page was written,
+// or a derived chunk of a row with any written page. Everything else
+// rebuilds for free.
 func (a *Array) rebuildNeeded(s *slot, lpa int) bool {
-	switch a.mode {
-	case RedundancyParity:
-		row, _ := a.rowOff(lpa)
-		if a.parityLoc(row) == s.id {
-			return a.anyRowWritten(lpa)
-		}
-		pj := a.pageOf(s.id, lpa)
-		return pj >= 0 && a.written[pj]
-	case RedundancyMirror:
-		pj := a.pageOf(s.id, lpa)
-		return pj >= 0 && a.written[pj]
+	if pj := a.lay.pageOf(s.id, lpa); pj >= 0 {
+		return a.written[pj]
 	}
-	return false
+	return a.anyRowWritten(lpa)
 }
 
 // planRebuild sweeps each rebuilding slot's cursor and plans this
-// round's rebuild items, bounded by a per-round budget and the rebuild
-// tenant's token bucket. Pages with nothing to restore are marked
-// rebuilt for free and do not consume budget.
-func (a *Array) planRebuild() []rbItem {
-	if a.mode == RedundancyNone {
-		return nil
-	}
-	var items []rbItem
+// round's rebuild items into the round scratch, bounded by a per-round
+// budget and the rebuild tenant's token bucket. Pages with nothing to
+// restore are marked rebuilt for free and do not consume budget.
+func (a *Array) planRebuild() {
 	for _, s := range a.slots {
 		if s.state != Rebuilding {
 			continue
@@ -127,10 +111,7 @@ func (a *Array) planRebuild() []rbItem {
 		for s.cursor < a.perDriveLPAs && s.rebuilt[s.cursor] {
 			s.cursor++
 		}
-		budget := a.cfg.RoundOps / 4
-		if budget < 1 {
-			budget = 1
-		}
+		budget := max(a.cfg.RoundOps/4, 1)
 		for lpa := s.cursor; lpa < a.perDriveLPAs && budget > 0; lpa++ {
 			if s.rebuilt[lpa] {
 				continue
@@ -143,53 +124,23 @@ func (a *Array) planRebuild() []rbItem {
 				a.rebuildTen.stats.Throttled++
 				break
 			}
-			it := rbItem{s: s, lpa: lpa}
-			if a.mode == RedundancyMirror {
-				it.srcSlot = s.id ^ 1
-			}
-			items = append(items, it)
+			var it *rbItem
+			a.scr.items, it = grow(a.scr.items)
+			comps, bad := a.wantComps(s.id, lpa, -1, it.comps[:0])
+			*it = rbItem{s: s, lpa: lpa, comps: comps,
+				lost: bad == staleParity, // content existed only on the dead member
+				skip: bad >= 0}           // a source is down too: retry a later round
 			budget--
 		}
 	}
-	return items
-}
-
-// stageRebuildWrites runs the flat-mode spare-write phase: value
-// extracts each item's reconstructed content (nil defers the item to a
-// later round).
-func (a *Array) stageRebuildWrites(items []rbItem, value func(*rbItem) []byte) time.Duration {
-	if len(items) == 0 {
-		return 0
-	}
-	batches := make([][]driveOp, len(a.slots))
-	staged := false
-	for i := range items {
-		it := &items[i]
-		if it.skip || it.lost {
-			continue
-		}
-		v := value(it)
-		if v == nil {
-			it.skip = true
-			continue
-		}
-		it.write = &internalRead{}
-		batches[it.s.id] = append(batches[it.s.id],
-			driveOp{write: true, lpa: it.lpa, slot: it.s.id, data: v, out: it.write})
-		staged = true
-	}
-	if !staged {
-		return 0
-	}
-	return a.runPhase(batches)
 }
 
 // finishRebuild folds a round's rebuild outcomes into the slots: marks
 // restored pages, accounts tenant throughput and checkpoints, and
 // promotes any slot whose sweep converged to restored.
-func (a *Array) finishRebuild(items []rbItem) {
-	for i := range items {
-		it := &items[i]
+func (a *Array) finishRebuild() {
+	for i := range a.scr.items {
+		it := &a.scr.items[i]
 		s := it.s
 		if it.lost {
 			s.rebuilt[it.lpa] = true
@@ -205,7 +156,7 @@ func (a *Array) finishRebuild(items []rbItem) {
 		s.rb.Pages++
 		s.rb.Bytes += int64(a.pageBytes)
 		a.latRebuild.Record(it.write.lat)
-		if a.mode == RedundancyParity && it.parityRebuild {
+		if a.lay.derived(it.lpa) == s.id {
 			a.parityOK[it.lpa] = true
 		}
 		a.rebuildTen.stats.Writes++
@@ -260,5 +211,5 @@ func (a *Array) abandonRebuild() {
 			}
 		}
 	}
-	a.finishRebuild(nil)
+	a.finishRebuild()
 }

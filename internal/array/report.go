@@ -167,7 +167,7 @@ func (a *Array) Report() *FleetReport {
 		Drives:      a.cfg.Drives,
 		Seed:        a.cfg.Seed,
 		StripePages: a.cfg.StripePages,
-		Redundancy:  a.mode,
+		Redundancy:  a.lay.name,
 		Spares:      a.cfg.Spares,
 		SparesFree:  len(a.sparePool),
 		VolumePages: a.volumePages,

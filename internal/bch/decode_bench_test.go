@@ -1,7 +1,7 @@
 package bch
 
 // Decode-pipeline micro-benchmarks: the error-count × capability matrix
-// the ISSUE's perf-tracking job consumes (BENCH_decode.json). All
+// behind the bench ladder's bch.decode_ns rungs. All
 // benchmarks report allocs/op; the steady-state encode and decode paths
 // must stay at 0.
 

@@ -3,8 +3,8 @@ package bch
 import (
 	"errors"
 	"fmt"
-	"sync"
 
+	"xlnand/internal/freelist"
 	"xlnand/internal/gf"
 )
 
@@ -18,13 +18,15 @@ var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 // bound to one code (one t); the adaptive Codec multiplexes between them.
 //
 // Decoder is safe for concurrent use: all mutable per-decode state lives
-// in pooled scratch contexts, so concurrent dies sharing one codec never
-// contend on a lock or allocate in steady state.
+// in scratch contexts taken from a free list for the length of one
+// decode, so concurrent dies sharing one codec share nothing else and
+// never allocate in steady state. (A free list, not a sync.Pool: the
+// zero-allocation tests must not depend on when the collector runs.)
 type Decoder struct {
 	code *Code
 	syn  *SyndromeCalc
-	div  *divider  // remainder-first syndrome engine; nil for toy geometries
-	pool sync.Pool // of *decodeScratch
+	div  *divider // remainder-first syndrome engine; nil for toy geometries
+	pool freelist.List[decodeScratch]
 }
 
 // decodeScratch is the reusable working set of one in-flight Decode: the
@@ -52,7 +54,7 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 	syn.Prepare(c.T)
 	d := &Decoder{code: c, syn: syn, div: newDivider(c)}
 	t := c.T
-	d.pool.New = func() any {
+	d.pool.New = func() *decodeScratch {
 		sc := &decodeScratch{
 			syn:   make([]uint32, 2*t),
 			delta: make([]uint32, t),
@@ -90,7 +92,7 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 	if len(codeword) != nbits/8 {
 		return 0, fmt.Errorf("bch: codeword is %d bytes, want %d", len(codeword), nbits/8)
 	}
-	sc := d.pool.Get().(*decodeScratch)
+	sc := d.pool.Get()
 	defer d.pool.Put(sc)
 	f := d.code.Field
 	t := d.code.T

@@ -3,8 +3,8 @@ package bch
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
+	"xlnand/internal/freelist"
 	"xlnand/internal/gf"
 )
 
@@ -15,8 +15,8 @@ import (
 // p = 8 parallel LFSR network with its XOR taps selected by the ROM of
 // characteristic polynomials).
 //
-// Encoder is safe for concurrent use; the remainder register lives in a
-// pooled scratch so steady-state encoding does not allocate.
+// Encoder is safe for concurrent use; the remainder register comes from
+// a free list so steady-state encoding does not allocate.
 type Encoder struct {
 	code *Code
 	r    int           // parity bits = deg(g)
@@ -27,7 +27,7 @@ type Encoder struct {
 	// decoder's remainder-first syndrome path; nil when rw exceeds
 	// slice8MaxRW (see remainder.go).
 	slice8 []uint64
-	regs   sync.Pool // of *[]uint64 remainder registers, len rw
+	regs   freelist.List[[]uint64] // remainder registers, len rw
 }
 
 // NewEncoder builds the remainder table for the code's generator
@@ -36,7 +36,7 @@ type Encoder struct {
 // codes use the polynomial API (EncodePoly).
 func NewEncoder(c *Code) *Encoder {
 	e := &Encoder{code: c, r: c.GenDegree, rw: (c.GenDegree + 63) / 64}
-	e.regs.New = func() any { p := make([]uint64, e.rw); return &p }
+	e.regs.New = func() *[]uint64 { p := make([]uint64, e.rw); return &p }
 	// Seed single-bit entries: x^(r+u) mod g for u = 0..7.
 	var single [8]gf.Poly2
 	p := gf.NewPoly2FromCoeffs(c.GenDegree) // x^r
@@ -125,7 +125,7 @@ func (e *Encoder) EncodeInto(parity, msg []byte) error {
 // encodeInto runs the byte-wise LFSR over msg and serialises the
 // remainder register MSB-first into out (validated, len r/8).
 func (e *Encoder) encodeInto(out, msg []byte) {
-	regp := e.regs.Get().(*[]uint64)
+	regp := e.regs.Get()
 	reg := *regp
 	for i := range reg {
 		reg[i] = 0

@@ -15,8 +15,7 @@ import (
 // recovery pipeline at three device ages (the retry matrix's fresh /
 // cycled / retention-baked corners) and reports decode throughput,
 // recovered UBER (lost bits per bit read on the modelled medium) and the
-// modelled read MB/s — the artifact CI archives as BENCH_ldpc.json so
-// the family trade-off trajectory is tracked across PRs. The retry
+// modelled read MB/s. The retry
 // budget opens one rung past the hard ladder, so the LDPC series pays
 // its soft-sense rung where the climate demands it.
 func BenchmarkFamilyRecovery(b *testing.B) {

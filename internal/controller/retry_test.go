@@ -408,8 +408,7 @@ func BenchmarkControllerRead(b *testing.B) {
 
 // BenchmarkReadRecovery sweeps the recovery ladder across three device
 // ages at three retry depths and reports the recovered UBER (lost bits
-// per bit read on the modelled medium) and the modelled read throughput
-// — the artifact CI archives as BENCH_readretry.json.
+// per bit read on the modelled medium) and the modelled read throughput.
 func BenchmarkReadRecovery(b *testing.B) {
 	const pages = 8
 	for _, cond := range ladderConditions() {

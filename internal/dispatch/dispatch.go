@@ -28,6 +28,7 @@ import (
 	"xlnand/internal/bch"
 	"xlnand/internal/controller"
 	"xlnand/internal/ecc"
+	"xlnand/internal/freelist"
 	"xlnand/internal/ldpc"
 	"xlnand/internal/nand"
 	"xlnand/internal/obs"
@@ -200,8 +201,9 @@ type job struct {
 	// Lean synchronous path (DoRead/DoWrite): the worker decodes into
 	// dst, stores the result in the caller's rres/wres scratch, and
 	// sends the completion on sync instead of calling deliver — no
-	// per-operation allocation. jobs on this path are pooled (jobPool);
-	// sync is allocated once per pooled job and reused.
+	// per-operation allocation. jobs on this path come from the
+	// dispatcher's free list (Dispatcher.jobs); sync is allocated once
+	// per listed job and reused.
 	dst  []byte
 	rres *controller.ReadResult
 	wres *controller.WriteResult
@@ -214,12 +216,6 @@ type job struct {
 	fn   func(*controller.Controller)
 	done chan struct{}
 }
-
-// jobPool recycles lean-path jobs: the synchronous FTL read/write fast
-// path issues one job per physical page op, and allocating job +
-// channel + closure per op dominated the dispatch overhead of
-// fleet-scale runs.
-var jobPool = sync.Pool{New: func() any { return &job{sync: make(chan Completion, 1)} }}
 
 // donePool recycles the control path's completion channels: a control
 // call is a tiny synchronous hop onto a die worker, and allocating a
@@ -272,6 +268,14 @@ type Dispatcher struct {
 	closeMu sync.RWMutex
 	closed  bool
 	wg      sync.WaitGroup
+
+	// jobs recycles lean-path jobs: the synchronous FTL read/write fast
+	// path issues one job per physical page op, and allocating job +
+	// channel + closure per op dominated the dispatch overhead of
+	// fleet-scale runs. A free list rather than a sync.Pool, so the
+	// zero-allocation round does not depend on when the collector runs;
+	// one per dispatcher, so drives of an array never share its lock.
+	jobs freelist.List[job]
 }
 
 // dieSeedStride decorrelates the per-die fault-injection RNG streams;
@@ -314,6 +318,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	d := &Dispatcher{env: cfg.Env, codec: codec, defaultMode: sim.ModeNominal}
+	d.jobs.New = func() *job { return &job{sync: make(chan Completion, 1)} }
 	if cfg.Trace != nil {
 		cfg.Trace.Thread(traceTidBus, "bus")
 		cfg.Trace.Thread(traceTidCodec, "codec")

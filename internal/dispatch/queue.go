@@ -184,18 +184,18 @@ func (q *Queue) doLean(ctx context.Context, req Request, dst []byte, rres *contr
 			return c, c.Err
 		}
 	}
-	j := jobPool.Get().(*job)
+	j := d.jobs.Get()
 	j.ctx, j.req, j.arrival = ctx, req, arrival
 	j.dst, j.rres, j.wres = dst, rres, wres
 	if err := q.d.enqueue(req.Die, j); err != nil {
 		j.ctx, j.req = nil, Request{}
 		j.dst, j.rres, j.wres = nil, nil, nil
-		jobPool.Put(j)
+		d.jobs.Put(j)
 		return Completion{}, err
 	}
 	c := <-j.sync
 	j.ctx, j.req = nil, Request{}
 	j.dst, j.rres, j.wres = nil, nil, nil
-	jobPool.Put(j)
+	d.jobs.Put(j)
 	return c, c.Err
 }

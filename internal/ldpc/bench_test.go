@@ -9,7 +9,7 @@ import (
 
 // BenchmarkLDPCDecode sweeps the min-sum hot path: clean early-exit,
 // errored hard decode at half cap and at cap, across the weakest and
-// strongest rate levels. CI archives the results in BENCH_ldpc.json.
+// strongest rate levels.
 func BenchmarkLDPCDecode(b *testing.B) {
 	c, err := NewPageCodec()
 	if err != nil {

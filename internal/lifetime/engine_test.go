@@ -221,8 +221,7 @@ func TestCorrectedHist(t *testing.T) {
 }
 
 // BenchmarkLifetimeSmoke runs the shortest catalog scenario end to end —
-// the number CI archives as BENCH_lifetime.json to track the soak
-// harness's wall cost across PRs.
+// the soak harness's wall cost.
 func BenchmarkLifetimeSmoke(b *testing.B) {
 	sc := ShortestScenario()
 	b.ReportAllocs()
