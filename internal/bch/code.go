@@ -11,11 +11,19 @@
 //     (mirroring the small ROM of characteristic polynomials in the
 //     paper's programmable-LFSR encoder);
 //   - a functional codec: systematic encoding via polynomial modulus and
-//     a full decoder (syndromes -> inverse-free Berlekamp-Massey -> Chien
-//     search with shortening offset), operating on real data buffers;
+//     a full decoder (syndromes -> inverse-free Berlekamp-Massey -> error
+//     locations, shortening offset included), operating on real data
+//     buffers;
 //   - a hardware timing model (latency.go): cycle counts for the parallel
 //     LFSR encoder (parallelism p), syndrome block, iBM machine and Chien
 //     search (parallelism h) at a configurable clock, reproducing Fig. 8.
+//
+// The two describe different machines. The timing model is the paper's
+// datapath and is what every modelled latency charges; the functional
+// codec is the host algorithm that produces the same bits as cheaply as
+// the host can (byte-LFSR division, remainder-first syndromes, the
+// locator's roots by trace splitting in roots.go rather than by a
+// position scan). Changing the second must never move the first.
 //
 // UBER math (uber.go) implements the paper's Eq. (1) in the log domain so
 // post-correction error rates down to 1e-30 remain representable, plus the

@@ -140,43 +140,3 @@ func BenchmarkSyndromes(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkChien isolates the strided log-domain Chien kernel on a
-// worst-ish-case locator: t errors spread over the page.
-func BenchmarkChien(b *testing.B) {
-	for _, tcap := range []int{3, 16, 65} {
-		codec := benchCodec(b, tcap)
-		code, err := codec.Code(tcap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := stats.NewRNG(0xc41e + uint64(tcap))
-		msg := benchPage(r, codec.K/8)
-		cw, err := codec.EncodeCodeword(tcap, msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range r.SampleK(code.CodewordBits(), tcap) {
-			cw[p/8] ^= 1 << uint(7-p%8)
-		}
-		syn := codec.syn.Syndromes(cw, tcap)
-		lambda, L := BerlekampMassey(code.Field, syn)
-		if L != tcap {
-			b.Fatalf("locator degree %d, want %d", L, tcap)
-		}
-		var sc chienScratch
-		sc.grow(len(lambda))
-		var pos []int
-		b.Run(fmt.Sprintf("t=%d", tcap), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, ok := chienSearchInto(code.Field, lambda, code.CodewordBits(), pos[:0], &sc)
-				if !ok || len(p) != tcap {
-					b.Fatalf("chien found %d roots (ok=%v), want %d", len(p), ok, tcap)
-				}
-				pos = p
-			}
-		})
-	}
-}

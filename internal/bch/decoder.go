@@ -14,8 +14,11 @@ import (
 var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 
 // Decoder runs the three-stage BCH decoding flow of the paper's Fig. 2:
-// syndrome computation, Berlekamp-Massey, Chien search. One Decoder is
+// syndrome computation, Berlekamp-Massey, error location. One Decoder is
 // bound to one code (one t); the adaptive Codec multiplexes between them.
+// The stages' results are the modelled datapath's; how the host computes
+// them is not (the third stage factors the locator, see locatorRoots,
+// where the hardware of HWConfig.ChienCycles scans positions).
 //
 // Decoder is safe for concurrent use: all mutable per-decode state lives
 // in scratch contexts taken from a free list for the length of one
@@ -30,16 +33,16 @@ type Decoder struct {
 }
 
 // decodeScratch is the reusable working set of one in-flight Decode: the
-// syndrome vector, the Berlekamp-Massey polynomial buffers, the Chien
-// lane arrays and the found-position list. One scratch serves decodes of
-// any capability up to the decoder's t.
+// syndrome vector, the Berlekamp-Massey polynomial buffers, the root
+// finder's working set and the found-position list. One scratch serves
+// decodes of any capability up to the decoder's t.
 type decodeScratch struct {
 	syn   []uint32
 	delta []uint32 // re-check accumulator, one entry per odd syndrome
 	reg   []uint64 // polynomial-division register (remainder-first path)
 	rem   []byte   // serialised remainder, r/8 bytes
 	bm    bmScratch
-	chien chienScratch
+	roots []uint16 // locatorRoots working set, sized for a degree-t locator
 	pos   []int
 }
 
@@ -58,14 +61,14 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 		sc := &decodeScratch{
 			syn:   make([]uint32, 2*t),
 			delta: make([]uint32, t),
-			pos:   make([]int, 0, t+1),
+			roots: make([]uint16, rootScratchLen(c.Field.M(), t)),
+			pos:   make([]int, 0, t),
 		}
 		if d.div != nil {
 			sc.reg = make([]uint64, d.div.rw)
 			sc.rem = make([]byte, d.div.rb)
 		}
 		sc.bm.grow(2 * t)
-		sc.chien.grow(t + 2)
 		return sc
 	}
 	return d
@@ -117,8 +120,7 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 	if L > t || len(lambda)-1 != L {
 		return 0, ErrUncorrectable
 	}
-	positions, ok := chienSearchInto(f, lambda, nbits, sc.pos[:0], &sc.chien)
-	sc.pos = positions[:0]
+	positions, ok := locatorRoots(f, lambda, nbits, sc.pos[:0], sc.roots)
 	if !ok {
 		return 0, ErrUncorrectable
 	}

@@ -10,6 +10,7 @@ package bch
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,6 +95,41 @@ func FuzzEncodeDecodeRoundtrip(f *testing.F) {
 			if !bytes.Equal(cw, clean) {
 				t.Fatal("decode did not restore the original codeword")
 			}
+		}
+	})
+}
+
+// fuzzField is GF(2^16), the page codec's field, built once.
+var fuzzField = sync.OnceValue(func() *gf.Field { return gf.NewField(16) })
+
+// FuzzLocatorRoots holds the algebraic root finder to the textbook scan
+// (scanRoots) on arbitrary locators over GF(2^16) of degree <= 65: raw is
+// read as big-endian 16-bit words that are either the coefficients
+// themselves or, with asRoots, roots to expand (repeats and zero
+// included) — a random coefficient vector almost never splits, so the
+// second reading is what reaches the splitting stage.
+func FuzzLocatorRoots(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3}, uint16(0), false)
+	f.Add([]byte{0, 1, 0, 0, 0, 1}, uint16(33807), false)           // (x+1)^2
+	f.Add([]byte{0, 0, 0, 5, 0, 7}, uint16(100), false)             // lambda_0 = 0
+	f.Add([]byte{0, 2, 0, 4, 0x10, 0, 0xab, 0xcd}, uint16(0), true) // four distinct roots
+	f.Add([]byte{0, 2, 0, 2, 0, 9}, uint16(0), true)                // a repeated one
+	f.Add(bytes.Repeat([]byte{0x5a, 0xa5, 0x13}, 44), uint16(40000), true)
+
+	f.Fuzz(func(t *testing.T, raw []byte, short uint16, asRoots bool) {
+		fld := fuzzField()
+		words := make([]uint32, 0, 66)
+		for i := 0; i+1 < len(raw) && len(words) < 66; i += 2 {
+			words = append(words, uint32(raw[i])<<8|uint32(raw[i+1]))
+		}
+		lambda := words
+		if asRoots {
+			lambda = fromRoots(fld, 1, words[:min(len(words), 65)]...)
+		}
+		nbits := fld.N() - int(short)%fld.N() // 1..N: every shortening
+		pos, ok := checkAgainstScan(t, fld, lambda, nbits)
+		if ok && !slices.IsSorted(pos) {
+			t.Fatalf("positions %v not ascending", pos)
 		}
 	})
 }

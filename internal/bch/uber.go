@@ -3,6 +3,7 @@ package bch
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"xlnand/internal/stats"
 )
@@ -71,14 +72,17 @@ func RequiredT(m, k int, rber, target float64, tmax int) (int, error) {
 		return 0, fmt.Errorf("bch: UBER target %g outside (0,1)", target)
 	}
 	logTarget := math.Log(target)
-	for t := 1; t <= tmax; t++ {
-		n := k + m*t
-		if n > (1<<uint(m))-1 {
-			return 0, fmt.Errorf("bch: t=%d no longer fits GF(2^%d) before meeting target", t, m)
-		}
-		if LogUBERTail(n, t, rber) <= logTarget {
-			return t, nil
-		}
+	// The tail is monotone in t (see UBERTail), so bisect for the least t
+	// that meets the target among those whose codeword fits the field.
+	fit := min(tmax, max((1<<uint(m))-1-k, 0)/m)
+	t := 1 + sort.Search(fit, func(i int) bool {
+		return LogUBERTail(k+m*(i+1), i+1, rber) <= logTarget
+	})
+	switch {
+	case t <= fit:
+		return t, nil
+	case fit < tmax:
+		return 0, fmt.Errorf("bch: t=%d no longer fits GF(2^%d) before meeting target", fit+1, m)
 	}
 	return 0, fmt.Errorf("bch: target UBER %.3g unreachable at RBER %.3g within tmax=%d", target, rber, tmax)
 }

@@ -1,6 +1,7 @@
 package bch
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -129,6 +130,47 @@ func TestRequiredTErrors(t *testing.T) {
 	}
 	if _, err := RequiredT(16, 32768, 1e-6, 1, 65); err == nil {
 		t.Fatal("target 1 accepted")
+	}
+}
+
+// requiredTScan is the reference for RequiredT's bisection: the walk over
+// t = 1..tmax it replaced, stopping at the first t that meets the target.
+func requiredTScan(m, k int, rber, target float64, tmax int) (int, error) {
+	logTarget := math.Log(target)
+	for t := 1; t <= tmax; t++ {
+		n := k + m*t
+		if n > (1<<uint(m))-1 {
+			return 0, fmt.Errorf("bch: t=%d no longer fits GF(2^%d) before meeting target", t, m)
+		}
+		if LogUBERTail(n, t, rber) <= logTarget {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("bch: target UBER %.3g unreachable at RBER %.3g within tmax=%d", target, rber, tmax)
+}
+
+// TestRequiredTMatchesScan pins the bisection to the scan, errors
+// included, over RBER 1e-8..2e-2 (24 points a decade) at the targets the
+// repository uses, on the page geometry (where tmax ends the search at
+// high RBER) and on one where the field does.
+func TestRequiredTMatchesScan(t *testing.T) {
+	geoms := []struct{ m, k, tmax int }{
+		{16, 32768, 65},
+		{16, 32768, 80},
+		{13, 8000, 65}, // GF(2^13) has no room past t = 14
+	}
+	for _, g := range geoms {
+		for _, target := range []float64{1e-11, 1e-13, 1e-16} {
+			for e := -8.0; e <= math.Log10(2e-2); e += 1.0 / 24 {
+				rber := math.Pow(10, e)
+				got, err := RequiredT(g.m, g.k, rber, target, g.tmax)
+				want, wantErr := requiredTScan(g.m, g.k, rber, target, g.tmax)
+				if got != want || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("m=%d k=%d tmax=%d rber=%g target=%g: bisection (%d, %v), scan (%d, %v)",
+						g.m, g.k, g.tmax, rber, target, got, err, want, wantErr)
+				}
+			}
+		}
 	}
 }
 

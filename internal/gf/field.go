@@ -149,8 +149,9 @@ func (f *Field) MulAlpha(x uint32, e int) uint32 {
 // MulAlphaN returns x * alpha^e for a pre-reduced exponent 0 <= e < N.
 // Unlike MulAlpha it performs no modulo and no range correction: the
 // antilog table is stored doubled (2N entries), so log(x) + e always
-// indexes it directly. This is the inner step of the fused syndrome and
-// Chien kernels in internal/bch; callers must guarantee the range.
+// indexes it directly. This is the inner step of the fused syndrome
+// kernel and the decoder's re-check in internal/bch; callers must
+// guarantee the range.
 func (f *Field) MulAlphaN(x uint32, e int) uint32 {
 	if x == 0 {
 		return 0
