@@ -21,7 +21,7 @@
 // The two describe different machines. The timing model is the paper's
 // datapath and is what every modelled latency charges; the functional
 // codec is the host algorithm that produces the same bits as cheaply as
-// the host can (byte-LFSR division, remainder-first syndromes, the
+// the host can (slice-by-8 LFSR division, remainder-first syndromes, the
 // locator's roots by trace splitting in roots.go rather than by a
 // position scan). Changing the second must never move the first.
 //

@@ -12,9 +12,12 @@ import (
 // whose correction capability t is selectable at runtime through a
 // dedicated input port, in the range [TMin, TMax]. Codes for every t share
 // one Galois field, one minimal-polynomial table and one syndrome
-// calculator; per-t state (generator polynomial, encoder table) is built
+// calculator; per-t state (generator polynomial, division tables) is built
 // lazily on first use — the software analogue of the characteristic-
-// polynomial ROM feeding the programmable LFSR.
+// polynomial ROM feeding the programmable LFSR. Everything immutable and
+// large — the field, the syndrome tables, each capability's division
+// tables — is shared with every other live Codec of the same geometry
+// (a fleet's drives); only the scratch free lists are per Codec.
 //
 // Codec is safe for concurrent use and, past first use of a capability,
 // lock-free: per-t codes, encoders and decoders are published through

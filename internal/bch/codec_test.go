@@ -2,8 +2,10 @@ package bch
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"xlnand/internal/stats"
 )
@@ -159,6 +161,78 @@ func TestCodecConcurrentUse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// driveSharedCodecs runs one goroutine per "drive", each with its own
+// Codec, encoding and decoding concurrently at mixed capabilities (so
+// every table set is raced for on first use), then checks that all of
+// them ended up on one field, one syndrome calculator and — per
+// capability — one table set shared by encoder and decoder alike. It
+// returns weak pointers to the table sets, which nothing it leaves
+// behind holds.
+func driveSharedCodecs(t *testing.T, levels []int) (tables []weak.Pointer[divTables]) {
+	const drives, k = 8, 2048
+	codecs := make([]*Codec, drives)
+	var wg sync.WaitGroup
+	for d := range codecs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := NewCodec(16, k, 3, 65)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			codecs[d] = c
+			r := stats.NewRNG(uint64(d) + 2200)
+			for i := range 3 * len(levels) {
+				tc := levels[(i+d)%len(levels)]
+				cw, err := c.EncodeCodeword(tc, randMsg(r, k/8))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := bytes.Clone(cw)
+				flipBits(cw, r.SampleK(len(cw)*8, tc))
+				if n, err := c.Decode(tc, cw); err != nil || n != tc || !bytes.Equal(cw, want) {
+					t.Errorf("drive %d t=%d: n=%d err=%v", d, tc, n, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return nil
+	}
+	for _, tc := range levels {
+		first := codecs[0].encoders[tc-3].Load().tab
+		tables = append(tables, weak.Make(first))
+		for d, c := range codecs {
+			enc, dec := c.encoders[tc-3].Load(), c.decoders[tc-3].Load()
+			if enc.tab != first || dec.div != first {
+				t.Fatalf("drive %d t=%d: private division tables", d, tc)
+			}
+			if c.field != codecs[0].field || c.syn != codecs[0].syn {
+				t.Fatalf("drive %d: private field or syndrome calculator", d)
+			}
+		}
+	}
+	return tables
+}
+
+// TestCodecsShareTables: concurrently live codecs share every immutable
+// table, and the tables die with the last codec that holds them (run
+// under -race in CI).
+func TestCodecsShareTables(t *testing.T) {
+	tables := driveSharedCodecs(t, []int{3, 16, 33, 65})
+	runtime.GC()
+	runtime.GC()
+	for i, wp := range tables {
+		if wp.Value() != nil {
+			t.Fatalf("table set %d outlived the codecs that held it", i)
+		}
 	}
 }
 

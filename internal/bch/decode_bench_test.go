@@ -52,8 +52,9 @@ func dedupeCounts(counts ...int) []int {
 	return out
 }
 
-// BenchmarkDecode measures the full decode pipeline (fused syndromes ->
-// BM -> Chien -> in-place correction -> incremental re-check) at error
+// BenchmarkDecode measures the full decode pipeline (sliced division ->
+// syndromes of the remainder -> BM -> locator roots by trace splitting ->
+// in-place correction -> incremental re-check) at error
 // counts {0, 1, t/2, t} for t in {3, 16, 65}. The same error pattern is
 // re-applied before every iteration: decoding corrects it in place, so
 // each iteration starts from an identically corrupted page without a

@@ -28,7 +28,7 @@ var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 type Decoder struct {
 	code *Code
 	syn  *SyndromeCalc
-	div  *divider // remainder-first syndrome engine; nil for toy geometries
+	div  *divTables // remainder-first syndrome engine, shared; nil for toy geometries
 	pool freelist.List[decodeScratch]
 }
 
@@ -55,7 +55,7 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 		syn = NewSyndromeCalc(c.Field)
 	}
 	syn.Prepare(c.T)
-	d := &Decoder{code: c, syn: syn, div: newDivider(c)}
+	d := &Decoder{code: c, syn: syn, div: tablesFor(c)}
 	t := c.T
 	d.pool.New = func() *decodeScratch {
 		sc := &decodeScratch{
@@ -100,8 +100,8 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 	f := d.code.Field
 	t := d.code.T
 
-	// Remainder-first syndromes: divide the page by g(x) with the cheap
-	// byte-LFSR, then evaluate S_1..S_2t on the r-bit remainder only —
+	// Remainder-first syndromes: divide the page by g(x) with the sliced
+	// LFSR, then evaluate S_1..S_2t on the r-bit remainder only —
 	// bit-identical to the direct walk (see remainder.go), but the
 	// expensive per-syndrome evaluation no longer touches the full page.
 	// Short codewords (remainder comparable to the word itself) keep the

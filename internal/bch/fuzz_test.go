@@ -133,3 +133,35 @@ func FuzzLocatorRoots(f *testing.F) {
 		}
 	})
 }
+
+// fuzzPageCodec supplies the page code at every capability, built once.
+var fuzzPageCodec = sync.OnceValues(NewPageCodec)
+
+// FuzzSlicedDivision is TestSlicedDivisionMatchesBytewise with the
+// capability (every t in 3..65, so every register width 1..17 and every
+// ragged top), the length and the bytes chosen by the fuzzer.
+func FuzzSlicedDivision(f *testing.F) {
+	f.Add(byte(0), uint16(6), []byte{0xff})
+	f.Add(byte(1), uint16(4104), []byte{0x80, 0x01}) // t = 4: the four-way loop's length
+	f.Add(byte(30), uint16(531), []byte("ragged top, s = 16"))
+	f.Add(byte(62), uint16(4226), bytes.Repeat([]byte{0xa5, 0x3c, 0x0f}, 7))
+
+	f.Fuzz(func(t *testing.T, tsel byte, length uint16, raw []byte) {
+		codec, err := fuzzPageCodec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := codec.Code(codec.TMin + int(tsel)%(codec.TMax-codec.TMin+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Any length up to just past the codeword; raw repeats to fill it.
+		data := make([]byte, int(length)%(code.CodewordBits()/8+9))
+		for i := range data {
+			if len(raw) > 0 {
+				data[i] = raw[i%len(raw)] + byte(i/len(raw))
+			}
+		}
+		checkSlicedDivision(t, code, data)
+	})
+}

@@ -1,8 +1,12 @@
 package bch
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"xlnand/internal/gf"
 )
 
 // TestRemainderSyndromesMatchDirect pins the remainder-first syndrome
@@ -12,16 +16,15 @@ import (
 func TestRemainderSyndromesMatchDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// t = 3 exercises the one-word four-way interleaved loop, 4 the same
-	// at exactly r = 64 (zero-width top shifts), 5 and 9 the multi-word
-	// sliced loop with a non-word-aligned register top, 8 and 24 the
-	// word-aligned multi-word loop, 65 the byte-wise fallback past
-	// slice8MaxRW.
+	// at exactly r = 64 (zero-width top shifts), 5 and 9 the fused
+	// multi-word pass with a non-word-aligned register top, 8 and 24 the
+	// word-aligned one, 65 the widest register (rw = 17, ragged top).
 	for _, tc := range []int{3, 4, 5, 8, 9, 24, 65} {
 		code, err := NewCode(Params{M: 16, K: 32768, T: tc})
 		if err != nil {
 			t.Fatalf("t=%d: %v", tc, err)
 		}
-		dv := newDivider(code)
+		dv := tablesFor(code)
 		if dv == nil {
 			t.Fatalf("t=%d: expected byte-aligned divider", tc)
 		}
@@ -56,6 +59,73 @@ func TestRemainderSyndromesMatchDirect(t *testing.T) {
 			if nerr == 0 && !AllZero(fast) {
 				t.Fatalf("t=%d: clean codeword has nonzero fast syndromes", tc)
 			}
+		}
+	}
+}
+
+// checkSlicedDivision holds the sliced kernel (prologue + chunks or
+// chunks4) to two independent references on one input, for the plain
+// remainder and for the premultiplied (encoding) one: the register of a
+// bytewise-only run, word for word, and the serialised remainder of the
+// polynomial division data(x)[·x^r] mod g.
+func checkSlicedDivision(t testing.TB, code *Code, data []byte) {
+	t.Helper()
+	tb := tablesFor(code)
+	if tb == nil {
+		t.Fatalf("%v: no division tables", code)
+	}
+	got, want := make([]uint64, tb.rw), make([]uint64, tb.rw)
+	out := make([]byte, tb.rb)
+	for _, premul := range []bool{false, true} {
+		tb.divide(got, data, premul)
+		clear(want)
+		tb.bytewise(want, data, premul)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v len=%d premul=%v: sliced register %x, bytewise %x", code, len(data), premul, got, want)
+		}
+		ref := gf.NewPoly2FromBytes(data, 8*len(data))
+		if premul {
+			ref = ref.ShiftLeft(tb.r)
+		}
+		tb.serialise(out, got)
+		if refBytes := ref.Mod(code.Gen).Bytes(tb.r); !bytes.Equal(out, refBytes) {
+			t.Fatalf("%v len=%d premul=%v: sliced remainder %x, polynomial %x", code, len(data), premul, out, refBytes)
+		}
+	}
+}
+
+// TestSlicedDivisionMatchesBytewise pins the slice-by-8 kernel at every
+// register shape it has a path for — rw = 1 (t = 3, and 4 at exactly
+// r = 64), 8 (t = 32), 9 with each ragged top s = r mod 64 (t = 33..36:
+// 16, 32, 48, 0) and 17 (t = 65) — on random data of every length mod 8,
+// short, page-sized and at the codeword length the four-way loop is
+// built for. The encoder's public path is held to EncodePoly besides.
+func TestSlicedDivisionMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, tc := range []int{3, 4, 32, 33, 34, 35, 36, 65} {
+		code, err := NewCode(Params{M: 16, K: 32768, T: tc})
+		if err != nil {
+			t.Fatalf("t=%d: %v", tc, err)
+		}
+		cwLen := code.CodewordBits() / 8
+		lens := []int{cwLen}
+		for l := 0; l < 8; l++ {
+			lens = append(lens, l, 8+l, 200+l, code.K/8-l)
+		}
+		for _, n := range lens {
+			data := make([]byte, n)
+			rng.Read(data)
+			checkSlicedDivision(t, code, data)
+		}
+		msg := make([]byte, code.K/8)
+		rng.Read(msg)
+		cw, err := NewEncoder(code).EncodeCodeword(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := EncodePoly(code, gf.NewPoly2FromBytes(msg, code.K))
+		if !ref.Equal(gf.NewPoly2FromBytes(cw, code.CodewordBits())) {
+			t.Fatalf("t=%d: Encoder disagrees with EncodePoly", tc)
 		}
 	}
 }

@@ -42,9 +42,19 @@ type synTables struct {
 	v     []uint16 // v[b*nOdd+i] = contribution of byte value b to S_{2i+1}
 }
 
-// NewSyndromeCalc creates a calculator over the given field.
+// synCalcs holds the one calculator of each field. Fields are
+// process-wide (gf.NewField) and a calculator's tables depend on nothing
+// else — 33 KB at t = 65 — so every drive's Codec shares them.
+var synCalcs sync.Map // *gf.Field -> *SyndromeCalc
+
+// NewSyndromeCalc returns the field's calculator, creating it on first
+// request.
 func NewSyndromeCalc(f *gf.Field) *SyndromeCalc {
-	return &SyndromeCalc{f: f}
+	if s, ok := synCalcs.Load(f); ok {
+		return s.(*SyndromeCalc)
+	}
+	s, _ := synCalcs.LoadOrStore(f, &SyndromeCalc{f: f})
+	return s.(*SyndromeCalc)
 }
 
 // Prepare eagerly builds the lookup tables for every odd j needed at

@@ -6,10 +6,13 @@
 // Field elements are represented in the polynomial basis as uint32 values
 // whose low m bits are the coefficients of the basis polynomial; 0 is the
 // additive identity and 1 the multiplicative identity. Multiplication and
-// inversion use log/antilog tables built once per field.
+// inversion use log/antilog tables built once per process per field.
 package gf
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Default primitive polynomials (in hex, including the x^m term) for each
 // supported m. These are the conventional primitive trinomials/pentanomials
@@ -56,16 +59,31 @@ func NewField(m int) *Field {
 	return f
 }
 
+// fields holds every field built so far, keyed by its polynomial (whose
+// top bit gives m). A Field is immutable and GF(2^16) is 384 KB of
+// tables, so every drive of a fleet shares one; the handful of distinct
+// polynomials a process ever asks for are kept for its lifetime.
+var fields struct {
+	sync.Mutex
+	byPoly map[uint32]*Field
+}
+
 // NewFieldPoly constructs GF(2^m) using the given degree-m polynomial
 // (bit i of primPoly is the coefficient of x^i, bit m must be set).
 // It returns an error if the polynomial is not primitive, detected during
-// table generation by a premature cycle of alpha powers.
+// table generation by a premature cycle of alpha powers. Asking again for
+// the same polynomial returns the same Field.
 func NewFieldPoly(m int, primPoly uint32) (*Field, error) {
 	if m < 2 || m > 16 {
 		return nil, fmt.Errorf("gf: unsupported field degree m=%d", m)
 	}
 	if primPoly>>uint(m) != 1 {
 		return nil, fmt.Errorf("gf: polynomial %#x does not have degree %d", primPoly, m)
+	}
+	fields.Lock()
+	defer fields.Unlock()
+	if f := fields.byPoly[primPoly]; f != nil {
+		return f, nil
 	}
 	n := uint32(1)<<uint(m) - 1
 	f := &Field{
@@ -91,6 +109,10 @@ func NewFieldPoly(m int, primPoly uint32) (*Field, error) {
 	if x != 1 {
 		return nil, fmt.Errorf("gf: polynomial %#x is not primitive (alpha^%d != 1)", primPoly, n)
 	}
+	if fields.byPoly == nil {
+		fields.byPoly = make(map[uint32]*Field)
+	}
+	fields.byPoly[primPoly] = f
 	return f, nil
 }
 

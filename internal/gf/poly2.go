@@ -95,6 +95,15 @@ func (p Poly2) trim() Poly2 {
 	return Poly2{w: p.w[:i]}
 }
 
+// XorInto adds p into dst, a word vector in Poly2's own layout
+// (coefficient of x^i at word i/64, bit i%64) at least Degree()/64+1
+// words long.
+func (p Poly2) XorInto(dst []uint64) {
+	for i, w := range p.trim().w {
+		dst[i] ^= w
+	}
+}
+
 // IsZero reports whether p is the zero polynomial.
 func (p Poly2) IsZero() bool {
 	for _, w := range p.w {

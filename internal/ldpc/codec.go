@@ -9,6 +9,7 @@ import (
 
 	"xlnand/internal/ecc"
 	"xlnand/internal/stats"
+	"xlnand/internal/weakmap"
 )
 
 // HWConfig captures the micro-architectural parameters of the modelled
@@ -52,7 +53,9 @@ func DefaultHWConfig() HWConfig {
 // capability level (rate index) is selectable at runtime, levels built
 // lazily and published through atomic slots so dies hammering the
 // shared codec never serialise on a mutex — the same concurrency
-// contract as the BCH codec.
+// contract as the BCH codec, and the same sharing: a level's code
+// structure (~530 KB) and calibration table are immutable and common to
+// every live Codec of the geometry; decoders and their scratch are not.
 type Codec struct {
 	p  Params
 	hw HWConfig
@@ -135,10 +138,18 @@ func (c *Codec) codeAt(level int) (*code, error) {
 	if cd := c.codes[i].Load(); cd != nil {
 		return cd, nil
 	}
-	cd := buildCode(c.p, i)
+	cd := sharedCodes.Get(codeKey{c.p.K, c.p.ParityBits[i], i}, func() *code { return buildCode(c.p, i) })
 	c.codes[i].Store(cd)
 	return cd, nil
 }
+
+// sharedCodes finds the live code structure of a level: everything
+// buildCode reads of the parameter set is in the key. Weak, so a fleet
+// of LDPC drives holds one copy per level in use and a process that is
+// done with LDPC holds none.
+var sharedCodes weakmap.Map[codeKey, code]
+
+type codeKey struct{ k, parityBits, level int }
 
 func (c *Codec) decoder(level int) (*Decoder, error) {
 	i, err := c.slot(level)

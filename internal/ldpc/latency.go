@@ -1,6 +1,7 @@
 package ldpc
 
 import (
+	"sync"
 	"time"
 
 	"xlnand/internal/ecc"
@@ -37,23 +38,35 @@ type measuredTable struct {
 }
 
 // measuredAt returns (building on first use) the level's calibration
-// table. Construction costs a few dozen decodes and is amortised behind
-// the same atomic-slot pattern as the codes themselves.
+// table. Construction costs a few dozen decodes (~0.2 s of host time),
+// so it is done once per process, not once per drive: the table is a
+// pure function of what measuredKey names, and small enough to keep.
 func (c *Codec) measuredAt(level int) *measuredTable {
 	i := c.ClampLevel(level)
 	if t := c.measured[i].Load(); t != nil {
 		return t
 	}
-	t := c.calibrate(i)
-	c.mu.Lock()
-	if prev := c.measured[i].Load(); prev != nil {
-		t = prev
-	} else {
-		c.measured[i].Store(t)
+	key := measuredKey{c.p.K, c.p.ParityBits[i], c.p.HardCap[i], i}
+	measuredTables.Lock()
+	defer measuredTables.Unlock()
+	t := measuredTables.m[key]
+	if t == nil {
+		t = c.calibrate(i)
+		measuredTables.m[key] = t
 	}
-	c.mu.Unlock()
+	c.measured[i].Store(t)
 	return t
 }
+
+// measuredTables holds every calibration made so far; the lock is held
+// across a calibration so concurrent drives wait for one instead of each
+// running their own.
+var measuredTables = struct {
+	sync.Mutex
+	m map[measuredKey]*measuredTable
+}{m: make(map[measuredKey]*measuredTable)}
+
+type measuredKey struct{ k, parityBits, hardCap, level int }
 
 // calibrate measures the level's iterations-to-converge curve: encode a
 // seeded random message, flip w bits, decode, record the iteration

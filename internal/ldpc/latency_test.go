@@ -1,6 +1,7 @@
 package ldpc
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -34,18 +35,26 @@ func TestMeasuredLatencyCalibration(t *testing.T) {
 	}
 }
 
-// TestMeasuredLatencyDeterministic: calibration is seeded, so two
-// independent codecs measure identical tables — the property that keeps
-// latency trajectories reproducible across runs.
+// TestMeasuredLatencyDeterministic: calibration is seeded, so a second
+// codec measuring afresh gets exactly the table the first one published
+// — the property that keeps latency trajectories reproducible across
+// runs, and what lets every codec of a geometry share one table and one
+// code structure instead of rebuilding them per drive.
 func TestMeasuredLatencyDeterministic(t *testing.T) {
 	a := testRig(t)
 	b := testRig(t)
 	for _, lvl := range []int{0, a.MaxLevel()} {
-		for w := 0; w <= flipGuard(a.CorrectionCap(lvl)); w++ {
-			la, lb := a.MeasuredDecodeLatency(lvl, w), b.MeasuredDecodeLatency(lvl, w)
-			if la != lb {
-				t.Fatalf("level %d weight %d: %v vs %v across codecs", lvl, w, la, lb)
-			}
+		shared, fresh := a.measuredAt(lvl), b.calibrate(lvl)
+		if !slices.Equal(shared.iters, fresh.iters) {
+			t.Fatalf("level %d: a fresh calibration differs from the published one:\n%v\n%v", lvl, fresh.iters, shared.iters)
+		}
+		if b.measuredAt(lvl) != shared {
+			t.Fatalf("level %d: second codec calibrated privately", lvl)
+		}
+		ca, _ := a.codeAt(lvl)
+		cb, _ := b.codeAt(lvl)
+		if ca != cb {
+			t.Fatalf("level %d: second codec built a private code structure", lvl)
 		}
 	}
 }
