@@ -27,8 +27,10 @@ const (
 	stallPatience = 6
 )
 
-// Decoder is the min-sum engine of one capability level. It is safe for
-// concurrent use: all mutable state lives in pooled scratch.
+// Decoder is the min-sum engine of one capability level: a layered
+// normalized min-sum whose check pass works on float32 bit patterns
+// without a data-dependent branch. It is safe for concurrent use: all
+// mutable state lives in pooled scratch.
 type Decoder struct {
 	c    *code
 	pool sync.Pool
@@ -36,21 +38,19 @@ type Decoder struct {
 
 // decodeScratch is one decode's working set: posterior LLRs, per-edge
 // check-to-variable messages, and the packed hard-decision words the
-// word-parallel syndrome check runs over. q and sgn are the
-// struct-of-arrays check kernel's per-check blocks (q values and packed
-// q-sign lanes for the widest check); cww holds the received word
-// packed once per decode so the convergence flip count never re-reads
-// the codeword bytes.
+// word-parallel syndrome check runs over, repacked from the posterior
+// signs once per iteration. q holds one check's variable-to-check
+// values between the kernel's two sweeps (sized for the widest check);
+// cww holds the received word packed once per decode so the convergence
+// flip count never re-reads the codeword bytes.
 type decodeScratch struct {
-	post  []float32 // posterior LLR per codeword bit
-	r     []float32 // check-to-variable message per edge
-	hard  []uint64  // packed hard decisions (n/64 words)
-	syn   []uint64  // syndrome scratch (m/64 words)
-	chans []float32 // channel LLR per codeword bit
-	out   []byte    // byte image of a convergence, for the CRC verdict
-	cww   []uint64  // received word, packed once at decode start
-	q     []float32 // per-check q block (variable-to-check values)
-	sgn   []uint64  // per-check packed q-sign lanes
+	post []float32 // posterior LLR per codeword bit
+	r    []float32 // check-to-variable message per edge
+	hard []uint64  // packed hard decisions (n/64 words)
+	syn  []uint64  // syndrome scratch (m/64 words)
+	out  []byte    // byte image of a convergence, for the CRC verdict
+	cww  []uint64  // received word, packed once at decode start
+	q    []float32 // per-check q block (variable-to-check values)
 }
 
 func newDecoder(c *code) *Decoder {
@@ -63,15 +63,13 @@ func newDecoder(c *code) *Decoder {
 	}
 	d.pool.New = func() any {
 		return &decodeScratch{
-			post:  make([]float32, c.n),
-			r:     make([]float32, c.edges),
-			hard:  make([]uint64, c.n/Z),
-			syn:   make([]uint64, c.m/Z),
-			chans: make([]float32, c.n),
-			out:   make([]byte, c.n/8),
-			cww:   make([]uint64, c.n/Z),
-			q:     make([]float32, maxDeg),
-			sgn:   make([]uint64, (maxDeg+63)/64),
+			post: make([]float32, c.n),
+			r:    make([]float32, c.edges),
+			hard: make([]uint64, c.n/Z),
+			syn:  make([]uint64, c.m/Z),
+			out:  make([]byte, c.n/8),
+			cww:  make([]uint64, c.n/Z),
+			q:    make([]float32, maxDeg),
 		}
 	}
 	return d
@@ -128,113 +126,36 @@ func (d *Decoder) decodeIter(cw []byte, llr []int8, maxIter, flipGuard int) (int
 	// instead of re-reading cw's bytes every accepted iteration.
 	copy(s.cww, s.hard)
 
-	// Channel initialisation.
+	// Channel initialisation: ±1 straight from the packed received word
+	// (1.0 with the bit moved into the sign position), or the LLRs.
+	post := s.post
 	if llr == nil {
-		for v := 0; v < c.n; v++ {
-			if s.hard[v/Z]&(1<<uint(63-v%Z)) == 0 {
-				s.chans[v] = 1
-			} else {
-				s.chans[v] = -1
-			}
+		for v := range post {
+			bit := uint32(s.hard[v/Z]>>uint(63-v%Z)) & 1
+			post[v] = math.Float32frombits(oneBits | bit<<31)
 		}
 	} else {
-		for v := 0; v < c.n; v++ {
-			s.chans[v] = float32(llr[v])
+		for v := range post {
+			post[v] = float32(llr[v])
 		}
 	}
-	copy(s.post, s.chans)
-	for e := range s.r {
-		s.r[e] = 0
-	}
+	clear(s.r)
 
 	bestUnsat := c.m + 1
 	stall := 0
 	for iter := 0; iter < maxIter; iter++ {
-		// Layered check-node pass, restructured as a struct-of-arrays
-		// kernel over each check's contiguous edge block. A first fused
-		// sweep peels the old messages out of the posteriors into the q
-		// block, packs the q signs into uint64 lanes (the check parity is
-		// then a popcount fold, not a per-edge counter), and tracks
-		// min1/min2 in swap form — one comparison per edge instead of the
-		// two-branch chain, and no minAt bookkeeping: the apply sweep
-		// recognises the minimum edge by magnitude (a tie forces
-		// min2 == min1, so either message value is the same).
-		//
-		// Magnitudes are sign-bit-cleared |q| and message signs are
-		// applied by XOR on the float's sign bit — identical to the
-		// historical conditional negation for every value, with at most
-		// the sign of a zero differing in intermediates, which no
-		// comparison, popcount or hard decision can observe.
+		// Layered check-node pass, in the stored check order (the
+		// dual-diagonal part couples check i to i+1).
 		for ci := 0; ci < c.m; ci++ {
-			lo, hi := int(c.checkStart[ci]), int(c.checkStart[ci+1])
-			deg := hi - lo
-			qs := s.q[:deg]
-			lanes := s.sgn[:(deg+63)/64]
-			for l := range lanes {
-				lanes[l] = 0
-			}
-			min1, min2 := float32(llrClamp*2), float32(llrClamp*2)
-			for j := 0; j < deg; j++ {
-				e := lo + j
-				q := s.post[c.checkVar[e]] - s.r[e]
-				qs[j] = q
-				if q < 0 {
-					lanes[j>>6] |= 1 << uint(j&63)
-				}
-				if a := absf32(q); a < min2 {
-					min2 = a
-					if min2 < min1 {
-						min1, min2 = min2, min1
-					}
-				}
-			}
-			negs := 0
-			for _, l := range lanes {
-				negs += popcount(l)
-			}
-			parity := uint32(negs&1) << 31
-			m1 := math.Float32bits(min1 * minSumAlpha)
-			m2 := math.Float32bits(min2 * minSumAlpha)
-			for j := 0; j < deg; j++ {
-				e := lo + j
-				q := qs[j]
-				mag := m1
-				if absf32(q) == min1 {
-					mag = m2
-				}
-				// Sign: product of the *other* incoming signs — the
-				// total parity, with this edge's own sign divided out.
-				sbit := uint32(lanes[j>>6]>>uint(j&63)&1) << 31
-				nr := math.Float32frombits(mag ^ parity ^ sbit)
-				p := q + nr
-				if p > llrClamp {
-					p = llrClamp
-				} else if p < -llrClamp {
-					p = -llrClamp
-				}
-				s.r[e] = nr
-				v := int(c.checkVar[e])
-				s.post[v] = p
-				// Hard-decision maintenance fused into the posterior
-				// update: the bit tracks sign(p) (by comparison, not sign
-				// bit — a -0.0 posterior is non-negative here), so the
-				// words are current the moment the layered pass ends and
-				// the separate n/Z repack loop disappears.
-				neg := uint64(0)
-				if p < 0 {
-					neg = 1
-				}
-				w := v >> 6
-				bit := uint(63 - v&63)
-				s.hard[w] = s.hard[w]&^(1<<bit) | neg<<bit
-			}
+			lo, hi := c.checkStart[ci], c.checkStart[ci+1]
+			updateCheck(post, c.checkVar[lo:hi], s.r[lo:hi], s.q)
 		}
-
+		packSigns(s.hard, post)
 		unsat := c.unsatisfied(s.hard, s.syn)
 		if unsat == 0 {
 			flips := 0
 			for w, word := range s.hard {
-				flips += popcountDiff(word, s.cww[w])
+				flips += bits.OnesCount64(word ^ s.cww[w])
 			}
 			if flips > flipGuard {
 				return 0, iter + 1, ErrUncorrectable
@@ -273,18 +194,96 @@ func (c *code) unsatisfied(cw []uint64, scratch []uint64) int {
 		if carry != 0 {
 			prev |= 1 << 63
 		}
-		unsat += popcount(scratch[r] ^ pw[r] ^ prev)
+		unsat += bits.OnesCount64(scratch[r] ^ pw[r] ^ prev)
 		carry = pw[r] & 1
 	}
 	return unsat
 }
 
-func popcount(x uint64) int { return bits.OnesCount64(x) }
+// updateCheck is one check node of the layered pass: two branch-free
+// sweeps over the check's contiguous edge block (vs its variables, rs
+// its messages, qs scratch for the widest check). It is a function of
+// its own so min1, min2 and the parity bit live in registers for the
+// length of a sweep, which they do not inside decodeIter's frame.
+//
+// The float arithmetic is the scalar reference's, operation for
+// operation (post - r, min·α, q + nr, the clamp); everything about signs
+// and magnitudes is done on the bit patterns instead. "q < 0" is
+// negBit, an unsigned compare true for exactly the negative values, and
+// the check parity is a running XOR of it. |q| is the pattern with the
+// sign cleared, and because integer order equals float order on
+// non-negative non-NaN floats, min1/min2 are tracked as uint32 with
+// min/max, which compile to conditional moves. The apply sweep
+// recognises the minimum edge by magnitude (a tie forces min2 == min1,
+// so either message value is the same), recomputes the edge's own sign
+// from the stored q, and sets the message sign by XOR on the float's
+// sign bit — the reference's conditional negation for every value, with
+// at most the sign of a zero differing in intermediates, which no
+// comparison or hard decision can observe.
+func updateCheck(post []float32, vs []int32, rs, qs []float32) {
+	rs, qs = rs[:len(vs)], qs[:len(vs)]
+	min1, min2 := uint32(minInitBits), uint32(minInitBits)
+	var odd uint32
+	for j, v := range vs {
+		q := post[v] - rs[j]
+		qs[j] = q
+		b := math.Float32bits(q)
+		odd ^= negBit(b)
+		a := b &^ signBit
+		min2 = min(min2, max(min1, a))
+		min1 = min(min1, a)
+	}
+	parity := odd << 31
+	m1 := math.Float32bits(math.Float32frombits(min1) * minSumAlpha)
+	m2 := math.Float32bits(math.Float32frombits(min2) * minSumAlpha)
+	for j, v := range vs {
+		q := qs[j]
+		b := math.Float32bits(q)
+		mag := m1
+		if b&^signBit == min1 {
+			mag = m2
+		}
+		// Sign: product of the *other* incoming signs — the total
+		// parity, with this edge's own sign divided out.
+		nr := math.Float32frombits(mag ^ parity ^ negBit(b)<<31)
+		p := q + nr
+		if p > llrClamp {
+			p = llrClamp
+		} else if p < -llrClamp {
+			p = -llrClamp
+		}
+		rs[j] = nr
+		post[v] = p
+	}
+}
 
-func popcountDiff(a, b uint64) int { return bits.OnesCount64(a ^ b) }
+// packSigns repacks the hard decisions from the posterior signs (bit v
+// set iff post[v] < 0, in packWords' layout), once per iteration rather
+// than per edge: every variable is in at least one check, so a per-edge
+// update would touch each word several times to leave these same bits.
+func packSigns(dst []uint64, post []float32) {
+	for w := range dst {
+		var word uint64
+		for b, p := range post[w*Z : w*Z+Z] {
+			word |= uint64(negBit(math.Float32bits(p))) << uint(63-b)
+		}
+		dst[w] = word
+	}
+}
 
-// absf32 clears the sign bit — branch-free |x| for the min-sum
-// magnitude sweep.
-func absf32(x float32) float32 {
-	return math.Float32frombits(math.Float32bits(x) &^ (1 << 31))
+// Float32 bit patterns the check kernel works on.
+const (
+	signBit     = 1 << 31
+	oneBits     = 0x3f800000 // 1.0
+	minInitBits = 0x43400000 // 2·llrClamp = 192.0, the reference's initial minimum
+)
+
+// negBit is 1 for the bit pattern of a negative float32 and 0 otherwise
+// — f < 0 exactly, so -0.0 (signBit itself) is not negative — as a flag
+// set rather than a branch.
+func negBit(b uint32) uint32 {
+	if b > signBit {
+		return 1
+	}
+	return 0
 }

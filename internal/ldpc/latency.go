@@ -115,13 +115,10 @@ func (c *Codec) calibrate(level int) *measuredTable {
 			for _, p := range rng.SampleK(len(cw)*8, w) {
 				cw[p/8] ^= 1 << uint(7-p%8)
 			}
-			_, iters, err := d.decodeIter(cw, nil, maxIterHard, maxW)
-			if err != nil {
-				// Beyond the cliff (possible near the guard bound):
-				// the engine burned what it burned; that is the cost.
-				total += iters
-				continue
-			}
+			// A failed decode counts too — beyond the cliff (possible
+			// near the guard bound) the engine burned what it burned;
+			// that is the cost.
+			_, iters, _ := d.decodeIter(cw, nil, maxIterHard, maxW)
 			total += iters
 		}
 		record(w, float64(total)/calTrials)
