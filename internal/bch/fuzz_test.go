@@ -142,9 +142,17 @@ var fuzzPageCodec = sync.OnceValues(NewPageCodec)
 // ragged top), the length and the bytes chosen by the fuzzer.
 func FuzzSlicedDivision(f *testing.F) {
 	f.Add(byte(0), uint16(6), []byte{0xff})
-	f.Add(byte(1), uint16(4104), []byte{0x80, 0x01}) // t = 4: the four-way loop's length
+	f.Add(byte(1), uint16(4104), []byte{0x80, 0x01}) // t = 4: its codeword
 	f.Add(byte(30), uint16(531), []byte("ragged top, s = 16"))
 	f.Add(byte(62), uint16(4226), bytes.Repeat([]byte{0xa5, 0x3c, 0x0f}, 7))
+	// Long enough to interleave, which a uniform length rarely is: the
+	// 4096-byte message and the codeword at t = 3 (rw = 1), 6 and 8
+	// (rw = 2, s = 32 and 0).
+	f.Add(byte(0), uint16(4096), []byte{0x5a, 0xc3})
+	f.Add(byte(3), uint16(4096), []byte{0x01, 0xfe, 0x77})
+	f.Add(byte(3), uint16(4108), []byte("t = 6 codeword"))
+	f.Add(byte(5), uint16(4096), []byte{0xff, 0x00, 0x80})
+	f.Add(byte(5), uint16(4112), []byte("t = 8 codeword, s = 0"))
 
 	f.Fuzz(func(t *testing.T, tsel byte, length uint16, raw []byte) {
 		codec, err := fuzzPageCodec()

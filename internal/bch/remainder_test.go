@@ -16,10 +16,11 @@ import (
 func TestRemainderSyndromesMatchDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// t = 3 exercises the one-word four-way interleaved loop, 4 the same
-	// at exactly r = 64 (zero-width top shifts), 5 and 9 the fused
-	// multi-word pass with a non-word-aligned register top, 8 and 24 the
+	// at exactly r = 64 (zero-width top shifts), 5..8 the two-word two-way
+	// one at every top width s = r mod 64 (16, 32, 48, 0), 9 the fused
+	// multi-word pass with a non-word-aligned register top, 24 the
 	// word-aligned one, 65 the widest register (rw = 17, ragged top).
-	for _, tc := range []int{3, 4, 5, 8, 9, 24, 65} {
+	for _, tc := range []int{3, 4, 5, 6, 7, 8, 9, 24, 65} {
 		code, err := NewCode(Params{M: 16, K: 32768, T: tc})
 		if err != nil {
 			t.Fatalf("t=%d: %v", tc, err)
@@ -63,8 +64,8 @@ func TestRemainderSyndromesMatchDirect(t *testing.T) {
 	}
 }
 
-// checkSlicedDivision holds the sliced kernel (prologue + chunks or
-// chunks4) to two independent references on one input, for the plain
+// checkSlicedDivision holds the sliced kernel (prologue + chunks, then
+// chunks4 or chunks2 on a long body) to two independent references on one input, for the plain
 // remainder and for the premultiplied (encoding) one: the register of a
 // bytewise-only run, word for word, and the serialised remainder of the
 // polynomial division data(x)[·x^r] mod g.
@@ -96,21 +97,31 @@ func checkSlicedDivision(t testing.TB, code *Code, data []byte) {
 
 // TestSlicedDivisionMatchesBytewise pins the slice-by-8 kernel at every
 // register shape it has a path for — rw = 1 (t = 3, and 4 at exactly
-// r = 64), 8 (t = 32), 9 with each ragged top s = r mod 64 (t = 33..36:
-// 16, 32, 48, 0) and 17 (t = 65) — on random data of every length mod 8,
-// short, page-sized and at the codeword length the four-way loop is
-// built for. The encoder's public path is held to EncodePoly besides.
+// r = 64), 2 with each top s = r mod 64 (t = 5..8: 16, 32, 48, 0), 8
+// (t = 32), 9 with each ragged top (t = 33..36) and 17 (t = 65) — on
+// random data of every length mod 8: short, page-sized, the 4096-byte
+// message, the codeword, and bodies of exactly streams·segLen bytes (the
+// shortest that interleave), one chunk shorter and one longer. The
+// encoder's public path is held to EncodePoly besides.
 func TestSlicedDivisionMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, tc := range []int{3, 4, 32, 33, 34, 35, 36, 65} {
+	for _, tc := range []int{3, 4, 5, 6, 7, 8, 32, 33, 34, 35, 36, 65} {
 		code, err := NewCode(Params{M: 16, K: 32768, T: tc})
 		if err != nil {
 			t.Fatalf("t=%d: %v", tc, err)
 		}
 		cwLen := code.CodewordBits() / 8
+		tb := tablesFor(code)
+		split := tb.streams * tb.segLen
+		if tc <= 8 && split == 0 {
+			t.Fatalf("t=%d: no interleaved loop", tc)
+		}
 		lens := []int{cwLen}
 		for l := 0; l < 8; l++ {
 			lens = append(lens, l, 8+l, 200+l, code.K/8-l)
+			if split > 0 {
+				lens = append(lens, split-8+l, split+l, split+8+l)
+			}
 		}
 		for _, n := range lens {
 			data := make([]byte, n)
