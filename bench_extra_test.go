@@ -1,14 +1,11 @@
 package xlnand
 
 // Benchmarks for the subsystems beyond the figure harness: FTL service
-// paths, the socket front end, the stress models and the HV power
-// integration.
+// paths, the stress models and the HV power integration.
 
 import (
 	"testing"
-	"time"
 
-	"xlnand/internal/bch"
 	"xlnand/internal/controller"
 	"xlnand/internal/dispatch"
 	"xlnand/internal/ftl"
@@ -62,52 +59,14 @@ func BenchmarkFTLRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	buf := make([]byte, 4096)
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Read("data", i%32); err != nil {
+		if _, _, err := f.ReadInto("data", i%32, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSocketTransaction(b *testing.B) {
-	env := sim.DefaultEnv()
-	dev := nand.NewDevice(env.Cal, 4, 556)
-	codec, err := bch.NewPageCodec()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctrl, err := controller.New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), controller.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sock, err := controller.NewSocket(ctrl, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 4096)
-	var at time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		block := i % 4
-		page := (i / 4) % 64
-		if page == 0 && i >= 4 {
-			b.StopTimer()
-			if err := ctrl.EraseBlock(block); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		res, err := sock.Submit(controller.Tx{
-			Kind: controller.TxWrite, Arrival: at, Block: block, Page: page, Data: data,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		at = res.Complete
-	}
-	b.ReportMetric(sock.Utilisation(), "utilisation")
 }
 
 func BenchmarkStressedRBER(b *testing.B) {

@@ -148,10 +148,15 @@ func benchEncode(b *testing.B, t int) {
 	for i := range msg {
 		msg[i] = byte(r.Intn(256))
 	}
+	pb, err := codec.ParityBytes(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parity := make([]byte, pb)
 	b.SetBytes(int64(len(msg)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Encode(t, msg); err != nil {
+		if err := codec.EncodeInto(t, parity, msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +247,7 @@ func benchProgram(b *testing.B, alg nand.Algorithm) {
 }
 
 func BenchmarkSubsystemWriteRead(b *testing.B) {
-	sys, err := Open(Options{Blocks: 4, Seed: 9})
+	sys, err := Open(WithBlocks(4), WithSeed(9))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package xlnand
 
-import (
-	"xlnand/internal/experiments"
-	"xlnand/internal/plot"
-)
+import "xlnand/internal/experiments"
 
 // Figure is a plot-ready experiment result: named series plus axis
 // metadata, renderable with RenderASCII/RenderTable/RenderCSV.
@@ -37,10 +34,10 @@ func RunExperiment(id string, seed uint64) (Figure, error) {
 }
 
 // RenderASCII renders a figure as an ASCII chart of the given size.
-func RenderASCII(f Figure, width, height int) string { return plot.ASCII(f, width, height) }
+func RenderASCII(f Figure, width, height int) string { return experiments.ASCII(f, width, height) }
 
 // RenderTable renders a figure as an aligned data table.
-func RenderTable(f Figure) string { return plot.Table(f) }
+func RenderTable(f Figure) string { return experiments.Table(f) }
 
 // RenderCSV renders a figure as long-format CSV (series,x,y).
-func RenderCSV(f Figure) string { return plot.CSV(f) }
+func RenderCSV(f Figure) string { return experiments.CSV(f) }

@@ -7,9 +7,9 @@ import (
 
 // Policy is a pluggable eviction policy for the host cache: it tracks
 // residency order, nothing else. The cache calls Admit when a page
-// becomes resident, Touch on every reference to a resident page, Victim
-// when it must evict (the policy removes and returns its choice) and
-// Remove when the cache drops a page for its own reasons. Policies are
+// becomes resident, Touch on every reference to a resident page and
+// Victim when it must evict (the policy removes and returns its
+// choice); a resident page leaves the cache only as a victim. Policies are
 // strictly deterministic: the same call sequence always yields the same
 // victims, which is what keeps fleet reports byte-identical per seed.
 type Policy interface {
@@ -17,7 +17,6 @@ type Policy interface {
 	Admit(page int)
 	Touch(page int)
 	Victim() int
-	Remove(page int)
 	Len() int
 }
 
@@ -69,14 +68,6 @@ func (l *LRU) Victim() int {
 	l.order.Remove(e)
 	delete(l.elem, page)
 	return page
-}
-
-// Remove implements Policy.
-func (l *LRU) Remove(page int) {
-	if e, ok := l.elem[page]; ok {
-		l.order.Remove(e)
-		delete(l.elem, page)
-	}
 }
 
 // Len implements Policy.
@@ -155,22 +146,6 @@ func (c *Clock) Victim() int {
 		delete(c.elem, slot.page)
 		return slot.page
 	}
-}
-
-// Remove implements Policy.
-func (c *Clock) Remove(page int) {
-	e, ok := c.elem[page]
-	if !ok {
-		return
-	}
-	if e == c.hand {
-		c.advance()
-		if e == c.hand { // last element
-			c.hand = nil
-		}
-	}
-	c.ring.Remove(e)
-	delete(c.elem, page)
 }
 
 // Len implements Policy.

@@ -14,8 +14,7 @@ var policyMakers = []struct {
 
 // TestPolicyConformance runs the policy-agnostic contract every
 // eviction policy must satisfy: victims are always resident, each
-// admitted page is evicted exactly once, Remove really removes, and
-// Len tracks residency.
+// admitted page is evicted exactly once, and Len tracks residency.
 func TestPolicyConformance(t *testing.T) {
 	for _, pm := range policyMakers {
 		t.Run(pm.name, func(t *testing.T) {
@@ -26,11 +25,10 @@ func TestPolicyConformance(t *testing.T) {
 			if p.Len() != 0 {
 				t.Fatalf("fresh policy Len = %d", p.Len())
 			}
-			// Touch/Remove of non-resident pages are no-ops.
+			// Touch of a non-resident page is a no-op.
 			p.Touch(99)
-			p.Remove(99)
 			if p.Len() != 0 {
-				t.Fatalf("no-op Touch/Remove changed Len to %d", p.Len())
+				t.Fatalf("no-op Touch changed Len to %d", p.Len())
 			}
 
 			const k = 17
@@ -40,16 +38,9 @@ func TestPolicyConformance(t *testing.T) {
 			if p.Len() != k {
 				t.Fatalf("Len = %d after %d admits", p.Len(), k)
 			}
-			p.Remove(5)
-			if p.Len() != k-1 {
-				t.Fatalf("Len = %d after Remove", p.Len())
-			}
 			seen := make(map[int]bool)
 			for p.Len() > 0 {
 				v := p.Victim()
-				if v == 5 {
-					t.Fatalf("victim returned removed page 5")
-				}
 				if v < 0 || v >= k {
 					t.Fatalf("victim %d never admitted", v)
 				}
@@ -58,15 +49,15 @@ func TestPolicyConformance(t *testing.T) {
 				}
 				seen[v] = true
 			}
-			if len(seen) != k-1 {
-				t.Fatalf("evicted %d distinct pages, want %d", len(seen), k-1)
+			if len(seen) != k {
+				t.Fatalf("evicted %d distinct pages, want %d", len(seen), k)
 			}
 		})
 	}
 }
 
 // TestPolicyConformanceInterleaved drives each policy through a fixed
-// admit/touch/remove/victim script twice and requires the identical
+// admit/touch/victim script twice and requires the identical
 // victim sequence — the determinism the fleet report depends on.
 func TestPolicyConformanceInterleaved(t *testing.T) {
 	script := func(p Policy) []int {
@@ -78,7 +69,6 @@ func TestPolicyConformanceInterleaved(t *testing.T) {
 		p.Touch(3)
 		victims = append(victims, p.Victim(), p.Victim())
 		p.Admit(8)
-		p.Remove(3)
 		p.Touch(8)
 		for p.Len() > 0 {
 			victims = append(victims, p.Victim())

@@ -147,7 +147,7 @@ rows:
 			if !s.readable(l) {
 				continue rows // a member is down: the row cannot be audited
 			}
-			data, _, err := s.d.f.Read(volPartition, l)
+			data, _, err := s.d.f.ReadInto(volPartition, l, nil)
 			if err != nil {
 				t.Fatalf("%s: row lpa %d slot %d: %v", label, l, s.id, err)
 			}

@@ -123,24 +123,8 @@ func newCodeWith(p Params, f *gf.Field, cache *gf.MinPolyTable) (*Code, error) {
 	return &Code{Params: p, Field: f, Gen: gen, GenDegree: deg}, nil
 }
 
-// ParityBits returns the exact parity length (degree of the generator).
-// This can be slightly below m·t when conjugate cosets merge; frames are
-// still laid out with the full m·t budget so that the adaptive decoder's
-// alignment stage (paper §4) sees a fixed geometry per t.
-func (c *Code) ParityBits() int { return c.GenDegree }
-
 // CodewordBits returns the on-flash codeword size k + deg(g).
 func (c *Code) CodewordBits() int { return c.K + c.GenDegree }
-
-// ShorteningOffset returns the number of implicit leading zero message
-// bits by which this code is shortened relative to the natural length
-// 2^m - 1. The adaptive Chien search starts its root scan at
-// alpha^(-offset)... in hardware this is the per-t ROM entry of "the
-// first element of GF(2^m) from which the Chien search must initiate"
-// (paper §4).
-func (c *Code) ShorteningOffset() int {
-	return c.Field.N() - c.CodewordBits()
-}
 
 // String implements fmt.Stringer with the conventional BCH[n,k,t] form.
 func (c *Code) String() string {

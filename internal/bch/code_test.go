@@ -52,8 +52,8 @@ func TestNewCodeSmallKnown(t *testing.T) {
 	if c.CodewordBits() != 15 {
 		t.Fatalf("codeword bits = %d, want 15", c.CodewordBits())
 	}
-	if c.ShorteningOffset() != 0 {
-		t.Fatalf("BCH(15,7) should be unshortened, offset = %d", c.ShorteningOffset())
+	if off := c.Field.N() - c.CodewordBits(); off != 0 {
+		t.Fatalf("BCH(15,7) should be unshortened, offset = %d", off)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestPageCodeGeneratorDegrees(t *testing.T) {
 		if code.GenDegree != 16*tc {
 			t.Fatalf("t=%d: deg g = %d, want %d", tc, code.GenDegree, 16*tc)
 		}
-		if code.ShorteningOffset() != 65535-(32768+16*tc) {
-			t.Fatalf("t=%d: bad shortening offset %d", tc, code.ShorteningOffset())
+		if off := code.Field.N() - code.CodewordBits(); off != 65535-(32768+16*tc) {
+			t.Fatalf("t=%d: bad shortening offset %d", tc, off)
 		}
 	}
 }

@@ -169,15 +169,6 @@ func (c *Codec) ParityBytes(t int) (int, error) {
 	return (code.GenDegree + 7) / 8, nil
 }
 
-// Encode computes the parity block for msg at capability t.
-func (c *Codec) Encode(t int, msg []byte) ([]byte, error) {
-	e, err := c.encoder(t)
-	if err != nil {
-		return nil, err
-	}
-	return e.Encode(msg)
-}
-
 // EncodeInto computes the parity block for msg at capability t into
 // parity (exactly ParityBytes(t) bytes). It is the allocation-free
 // steady-state write path.

@@ -49,8 +49,8 @@ func TestCodecRejectsOutOfRangeT(t *testing.T) {
 	if _, err := c.Code(13); err == nil {
 		t.Fatal("t>tmax accepted")
 	}
-	if _, err := c.Encode(13, make([]byte, 64)); err == nil {
-		t.Fatal("Encode with t>tmax accepted")
+	if _, err := c.EncodeCodeword(13, make([]byte, 64)); err == nil {
+		t.Fatal("EncodeCodeword with t>tmax accepted")
 	}
 	if _, err := c.Decode(0, make([]byte, 70)); err == nil {
 		t.Fatal("Decode with t=0 accepted")
@@ -85,20 +85,21 @@ func TestCodecReconfigurationChangesParity(t *testing.T) {
 	c := smallCodec(t)
 	r := stats.NewRNG(91)
 	msg := randMsg(r, c.K/8)
-	p4, err := c.Encode(4, msg)
+	cw4, err := c.EncodeCodeword(4, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p9, err := c.Encode(9, msg)
+	cw9, err := c.EncodeCodeword(9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p4, p9 := len(cw4)-len(msg), len(cw9)-len(msg)
 	b4, _ := c.ParityBytes(4)
 	b9, _ := c.ParityBytes(9)
-	if len(p4) != b4 || len(p9) != b9 {
-		t.Fatalf("parity sizes %d/%d, want %d/%d", len(p4), len(p9), b4, b9)
+	if p4 != b4 || p9 != b9 {
+		t.Fatalf("parity sizes %d/%d, want %d/%d", p4, p9, b4, b9)
 	}
-	if len(p4) >= len(p9) {
+	if p4 >= p9 {
 		t.Fatal("higher t should cost more parity")
 	}
 }

@@ -74,9 +74,6 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 	return d
 }
 
-// Code returns the code this decoder was built for.
-func (d *Decoder) Code() *Code { return d.code }
-
 // Decode corrects the codeword (msg ++ parity bytes, as produced by
 // Encoder.EncodeCodeword) in place. It returns the number of bit errors
 // corrected, or ErrUncorrectable (codeword untouched) when the pattern

@@ -121,7 +121,4 @@ func (h *HWCodec) DecodeLatency(level int, clean bool) time.Duration {
 // SoftDecodeLatency implements ecc.Codec (no soft path).
 func (h *HWCodec) SoftDecodeLatency(level int) time.Duration { return 0 }
 
-// Warm implements ecc.Codec.
-func (h *HWCodec) Warm(level int) error { return h.C.Warm(level) }
-
 var _ ecc.Codec = (*HWCodec)(nil)

@@ -34,18 +34,6 @@ func NewEncoder(c *Code) *Encoder {
 	return e
 }
 
-// Code returns the code this encoder was built for.
-func (e *Encoder) Code() *Code { return e.code }
-
-// ParityBytes returns the parity length in bytes. It panics if the parity
-// length is not byte-aligned (use EncodePoly for such codes).
-func (e *Encoder) ParityBytes() int {
-	if e.code.GenDegree%8 != 0 {
-		panic("bch: parity length not byte aligned; use EncodePoly")
-	}
-	return e.code.GenDegree / 8
-}
-
 // checkGeometry validates the byte-wise fast-path preconditions.
 func (e *Encoder) checkGeometry(msg []byte) error {
 	k, r := e.code.K, e.code.GenDegree
@@ -61,21 +49,11 @@ func (e *Encoder) checkGeometry(msg []byte) error {
 	return nil
 }
 
-// Encode computes the parity block for msg, which must be exactly k/8
-// bytes (k must be byte-aligned). The returned slice has r/8 bytes with
-// the coefficient of x^(r-1) in the MSB of byte 0, matching the spare-area
-// layout used by the controller.
-func (e *Encoder) Encode(msg []byte) ([]byte, error) {
-	if err := e.checkGeometry(msg); err != nil {
-		return nil, err
-	}
-	out := make([]byte, e.tab.rb)
-	e.encodeInto(out, msg)
-	return out, nil
-}
-
-// EncodeInto computes the parity block for msg into parity, which must be
-// exactly r/8 bytes. It is the allocation-free steady-state write path.
+// EncodeInto computes the parity block for msg, which must be exactly
+// k/8 bytes (k must be byte-aligned), into parity, which must be exactly
+// r/8 bytes: the coefficient of x^(r-1) lands in the MSB of byte 0,
+// matching the spare-area layout used by the controller. It is the
+// allocation-free steady-state write path.
 func (e *Encoder) EncodeInto(parity, msg []byte) error {
 	if err := e.checkGeometry(msg); err != nil {
 		return err

@@ -70,7 +70,7 @@ func TestEncodedCodewordIsMultipleOfGenerator(t *testing.T) {
 func TestEncodeRejectsBadLength(t *testing.T) {
 	c := mkCode(t, 3)
 	enc := NewEncoder(c)
-	if _, err := enc.Encode(make([]byte, 5)); err == nil {
+	if _, err := enc.EncodeCodeword(make([]byte, 5)); err == nil {
 		t.Fatal("wrong-length message accepted")
 	}
 }
@@ -312,7 +312,7 @@ func TestSyndromeTableMatchesPolyReference(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		cw, _ := enc.EncodeCodeword(randMsg(r, c.K/8))
 		flipBits(cw, r.SampleK(c.CodewordBits(), r.Intn(10)))
-		got := sc.Syndromes(cw, c.T)
+		got := sc.SyndromesInto(make([]uint32, 2*c.T), cw, c.T)
 		want := SyndromesPoly(c.Field, gf.NewPoly2FromBytes(cw, c.CodewordBits()), c.T)
 		for j := range want {
 			if got[j] != want[j] {
@@ -329,7 +329,7 @@ func TestEvenSyndromesAreSquaresOfHalf(t *testing.T) {
 	r := stats.NewRNG(83)
 	cw, _ := enc.EncodeCodeword(randMsg(r, c.K/8))
 	flipBits(cw, r.SampleK(c.CodewordBits(), 7))
-	syn := sc.Syndromes(cw, c.T)
+	syn := sc.SyndromesInto(make([]uint32, 2*c.T), cw, c.T)
 	for j := 2; j <= 2*c.T; j += 2 {
 		if syn[j-1] != c.Field.Sqr(syn[j/2-1]) {
 			t.Fatalf("S_%d != S_%d^2", j, j/2)

@@ -1,7 +1,6 @@
 package bch
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -112,20 +111,11 @@ func (s *SyndromeCalc) tables(t int) *synTables {
 	return s.tbl.Load()
 }
 
-// Syndromes returns S_1..S_2t (index 0 holds S_1) for the codeword bytes,
-// whose first byte's MSB is the coefficient of x^(nbits-1). nbits must be
-// 8*len(codeword).
-func (s *SyndromeCalc) Syndromes(codeword []byte, t int) []uint32 {
-	if t <= 0 {
-		panic("bch: non-positive t")
-	}
-	return s.SyndromesInto(make([]uint32, 2*t), codeword, t)
-}
-
-// SyndromesInto computes S_1..S_2t into dst, which must have at least 2t
-// entries, and returns dst[:2t]. It performs no allocation and — once
-// Prepare(t) has run — takes no lock: this is the steady-state decode
-// hot path.
+// SyndromesInto computes S_1..S_2t (index 0 holds S_1) of the codeword
+// bytes, whose first byte's MSB is the coefficient of x^(8·len-1), into
+// dst, which must have at least 2t entries, and returns dst[:2t]. It
+// performs no allocation and — once Prepare(t) has run — takes no lock:
+// this is the steady-state decode hot path.
 func (s *SyndromeCalc) SyndromesInto(dst []uint32, codeword []byte, t int) []uint32 {
 	if t <= 0 {
 		panic("bch: non-positive t")
@@ -193,9 +183,4 @@ func AllZero(syn []uint32) bool {
 		}
 	}
 	return true
-}
-
-// String renders syndromes compactly for diagnostics.
-func SyndromeString(syn []uint32) string {
-	return fmt.Sprintf("S[1..%d]=%v", len(syn), syn)
 }

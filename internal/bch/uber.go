@@ -32,11 +32,6 @@ func LogUBER(n, t int, rber float64) float64 {
 	return stats.LogBinomPMF(n, t+1, rber) - math.Log(float64(n))
 }
 
-// Log10UBER returns log10(UBER), the natural axis unit of Figs. 7 and 10.
-func Log10UBER(n, t int, rber float64) float64 {
-	return LogUBER(n, t, rber) / math.Ln10
-}
-
 // UBERTail is a stricter variant accumulating every uncorrectable weight
 // (>= t+1 errors) rather than only the dominant term; it upper-bounds
 // Eq. (1) and converges to it when n·RBER << t. Unlike the dominant-term
@@ -85,29 +80,4 @@ func RequiredT(m, k int, rber, target float64, tmax int) (int, error) {
 		return 0, fmt.Errorf("bch: t=%d no longer fits GF(2^%d) before meeting target", fit+1, m)
 	}
 	return 0, fmt.Errorf("bch: target UBER %.3g unreachable at RBER %.3g within tmax=%d", target, rber, tmax)
-}
-
-// MaxRBERForT inverts RequiredT: the largest RBER (within resolution) at
-// which capability t still meets the UBER target, found by bisection on
-// the monotone LogUBER. Used to derive the reliability manager's
-// switching thresholds.
-func MaxRBERForT(m, k, t int, target float64) float64 {
-	n := k + m*t
-	logTarget := math.Log(target)
-	lo, hi := 1e-12, 0.4
-	if LogUBERTail(n, t, lo) > logTarget {
-		return 0 // even vanishing RBER fails (degenerate)
-	}
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection over decades
-		if LogUBERTail(n, t, mid) <= logTarget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi/lo < 1+1e-12 {
-			break
-		}
-	}
-	return lo
 }

@@ -188,31 +188,6 @@ func TestRequiredTMonotoneInRBER(t *testing.T) {
 	}
 }
 
-func TestMaxRBERForTInverts(t *testing.T) {
-	// For each t, RBER just below the threshold must require <= t and
-	// just above must require > t.
-	for _, tc := range []int{3, 10, 30, 65} {
-		thr := MaxRBERForT(16, 32768, tc, 1e-11)
-		if thr <= 0 {
-			t.Fatalf("t=%d: no threshold found", tc)
-		}
-		below, err := RequiredT(16, 32768, thr*0.999, 1e-11, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if below > tc {
-			t.Fatalf("t=%d: RBER below threshold still requires %d", tc, below)
-		}
-		above, err := RequiredT(16, 32768, thr*1.001, 1e-11, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if above <= tc {
-			t.Fatalf("t=%d: RBER above threshold requires only %d", tc, above)
-		}
-	}
-}
-
 func TestUBERTailUpperBoundsEq1(t *testing.T) {
 	for _, rber := range []float64{1e-6, 1e-5, 1e-4} {
 		n, tc := 33808, 20
@@ -228,12 +203,9 @@ func TestUBERTailUpperBoundsEq1(t *testing.T) {
 }
 
 func TestLog10UBERUnits(t *testing.T) {
-	n, tc, rber := 33808, 3, 1e-6
-	if got, want := Log10UBER(n, tc, rber), LogUBER(n, tc, rber)/math.Ln10; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Log10UBER inconsistent: %v vs %v", got, want)
-	}
-	// The paper's t=3 @ 1e-6 point sits between 1e-12 and 1e-11.
-	v := Log10UBER(n, tc, rber)
+	// The paper's t=3 @ 1e-6 point sits between 1e-12 and 1e-11 on the
+	// log10 axis of Figs. 7 and 10.
+	v := LogUBER(33808, 3, 1e-6) / math.Ln10
 	if v < -13 || v > -11 {
 		t.Fatalf("log10 UBER at paper anchor = %v, want in [-13, -11]", v)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"xlnand/internal/ecc"
 	"xlnand/internal/nand"
-	"xlnand/internal/timing"
 )
 
 // ErrUncorrectable is surfaced when the decoder cannot repair a page.
@@ -26,7 +25,7 @@ type Controller struct {
 	// weight (ecc.MeasuredLatency); successful decodes then book the
 	// measured duration instead of the flat estimate.
 	ml   ecc.MeasuredLatency
-	bus  timing.FlashBus
+	bus  nand.FlashBus
 	regs RegisterFile
 	mgr  *ReliabilityManager
 
@@ -59,7 +58,7 @@ type Controller struct {
 
 // Config parametrises controller construction.
 type Config struct {
-	Bus timing.FlashBus
+	Bus nand.FlashBus
 	// TargetUBERExp initialises RegTargetUBERExp (e.g. 11 for 1e-11).
 	TargetUBERExp uint32
 	// InitialLevel initialises RegECCCapability (clamped to the codec's
@@ -89,7 +88,7 @@ type Config struct {
 // put it on the ordinary read path.
 func DefaultConfig() Config {
 	return Config{
-		Bus:           timing.DefaultFlashBus(),
+		Bus:           nand.DefaultFlashBus(),
 		TargetUBERExp: 11,
 		InitialLevel:  0,
 		Adaptive:      true,
@@ -158,10 +157,6 @@ func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Registers exposes the register file (the socket-visible configuration
-// surface).
-func (c *Controller) Registers() *RegisterFile { return &c.regs }
-
 // Manager exposes the reliability manager for inspection.
 func (c *Controller) Manager() *ReliabilityManager { return c.mgr }
 
@@ -173,9 +168,6 @@ func (c *Controller) Device() *nand.Device { return c.dev }
 // must be read with the die quiescent (or via the dispatcher's
 // control-plane hop).
 func (c *Controller) CleanHits() uint64 { return c.cleanHits }
-
-// Codec exposes the attached adaptive codec.
-func (c *Controller) Codec() ecc.Codec { return c.codec }
 
 // targetUBER decodes RegTargetUBERExp.
 func (c *Controller) targetUBER() float64 {
@@ -213,15 +205,6 @@ func (c *Controller) SetAlgorithm(alg nand.Algorithm) {
 func (c *Controller) SetCapability(level int) {
 	_ = c.regs.Write(RegECCCapability, uint32(c.codec.ClampLevel(level)))
 	_ = c.regs.Write(RegAdaptive, 0)
-}
-
-// SetAdaptive re-enables the reliability manager.
-func (c *Controller) SetAdaptive(on bool) {
-	v := uint32(0)
-	if on {
-		v = 1
-	}
-	_ = c.regs.Write(RegAdaptive, v)
 }
 
 // currentLevel resolves the capability level for the next operation: the
@@ -369,14 +352,6 @@ type ReadResult struct {
 // far fewer ladder steps than this.
 const maxLadderSlots = 32
 
-// ReadPage reads, transfers and decodes a page through the staged
-// recovery ladder at the controller's configured retry budget
-// (RegReadRetry).
-func (c *Controller) ReadPage(blockIdx, pageIdx int) (ReadResult, error) {
-	v, _ := c.regs.Read(RegReadRetry)
-	return c.ReadPageRetry(blockIdx, pageIdx, int(v))
-}
-
 // noteStage accumulates one ladder attempt into the result: latency
 // components, the per-stage breakdown (materialised lazily once a second
 // attempt happens), retry count and applied offset.
@@ -404,11 +379,25 @@ func (res *ReadResult) noteStage(step int, soft bool, senses, attempt, capHint i
 	}
 }
 
-// ReadPageRetry is the read-recovery pipeline with an explicit retry
-// budget. The first sense happens at the read-reference offset the
-// reliability manager's calibration cache predicts for the block's wear;
-// a decode failure walks the remaining ladder steps (nominal references
-// first, then deeper shifts) until the decode succeeds or the budget is
+// claimData materialises a read result's data: into dst when it is big
+// enough, freshly allocated otherwise.
+func claimData(dst, src []byte) []byte {
+	if len(dst) >= len(src) {
+		dst = dst[:len(src)]
+	} else {
+		dst = make([]byte, len(src))
+	}
+	copy(dst, src)
+	return dst
+}
+
+// ReadPageRetryInto reads, transfers and decodes a page through the
+// staged read-recovery ladder with an explicit retry budget (callers
+// holding no override pass ReadRetry(), the configured RegReadRetry).
+// The first sense happens at the read-reference offset the reliability
+// manager's calibration cache predicts for the block's wear; a decode
+// failure walks the remaining ladder steps (nominal references first,
+// then deeper shifts) until the decode succeeds or the budget is
 // exhausted. Every attempt pays the full tR + transfer + decode latency
 // and counts against the block's read-disturb stress.
 //
@@ -423,32 +412,11 @@ func (res *ReadResult) noteStage(step int, soft bool, senses, attempt, capHint i
 // controller between write and read therefore never corrupts old
 // pages. Uncorrectable pages return ErrUncorrectable with the final
 // attempt's raw data attached.
-func (c *Controller) ReadPageRetry(blockIdx, pageIdx, maxRetries int) (ReadResult, error) {
-	return c.readPageRetryInto(blockIdx, pageIdx, maxRetries, nil)
-}
-
-// ReadPageRetryInto is ReadPageRetry with a caller-provided destination
-// for the decoded page: when dst is at least the page's data size, the
-// result's Data aliases dst and the steady-state read path performs no
-// allocation. A nil or short dst falls back to allocating, preserving
-// ReadPageRetry semantics exactly.
+//
+// The decoded page lands in dst when it is at least the page's data
+// size (the result's Data then aliases dst and the steady-state read
+// performs no allocation); a nil or short dst gets a fresh page.
 func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []byte) (ReadResult, error) {
-	return c.readPageRetryInto(blockIdx, pageIdx, maxRetries, dst)
-}
-
-// claimData materialises a read result's data: into dst when it is big
-// enough, freshly allocated otherwise.
-func claimData(dst, src []byte) []byte {
-	if len(dst) >= len(src) {
-		dst = dst[:len(src)]
-	} else {
-		dst = make([]byte, len(src))
-	}
-	copy(dst, src)
-	return dst
-}
-
-func (c *Controller) readPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []byte) (ReadResult, error) {
 	var res ReadResult
 	res.Alg = c.algorithm()
 	if alg, err := c.dev.WrittenAlgorithm(blockIdx, pageIdx); err == nil {
@@ -655,33 +623,9 @@ func (c *Controller) codewordBits(level int) int {
 	return n
 }
 
-// SetReadRetry reconfigures the recovery ladder budget (RegReadRetry).
-func (c *Controller) SetReadRetry(n int) {
-	if n < 0 {
-		n = 0
-	}
-	_ = c.regs.Write(RegReadRetry, uint32(n))
-}
-
 // ReadRetry returns the configured recovery ladder budget.
 func (c *Controller) ReadRetry() int {
 	v, _ := c.regs.Read(RegReadRetry)
-	return int(v)
-}
-
-// SetSoftRetry reconfigures the soft-decision rung budget (RegSoftRetry):
-// how many soft-sense decode attempts may follow an exhausted hard
-// ladder. It has no effect on codecs without a soft path.
-func (c *Controller) SetSoftRetry(n int) {
-	if n < 0 {
-		n = 0
-	}
-	_ = c.regs.Write(RegSoftRetry, uint32(n))
-}
-
-// SoftRetry returns the configured soft-decision rung budget.
-func (c *Controller) SoftRetry() int {
-	v, _ := c.regs.Read(RegSoftRetry)
 	return int(v)
 }
 

@@ -57,7 +57,7 @@ func TestWriteReadRoundTripFresh(t *testing.T) {
 	if wr.T < 3 || wr.T > 65 {
 		t.Fatalf("capability %d outside codec range", wr.T)
 	}
-	rd, err := c.ReadPage(0, 0)
+	rd, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAgedReadsCorrectErrors(t *testing.T) {
 	}
 	totalCorrected := 0
 	for i := 0; i < 5; i++ {
-		rd, err := c.ReadPage(0, 0)
+		rd, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestManualCapabilityRespected(t *testing.T) {
 	}
 	// Reconfigure before read: the page must still decode at t=10.
 	c.SetCapability(30)
-	rd, err := c.ReadPage(0, 0)
+	rd, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestUncorrectablePathAndStatus(t *testing.T) {
 	if _, err := c.WritePage(0, 0, randPage(10)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.ReadPage(0, 0)
+	_, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", err)
 	}
-	s, _ := c.Registers().Read(RegStatus)
+	s, _ := c.regs.Read(RegStatus)
 	if s&StatusUncorrectable == 0 {
 		t.Fatal("STATUS missing uncorrectable bit")
 	}
@@ -233,11 +233,11 @@ func TestReadLatencyGrowsWithT(t *testing.T) {
 	if _, err := c.WritePage(0, 1, data); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := c.ReadPage(0, 0)
+	r3, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r65, err := c.ReadPage(0, 1)
+	r65, err := c.ReadPageRetryInto(0, 1, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestEraseBlockResetsPages(t *testing.T) {
 	if err := c.EraseBlock(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadPage(2, 0); err == nil {
+	if _, err := c.ReadPageRetryInto(2, 0, c.ReadRetry(), nil); err == nil {
 		t.Fatal("read of erased page succeeded")
 	}
 	if _, err := c.WritePage(2, 0, randPage(15)); err != nil {

@@ -37,11 +37,11 @@ func softStages(res ReadResult) []ReadStage {
 func TestSoftEscalationWidens(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 103) // budget leaves room for 3 soft attempts
-	c.SetSoftRetry(3)
+	_ = c.regs.Write(RegSoftRetry, 3)
 	hopelessStress(c)
 	prepareLadderPages(t, c, softCondition, 1)
 
-	res, err := c.ReadPage(0, 0)
+	res, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("hopeless page decoded (err=%v); the escalation corner exercises nothing", err)
 	}
@@ -74,14 +74,14 @@ func TestSoftEscalationWidens(t *testing.T) {
 func TestSoftEscalationCapped(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 104)
-	c.SetSoftRetry(3)
+	_ = c.regs.Write(RegSoftRetry, 3)
 	hopelessStress(c)
 	stress := c.Device().Stress()
 	stress.SoftSensesMax = 5
 	c.Device().SetStress(stress)
 	prepareLadderPages(t, c, softCondition, 1)
 
-	res, err := c.ReadPage(0, 0)
+	res, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("hopeless page decoded: %v", err)
 	}
@@ -102,14 +102,14 @@ func TestSoftEscalationCapped(t *testing.T) {
 func TestSoftEscalationNoCapStaysFlat(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 105)
-	c.SetSoftRetry(3)
+	_ = c.regs.Write(RegSoftRetry, 3)
 	hopelessStress(c)
 	stress := c.Device().Stress()
 	stress.SoftSensesMax = stress.SoftSenses
 	c.Device().SetStress(stress)
 	prepareLadderPages(t, c, softCondition, 1)
 
-	res, err := c.ReadPage(0, 0)
+	res, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("hopeless page decoded: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestSoftEscalationRecovers(t *testing.T) {
 	prepareLadderPages(t, narrow, cond, pages)
 	narrowLost := 0
 	for i := 0; i < pages; i++ {
-		if _, err := narrow.ReadPage(0, i); err != nil {
+		if _, err := narrow.ReadPageRetryInto(0, i, narrow.ReadRetry(), nil); err != nil {
 			if !errors.Is(err, ErrUncorrectable) {
 				t.Fatal(err)
 			}
@@ -155,12 +155,12 @@ func TestSoftEscalationRecovers(t *testing.T) {
 	}
 
 	wide := softRig(t, steps+3, 61)
-	wide.SetSoftRetry(3)
+	_ = wide.regs.Write(RegSoftRetry, 3)
 	weakCapture(wide)
 	prepareLadderPages(t, wide, cond, pages)
 	escalatedSaves := 0
 	for i := 0; i < pages; i++ {
-		res, err := wide.ReadPage(0, i)
+		res, err := wide.ReadPageRetryInto(0, i, wide.ReadRetry(), nil)
 		if err != nil {
 			if !errors.Is(err, ErrUncorrectable) {
 				t.Fatal(err)

@@ -58,7 +58,7 @@ func BenchmarkFamilyRecovery(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := c.ReadPage(0, i%pages)
+					res, err := c.ReadPageRetryInto(0, i%pages, c.ReadRetry(), nil)
 					bits += pageBits
 					modelled += res.Latency.Total()
 					if err != nil {

@@ -155,16 +155,6 @@ func NewReliabilityManager(codec ecc.Codec, targetUBER float64) *ReliabilityMana
 	}
 }
 
-// SetCalibration replaces the RBER model calibration (tests and ablations).
-func (m *ReliabilityManager) SetCalibration(cal nand.Calibration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cal = cal
-}
-
-// TargetUBER returns the UBER the manager is holding.
-func (m *ReliabilityManager) TargetUBER() float64 { return m.targetUBER }
-
 // ObserveDecode feeds one successful decode (codeword length n bits,
 // nErr corrected) of a page written with the given algorithm into the
 // measurement estimator.
@@ -196,15 +186,6 @@ func (m *ReliabilityManager) Uncorrectables() int {
 	return m.uncorrectable
 }
 
-// MeasuredRBER returns the EWMA estimate for the algorithm and whether
-// any data backs it.
-func (m *ReliabilityManager) MeasuredRBER(alg nand.Algorithm) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := algIndex(alg)
-	return m.ewmaRBER[i], m.ewmaWeight[i] > 0
-}
-
 // EstimateRBER fuses the model and measurement paths for the given
 // algorithm and wear.
 func (m *ReliabilityManager) EstimateRBER(alg nand.Algorithm, cycles float64) float64 {
@@ -230,11 +211,6 @@ func (m *ReliabilityManager) SelectLevel(alg nand.Algorithm, cycles float64) int
 		return m.codec.MaxLevel()
 	}
 	return m.codec.ClampLevel(lvl)
-}
-
-// SelectT is the historical (BCH-era) name of SelectLevel.
-func (m *ReliabilityManager) SelectT(alg nand.Algorithm, cycles float64) int {
-	return m.SelectLevel(alg, cycles)
 }
 
 // ProjectedUBER reports the post-correction error rate the manager

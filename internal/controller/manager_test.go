@@ -20,7 +20,7 @@ func TestSelectTMonotoneInWear(t *testing.T) {
 	m := newManager(t)
 	prev := 0
 	for _, n := range []float64{0, 1e2, 1e3, 1e4, 1e5, 1e6} {
-		cur := m.SelectT(nand.ISPPSV, n)
+		cur := m.SelectLevel(nand.ISPPSV, n)
 		if cur < prev {
 			t.Fatalf("t decreased with wear at N=%g: %d < %d", n, cur, prev)
 		}
@@ -34,8 +34,8 @@ func TestSelectTMonotoneInWear(t *testing.T) {
 func TestSelectTDVBelowSV(t *testing.T) {
 	m := newManager(t)
 	for _, n := range []float64{1e3, 1e5, 1e6} {
-		sv := m.SelectT(nand.ISPPSV, n)
-		dv := m.SelectT(nand.ISPPDV, n)
+		sv := m.SelectLevel(nand.ISPPSV, n)
+		dv := m.SelectLevel(nand.ISPPDV, n)
 		if dv > sv {
 			t.Fatalf("N=%g: DV t=%d above SV t=%d", n, dv, sv)
 		}
@@ -46,8 +46,8 @@ func TestSelectTPinsTMaxWhenUnreachable(t *testing.T) {
 	m := newManager(t)
 	cal := nand.DefaultCalibration()
 	cal.RBERCeiling = 0.2 // absurd degradation
-	m.SetCalibration(cal)
-	if got := m.SelectT(nand.ISPPSV, 1e12); got != 65 {
+	m.cal = cal
+	if got := m.SelectLevel(nand.ISPPSV, 1e12); got != 65 {
 		t.Fatalf("unreachable target should pin TMax, got %d", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestMeasurementOverridesOptimisticModel(t *testing.T) {
 	if est < 5e-4 {
 		t.Fatalf("estimator ignored measured errors: %g", est)
 	}
-	if got := m.SelectT(nand.ISPPSV, 0); got < 50 {
+	if got := m.SelectLevel(nand.ISPPSV, 0); got < 50 {
 		t.Fatalf("capability %d not raised despite measured degradation", got)
 	}
 }
@@ -75,18 +75,19 @@ func TestModelOverridesOptimisticMeasurement(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.ObserveDecode(nand.ISPPSV, 33808, 0)
 	}
-	if got := m.SelectT(nand.ISPPSV, 1e6); got < 60 {
+	if got := m.SelectLevel(nand.ISPPSV, 1e6); got < 60 {
 		t.Fatalf("clean-read streak lowered EOL capability to %d", got)
 	}
 }
 
 func TestEWMAWarmsUp(t *testing.T) {
 	m := newManager(t)
-	if _, ok := m.MeasuredRBER(nand.ISPPSV); ok {
+	sv := algIndex(nand.ISPPSV)
+	if m.ewmaWeight[sv] > 0 {
 		t.Fatal("estimator claims data before any observation")
 	}
 	m.ObserveDecode(nand.ISPPSV, 1000, 1)
-	got, ok := m.MeasuredRBER(nand.ISPPSV)
+	got, ok := m.ewmaRBER[sv], m.ewmaWeight[sv] > 0
 	if !ok || got != 1e-3 {
 		t.Fatalf("first sample not adopted directly: %g, %v", got, ok)
 	}
@@ -96,18 +97,18 @@ func TestProjectedUBERMeetsTargetAtSelectedT(t *testing.T) {
 	m := newManager(t)
 	for _, n := range []float64{0, 1e4, 1e6} {
 		for _, alg := range []nand.Algorithm{nand.ISPPSV, nand.ISPPDV} {
-			tc := m.SelectT(alg, n)
+			tc := m.SelectLevel(alg, n)
 			got := m.ProjectedUBER(tc, alg, n)
-			if got <= m.TargetUBER() {
+			if got <= m.targetUBER {
 				continue
 			}
 			// At SV end-of-life the safety margin pushes the requirement
 			// past TMax; the manager pins t=65 and delivers best effort
 			// within a small factor of the target (the same corner where
 			// the paper instantiates its worst case).
-			if tc != 65 || got > 10*m.TargetUBER() {
+			if tc != 65 || got > 10*m.targetUBER {
 				t.Fatalf("%v N=%g: selected t=%d projects UBER %g above target %g",
-					alg, n, tc, got, m.TargetUBER())
+					alg, n, tc, got, m.targetUBER)
 			}
 		}
 	}

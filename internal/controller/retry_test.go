@@ -50,7 +50,7 @@ func TestReadPageSpareMismatch(t *testing.T) {
 	if _, err := c.Device().Program(0, 0, data, make([]byte, 13), nand.ISPPSV); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.ReadPage(0, 0)
+	_, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err == nil {
 		t.Fatal("mismatched spare accepted")
 	}
@@ -64,7 +64,7 @@ func TestReadPageSpareMismatch(t *testing.T) {
 // an uncorrectable.
 func TestReadPageNeverProgrammed(t *testing.T) {
 	c := retryRig(t, 4, 1)
-	res, err := c.ReadPage(0, 3)
+	res, err := c.ReadPageRetryInto(0, 3, c.ReadRetry(), nil)
 	if err == nil {
 		t.Fatal("read of unwritten page succeeded")
 	}
@@ -82,10 +82,10 @@ func TestReadPageNeverProgrammed(t *testing.T) {
 // TestReadPageOutOfRange covers the address error path.
 func TestReadPageOutOfRange(t *testing.T) {
 	c := retryRig(t, 4, 1)
-	if _, err := c.ReadPage(99, 0); err == nil {
+	if _, err := c.ReadPageRetryInto(99, 0, c.ReadRetry(), nil); err == nil {
 		t.Fatal("out-of-range block accepted")
 	}
-	if _, err := c.ReadPage(0, 9999); err == nil {
+	if _, err := c.ReadPageRetryInto(0, 9999, c.ReadRetry(), nil); err == nil {
 		t.Fatal("out-of-range page accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestRetryLadderMatrix(t *testing.T) {
 			c := retryRig(t, depth, 7)
 			want := prepareLadderPages(t, c, cond, pages)
 			for i := 0; i < pages; i++ {
-				res, err := c.ReadPage(0, i)
+				res, err := c.ReadPageRetryInto(0, i, c.ReadRetry(), nil)
 				if err != nil {
 					if !errors.Is(err, ErrUncorrectable) {
 						t.Fatalf("%s depth %d: %v", cond.name, depth, err)
@@ -251,7 +251,7 @@ func TestCalibrationCachePredictsOffset(t *testing.T) {
 	firstRetries := -1
 	predicted := 0
 	for i := 0; i < pages; i++ {
-		res, err := c.ReadPage(0, i)
+		res, err := c.ReadPageRetryInto(0, i, c.ReadRetry(), nil)
 		if err != nil {
 			t.Fatalf("page %d unreadable with full ladder: %v", i, err)
 		}
@@ -299,7 +299,7 @@ func TestZeroBudgetReadDoesNotClobberCache(t *testing.T) {
 	const pages = 4
 	c := retryRig(t, 6, 33)
 	prepareLadderPages(t, c, ladderCondition{"baked", 1e6, 1e4}, pages)
-	if _, err := c.ReadPage(0, 0); err != nil {
+	if _, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil); err != nil {
 		t.Fatalf("ladder walk failed: %v", err)
 	}
 	learned := c.Manager().PredictStep(1e6)
@@ -310,7 +310,7 @@ func TestZeroBudgetReadDoesNotClobberCache(t *testing.T) {
 	// baked medium fails most single shots; any success must neither
 	// have used the prediction nor overwrite it).
 	for i := 0; i < pages; i++ {
-		res, err := c.ReadPageRetry(0, i, 0)
+		res, err := c.ReadPageRetryInto(0, i, 0, nil)
 		if res.AppliedOffset != 0 {
 			t.Fatalf("zero-budget read sensed at step %d, want nominal", res.AppliedOffset)
 		}
@@ -332,7 +332,7 @@ func TestNegativeLadderDepthFallsBackToNominal(t *testing.T) {
 	if _, err := c.WritePage(0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.ReadPage(0, 0)
+	res, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatalf("nominal read broken by degenerate ladder config: %v", err)
 	}
@@ -347,11 +347,11 @@ func TestReadRetryRegister(t *testing.T) {
 	if got := c.ReadRetry(); got != 3 {
 		t.Fatalf("ReadRetry = %d, want 3", got)
 	}
-	c.SetReadRetry(-5)
+	c = retryRig(t, -5, 1)
 	if got := c.ReadRetry(); got != 0 {
 		t.Fatalf("negative budget clamped to %d, want 0", got)
 	}
-	v, err := c.Registers().Read(RegReadRetry)
+	v, err := c.regs.Read(RegReadRetry)
 	if err != nil || v != 0 {
 		t.Fatalf("RegReadRetry = %d (%v)", v, err)
 	}
@@ -369,16 +369,16 @@ func TestReadPageAllocs(t *testing.T) {
 	if _, err := c.WritePage(0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadPage(0, 0); err != nil {
+	if _, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil); err != nil {
 		t.Fatal(err) // warm codec tables outside the measurement
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := c.ReadPage(0, 0); err != nil {
+		if _, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("ReadPage allocates %.1f objects/op, want <= 2 (result page only)", allocs)
+		t.Fatalf("ReadPageRetryInto allocates %.1f objects/op, want <= 2 (result page only)", allocs)
 	}
 }
 
@@ -393,14 +393,14 @@ func BenchmarkControllerRead(b *testing.B) {
 	if _, err := c.WritePage(0, 0, data); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := c.ReadPage(0, 0); err != nil {
+	if _, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ReadPage(0, 0); err != nil {
+		if _, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,7 +423,7 @@ func BenchmarkReadRecovery(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := c.ReadPage(0, i%pages)
+					res, err := c.ReadPageRetryInto(0, i%pages, c.ReadRetry(), nil)
 					bits += pageBits
 					modelled += res.Latency.Total()
 					if err != nil {

@@ -48,7 +48,7 @@ func TestSoftRungRecovers(t *testing.T) {
 	prepareLadderPages(t, hardOnly, softCondition, pages)
 	hardLost := 0
 	for i := 0; i < pages; i++ {
-		if _, err := hardOnly.ReadPage(0, i); err != nil {
+		if _, err := hardOnly.ReadPageRetryInto(0, i, hardOnly.ReadRetry(), nil); err != nil {
 			if !errors.Is(err, ErrUncorrectable) {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestSoftRungRecovers(t *testing.T) {
 
 	softSaved := 0
 	for i := 0; i < pages; i++ {
-		res, err := c.ReadPage(0, i)
+		res, err := c.ReadPageRetryInto(0, i, c.ReadRetry(), nil)
 		if err != nil {
 			if !errors.Is(err, ErrUncorrectable) {
 				t.Fatal(err)
@@ -123,22 +123,19 @@ func TestSoftRungNeedsFullLadderBudget(t *testing.T) {
 	const pages = 3
 	prepareLadderPages(t, c, softCondition, pages)
 	for i := 0; i < pages; i++ {
-		res, err := c.ReadPageRetry(0, i, steps) // one short of unlocking soft
+		res, err := c.ReadPageRetryInto(0, i, steps, nil) // one short of unlocking soft
 		if res.SoftSenses != 0 || res.Soft {
 			t.Fatalf("page %d: capped budget went soft: %+v", i, res)
 		}
 		_ = err // losing the page is expected here
 	}
 	// Zero soft budget: even a deep walk stays hard.
-	c.SetSoftRetry(0)
+	_ = c.regs.Write(RegSoftRetry, 0)
 	for i := 0; i < pages; i++ {
-		res, _ := c.ReadPageRetry(0, i, 1<<20)
+		res, _ := c.ReadPageRetryInto(0, i, 1<<20, nil)
 		if res.SoftSenses != 0 {
 			t.Fatalf("page %d: RegSoftRetry=0 still sensed soft", i)
 		}
-	}
-	if got := c.SoftRetry(); got != 0 {
-		t.Fatalf("SoftRetry = %d, want 0", got)
 	}
 }
 
@@ -151,7 +148,7 @@ func TestSoftRungDeepRetryBudget(t *testing.T) {
 	prepareLadderPages(t, c, softCondition, pages)
 	saved := 0
 	for i := 0; i < pages; i++ {
-		res, err := c.ReadPageRetry(0, i, 1<<20)
+		res, err := c.ReadPageRetryInto(0, i, 1<<20, nil)
 		if err == nil && res.Soft {
 			saved++
 			if res.Retries != steps+1 {
@@ -174,10 +171,10 @@ func TestLDPCControllerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wr.T < 0 || wr.T > c.Codec().MaxLevel() {
+	if wr.T < 0 || wr.T > c.codec.MaxLevel() {
 		t.Fatalf("write level %d outside the rate range", wr.T)
 	}
-	rd, err := c.ReadPage(0, 0)
+	rd, err := c.ReadPageRetryInto(0, 0, c.ReadRetry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +189,10 @@ func TestLDPCControllerRoundTrip(t *testing.T) {
 			t.Fatalf("byte %d differs", i)
 		}
 	}
-	if fam, _ := c.Registers().Read(RegCodecFamily); fam != 1 {
+	if fam, _ := c.regs.Read(RegCodecFamily); fam != 1 {
 		t.Fatalf("RegCodecFamily = %d, want 1 (LDPC)", fam)
 	}
-	if err := c.Registers().Write(RegCodecFamily, 0); err == nil {
+	if err := c.regs.Write(RegCodecFamily, 0); err == nil {
 		t.Fatal("RegCodecFamily accepted a write")
 	}
 }

@@ -2,7 +2,8 @@
 // requests out across N NAND dies with one worker goroutine per die,
 // while serialising the two resources the dies share — the flash bus and
 // the adaptive BCH codec — on a modelled timeline that follows the
-// internal/timing constants. The analytic multi-die pipeline of
+// nand package's timing constants (nand.FlashBus, nand.PageReadTime).
+// The analytic multi-die pipeline of
 // internal/sim (ScaleDies: array operations parallel across dies, bus
 // and codec shared) thereby becomes measurable behaviour: a batch's
 // completions carry virtual start/finish stamps whose makespan
@@ -201,27 +202,17 @@ type job struct {
 	// Lean synchronous path (DoRead/DoWrite): the worker decodes into
 	// dst, stores the result in the caller's rres/wres scratch, and
 	// sends the completion on sync instead of calling deliver — no
-	// per-operation allocation. jobs on this path come from the
-	// dispatcher's free list (Dispatcher.jobs); sync is allocated once
-	// per listed job and reused.
+	// per-operation allocation.
 	dst  []byte
 	rres *controller.ReadResult
 	wres *controller.WriteResult
 	sync chan Completion
 
 	// Control path: fn runs on the worker with exclusive controller
-	// access; done receives one token afterwards. done channels are
-	// pooled (see donePool), so completion is signalled by send, not
-	// close.
+	// access; done receives one token afterwards.
 	fn   func(*controller.Controller)
 	done chan struct{}
 }
-
-// donePool recycles the control path's completion channels: a control
-// call is a tiny synchronous hop onto a die worker, and allocating a
-// fresh channel per call made wear polling (Cycles/SetCycles/statistics)
-// measurably garbage-heavy under load.
-var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Config parametrises dispatcher construction.
 type Config struct {
@@ -269,12 +260,16 @@ type Dispatcher struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// jobs recycles lean-path jobs: the synchronous FTL read/write fast
-	// path issues one job per physical page op, and allocating job +
-	// channel + closure per op dominated the dispatch overhead of
-	// fleet-scale runs. A free list rather than a sync.Pool, so the
-	// zero-allocation round does not depend on when the collector runs;
-	// one per dispatcher, so drives of an array never share its lock.
+	// jobs recycles the jobs of the synchronous paths — the lean
+	// DoRead/DoWrite path (one job per physical page op of the FTL) and
+	// the control hops (wear polling, statistics) — with their
+	// completion channels: allocating job + channel + closure per op
+	// dominated the dispatch overhead of fleet-scale runs. Each listed
+	// job carries its own sync and done channels, allocated once and
+	// reused; completion is therefore signalled by send, never close. A
+	// free list rather than a sync.Pool, so the zero-allocation round
+	// does not depend on when the collector runs; one per dispatcher, so
+	// drives of an array never share its lock.
 	jobs freelist.List[job]
 }
 
@@ -318,7 +313,9 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	d := &Dispatcher{env: cfg.Env, codec: codec, defaultMode: sim.ModeNominal}
-	d.jobs.New = func() *job { return &job{sync: make(chan Completion, 1)} }
+	d.jobs.New = func() *job {
+		return &job{sync: make(chan Completion, 1), done: make(chan struct{}, 1)}
+	}
 	if cfg.Trace != nil {
 		cfg.Trace.Thread(traceTidBus, "bus")
 		cfg.Trace.Thread(traceTidCodec, "codec")
@@ -694,15 +691,15 @@ func (d *Dispatcher) control(dieIdx int, fn func(*controller.Controller)) error 
 	if dieIdx < 0 || dieIdx >= len(d.dies) {
 		return fmt.Errorf("%w: die %d of %d", ErrBadAddress, dieIdx, len(d.dies))
 	}
-	done := donePool.Get().(chan struct{})
-	j := &job{fn: fn, done: done}
-	if err := d.enqueue(dieIdx, j); err != nil {
-		donePool.Put(done)
-		return err
+	j := d.jobs.Get()
+	j.fn = fn
+	err := d.enqueue(dieIdx, j)
+	if err == nil {
+		<-j.done
 	}
-	<-done
-	donePool.Put(done)
-	return nil
+	j.fn = nil
+	d.jobs.Put(j)
+	return err
 }
 
 // Cycles returns a block's program/erase wear.
@@ -716,20 +713,6 @@ func (d *Dispatcher) Cycles(dieIdx, block int) (float64, error) {
 		return 0, err
 	}
 	return cycles, cerr
-}
-
-// BlockReads returns a block's reads since its last erase (the
-// read-disturb stress counter the FTL's retry guard budgets against).
-func (d *Dispatcher) BlockReads(dieIdx, block int) (float64, error) {
-	var reads float64
-	var cerr error
-	err := d.control(dieIdx, func(c *controller.Controller) {
-		reads, cerr = c.Device().BlockReads(block)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return reads, cerr
 }
 
 // SetCycles fast-forwards a block's wear (lifetime studies).

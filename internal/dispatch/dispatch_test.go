@@ -193,6 +193,21 @@ func TestControlOpsRouteThroughWorker(t *testing.T) {
 	}
 }
 
+// TestControlJobsReturnClean: a control hop borrows its job from the
+// free list the lean read/write path also draws from, so it must hand
+// the job back with no function left for a later lean request to run
+// and no token left in its done channel.
+func TestControlJobsReturnClean(t *testing.T) {
+	d := newTestDispatcher(t, 1, 1, 11)
+	if _, err := d.Cycles(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	j := d.jobs.Get()
+	if j.fn != nil || len(j.done) != 0 || cap(j.done) != 1 {
+		t.Fatalf("recycled control job: fn set %v, done %d/%d", j.fn != nil, len(j.done), cap(j.done))
+	}
+}
+
 func TestPerDieSeedsDecorrelated(t *testing.T) {
 	d := newTestDispatcher(t, 2, 1, 11)
 	q := d.NewQueue()

@@ -115,10 +115,6 @@ type Codec interface {
 	// SoftDecodeLatency is the soft-input decode cost (0 when
 	// unsupported).
 	SoftDecodeLatency(level int) time.Duration
-
-	// Warm pre-builds per-level state so first use in a latency-
-	// sensitive path needs no construction work.
-	Warm(level int) error
 }
 
 // MeasuredLatency is an optional Codec extension for engines whose

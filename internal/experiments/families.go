@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"xlnand/internal/bch"
-	"xlnand/internal/rs"
 	"xlnand/internal/sim"
 	"xlnand/internal/stats"
 )
@@ -55,7 +54,7 @@ func AblationECCFamilies(env sim.Env) Figure {
 	// >= 17 symbol errors. 19 codewords cover 4 KB (4237 data bytes).
 	rsUBER := make([]float64, len(grid))
 	for i, p := range grid {
-		ps := rs.SymbolErrorRate(p)
+		ps := symbolErrorRate(p)
 		lp := stats.LogBinomTail(255, 17, ps)
 		lu := lp + math.Log(19) - math.Log(4096*8)
 		rsUBER[i] = math.Exp(math.Max(lu, floor))
@@ -72,4 +71,13 @@ func AblationECCFamilies(env sim.Env) Figure {
 		f.mustAdd(fmtNote("BCH 4KB t=%d", t), grid, ys)
 	}
 	return f
+}
+
+// symbolErrorRate converts a raw bit error rate into the probability that
+// an 8-bit symbol is corrupted (any of its bits flipped).
+func symbolErrorRate(rber float64) float64 {
+	q := 1 - rber
+	q2 := q * q
+	q4 := q2 * q2
+	return 1 - q4*q4
 }

@@ -52,3 +52,23 @@ func TestAblationECCFamiliesShape(t *testing.T) {
 		t.Fatalf("BCH t=64 at RBER 1e-3 too weak: %g", bch64.Y[last])
 	}
 }
+
+func TestSymbolErrorRate(t *testing.T) {
+	if got := symbolErrorRate(0); got != 0 {
+		t.Fatalf("SER(0) = %v", got)
+	}
+	// Small p: SER ≈ 8p.
+	p := 1e-6
+	if got := symbolErrorRate(p); got < 7.9e-6 || got > 8.1e-6 {
+		t.Fatalf("SER(1e-6) = %v, want ≈ 8e-6", got)
+	}
+	// Monotone and bounded.
+	prev := 0.0
+	for _, p := range []float64{1e-6, 1e-4, 1e-2, 0.5, 1} {
+		cur := symbolErrorRate(p)
+		if cur < prev || cur > 1 {
+			t.Fatalf("SER not monotone/bounded at %v", p)
+		}
+		prev = cur
+	}
+}

@@ -1,9 +1,9 @@
 // Package experiments contains one runner per figure of the paper's
 // evaluation (Figs. 4-11, including the mis-referenced "Fig. ??" as
 // Fig. 7-DV) plus the ablations DESIGN.md §2 lists. Each runner returns a
-// Figure — a plot-ready bundle of named series — that internal/plot
-// renders as an ASCII chart, a table or CSV, and that the benchmark
-// harness prints row by row.
+// Figure — a plot-ready bundle of named series — that render.go draws
+// as an ASCII chart, a table or CSV, and that the benchmark harness
+// prints row by row.
 package experiments
 
 import "fmt"

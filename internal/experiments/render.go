@@ -1,22 +1,20 @@
-// Package plot renders experiment figures as ASCII charts, aligned data
-// tables and CSV, so the reproduction harness needs no external plotting
-// stack.
-package plot
+package experiments
 
 import (
 	"fmt"
 	"math"
 	"strings"
-
-	"xlnand/internal/experiments"
 )
+
+// This file renders figures as ASCII charts, aligned data tables and
+// CSV, so the reproduction harness needs no external plotting stack.
 
 // seriesMarks are the glyphs cycled across series in ASCII charts.
 var seriesMarks = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '$', '~'}
 
 // ASCII renders the figure as a width×height character chart with axes,
 // legend and log-scale support.
-func ASCII(f experiments.Figure, width, height int) string {
+func ASCII(f Figure, width, height int) string {
 	if width < 20 {
 		width = 20
 	}
@@ -118,7 +116,7 @@ func scaler(lo, hi float64, logScale bool) func(float64) float64 {
 
 // Table renders the figure's data as an aligned text table, one block per
 // series (series may have different X grids).
-func Table(f experiments.Figure) string {
+func Table(f Figure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s [%s]\n", f.Title, f.ID)
 	for _, s := range f.Series {
@@ -135,7 +133,7 @@ func Table(f experiments.Figure) string {
 }
 
 // CSV renders the figure as long-format CSV: series,x,y.
-func CSV(f experiments.Figure) string {
+func CSV(f Figure) string {
 	var b strings.Builder
 	b.WriteString("series,x,y\n")
 	for _, s := range f.Series {

@@ -1,14 +1,14 @@
-package plot
+package experiments
 
 import (
 	"strings"
 	"testing"
 
-	"xlnand/internal/experiments"
+	"xlnand/internal/sim"
 )
 
-func demoFigure() experiments.Figure {
-	f := experiments.Figure{
+func demoFigure() Figure {
+	f := Figure{
 		ID: "demo", Title: "Demo figure",
 		XLabel: "cycles", YLabel: "rber",
 		LogX: true, LogY: true,
@@ -37,7 +37,7 @@ func TestASCIIContainsStructure(t *testing.T) {
 }
 
 func TestASCIIEmptyFigure(t *testing.T) {
-	s := ASCII(experiments.Figure{Title: "empty"}, 40, 10)
+	s := ASCII(Figure{Title: "empty"}, 40, 10)
 	if !strings.Contains(s, "(no data)") {
 		t.Fatalf("empty figure render: %q", s)
 	}
@@ -51,7 +51,7 @@ func TestASCIIClampsTinyDimensions(t *testing.T) {
 }
 
 func TestASCIILinearScale(t *testing.T) {
-	f := experiments.Figure{Title: "lin", XLabel: "x", YLabel: "y"}
+	f := Figure{Title: "lin", XLabel: "x", YLabel: "y"}
 	if err := f.AddSeries("s", []float64{0, 1, 2}, []float64{0, 1, 4}); err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func TestASCIILinearScale(t *testing.T) {
 }
 
 func TestASCIIConstantSeries(t *testing.T) {
-	f := experiments.Figure{Title: "const", XLabel: "x", YLabel: "y"}
+	f := Figure{Title: "const", XLabel: "x", YLabel: "y"}
 	if err := f.AddSeries("flat", []float64{1, 2, 3}, []float64{5, 5, 5}); err != nil {
 		panic(err)
 	}
@@ -103,7 +103,7 @@ func TestCSVFormat(t *testing.T) {
 }
 
 func TestCSVEscaping(t *testing.T) {
-	f := experiments.Figure{}
+	f := Figure{}
 	if err := f.AddSeries(`weird, "name"`, []float64{1}, []float64{2}); err != nil {
 		panic(err)
 	}
@@ -115,7 +115,7 @@ func TestCSVEscaping(t *testing.T) {
 
 func TestRealFigureRendering(t *testing.T) {
 	// Smoke: render a real experiment figure end to end.
-	f := experiments.Fig05(envForPlot())
+	f := Fig05(sim.DefaultEnv())
 	s := ASCII(f, 70, 20)
 	if !strings.Contains(s, "RBER ISPP-SV") || !strings.Contains(s, "RBER ISPP-DV") {
 		t.Fatalf("real figure render incomplete:\n%s", s)

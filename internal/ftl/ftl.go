@@ -122,10 +122,9 @@ type Partition struct {
 	// (see scrub.go).
 	scrubMarks map[int]bool
 
-	// Lean host-read scratch (guarded by mu like everything else): the
-	// allocation-free ReadInto path stores its result here and passes
-	// capRetries by address, so a steady-state host read allocates
-	// nothing at all.
+	// Host-read scratch (guarded by mu like everything else): ReadInto
+	// stores its result here and passes capRetries by address, so a
+	// steady-state host read into a caller buffer allocates nothing.
 	readRes    controller.ReadResult
 	capRetries int
 }
@@ -246,35 +245,16 @@ func (f *FTL) writePhys(p *Partition, global, page int, data []byte) (*controlle
 	return comp.Write, nil
 }
 
-// readPhys reads one physical page through the ECC path. A non-nil out
-// routes the read through the dispatcher's pooled lean path: the result
-// lands in out (data in dst when it is page-sized) with no allocation.
-func (f *FTL) readPhys(global, page int, dst []byte, out *controller.ReadResult) (*controller.ReadResult, error) {
+// readPhys reads one physical page through the ECC path. A non-nil
+// retries overrides the controller's recovery budget for this read. The
+// result lands in out (data in dst when it is page-sized) with no
+// allocation; a nil out gets a freshly allocated result.
+func (f *FTL) readPhys(global, page int, retries *int, dst []byte, out *controller.ReadResult) (*controller.ReadResult, error) {
 	die, block := f.addr(global)
-	req := dispatch.Request{Op: dispatch.OpRead, Die: die, Block: block, Page: page}
-	if out != nil {
-		comp, err := f.q.DoRead(context.Background(), req, dst, out)
-		return comp.Read, err
-	}
-	comp, err := f.q.Do(context.Background(), req)
-	return comp.Read, err
-}
-
-// readPhysCapped reads one physical page with an explicit recovery
-// budget override (the disturb-aware retry guard's capped path). The
-// retry count is passed by reference so lean callers can hand in
-// long-lived scratch instead of boxing an int per read.
-func (f *FTL) readPhysCapped(global, page int, retries *int, dst []byte, out *controller.ReadResult) (*controller.ReadResult, error) {
-	die, block := f.addr(global)
-	req := dispatch.Request{
+	comp, err := f.q.DoRead(context.Background(), dispatch.Request{
 		Op: dispatch.OpRead, Die: die, Block: block, Page: page,
 		Retries: retries,
-	}
-	if out != nil {
-		comp, err := f.q.DoRead(context.Background(), req, dst, out)
-		return comp.Read, err
-	}
-	comp, err := f.q.Do(context.Background(), req)
+	}, dst, out)
 	return comp.Read, err
 }
 
@@ -310,24 +290,21 @@ func (f *FTL) readPhysDeep(global, page int) (*controller.ReadResult, error) {
 	if f.noDeepRetry {
 		return nil, fmt.Errorf("ftl: deep retry disabled: %w", controller.ErrUncorrectable)
 	}
-	die, block := f.addr(global)
 	start := time.Duration(0)
 	if f.trace != nil {
 		start = f.vnow()
 	}
-	comp, err := f.q.Do(context.Background(), dispatch.Request{
-		Op: dispatch.OpRead, Die: die, Block: block, Page: page,
-		Retries: &deepRetryBudget,
-	})
+	res, err := f.readPhys(global, page, &deepRetryBudget, nil, nil)
 	if f.trace != nil {
 		rescued := int64(0)
 		if err == nil {
 			rescued = 1
 		}
+		_, block := f.addr(global)
 		f.trace.Span2(f.traceTid, "deep_retry", start, f.vnow()-start,
 			"block", int64(block), "rescued", rescued)
 	}
-	return comp.Read, err
+	return res, err
 }
 
 // erasePhys erases one physical block.
@@ -473,20 +450,14 @@ func localPPA(p *Partition, bs *blockState) int {
 	panic("ftl: block not in partition")
 }
 
-// Read fetches one logical page through the ECC path.
-func (f *FTL) Read(part string, lpa int) ([]byte, *controller.ReadResult, error) {
-	return f.read(part, lpa, nil, false)
-}
-
-// ReadInto is the allocation-free host read: the page lands in dst
-// (which must be at least page-sized) and the returned result points at
-// partition-owned scratch — both are only valid until the partition's
-// next ReadInto, so callers that keep data or result must copy them.
+// ReadInto fetches one logical page through the ECC path. With a
+// non-nil dst the page lands in dst (a short dst gets a freshly
+// allocated page) and the result points at partition-owned scratch,
+// valid only until the partition's next read: the steady-state read
+// allocates nothing, and callers that keep the result must copy it. A
+// nil dst gives the caller both a fresh page and a result of its own,
+// which later reads from any goroutine never touch.
 func (f *FTL) ReadInto(part string, lpa int, dst []byte) ([]byte, *controller.ReadResult, error) {
-	return f.read(part, lpa, dst, true)
-}
-
-func (f *FTL) read(part string, lpa int, dst []byte, lean bool) ([]byte, *controller.ReadResult, error) {
 	p, err := f.Partition(part)
 	if err != nil {
 		return nil, nil, err
@@ -506,27 +477,29 @@ func (f *FTL) read(part string, lpa int, dst []byte, lean bool) ([]byte, *contro
 	}
 	blk := enc / p.pages
 	bs := p.blocks[blk]
-	var out *controller.ReadResult
-	if lean {
-		out = &p.readRes
-	}
 	var res *controller.ReadResult
 	if f.disturbGuarded(bs) {
 		// Near the disturb budget: cap the ladder (no soft multi-sense —
 		// it only unlocks past the full hard walk) and queue the block
 		// for relocation, which heals the disturb count outright.
 		p.capRetries = f.retryGuard.DisturbRetryCap
-		res, err = f.readPhysCapped(bs.id, enc%p.pages, &p.capRetries, dst, out)
+		res, err = f.readPhys(bs.id, enc%p.pages, &p.capRetries, dst, &p.readRes)
 		p.DisturbCapped++
 		if p.scrubMarks == nil {
 			p.scrubMarks = make(map[int]bool)
 		}
 		p.scrubMarks[blk] = true
 	} else {
-		res, err = f.readPhys(bs.id, enc%p.pages, dst, out)
+		res, err = f.readPhys(bs.id, enc%p.pages, nil, dst, &p.readRes)
 	}
 	if res != nil {
 		bs.lastReads = res.BlockReads
+		if dst == nil {
+			// Copy while mu still guards the scratch: a concurrent read of
+			// this partition rewrites it as soon as the lock drops.
+			own := *res
+			res = &own
+		}
 	}
 	if err != nil {
 		return nil, res, err
@@ -655,7 +628,7 @@ func (f *FTL) collect(p *Partition) error {
 		if lpa == invalidPPA {
 			continue
 		}
-		res, err := f.readPhys(vb.id, page, nil, nil)
+		res, err := f.readPhys(vb.id, page, nil, nil, nil)
 		if res != nil {
 			p.RelocRetries += res.Retries
 			vb.lastReads = res.BlockReads
@@ -791,7 +764,7 @@ func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable i
 		if bs.lbaOf[le.page] != le.lpa {
 			continue // already moved by GC during this pass
 		}
-		res, err := f.readPhys(bs.id, le.page, nil, nil)
+		res, err := f.readPhys(bs.id, le.page, nil, nil, nil)
 		if res != nil {
 			p.RelocRetries += res.Retries
 			bs.lastReads = res.BlockReads

@@ -94,7 +94,7 @@ func TestMultiDieStriping(t *testing.T) {
 		}
 	}
 	for _, lpa := range []int{0, p.pages, 2*p.pages - 1} {
-		got, _, err := f.Read("data", lpa)
+		got, _, err := f.ReadInto("data", lpa, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if _, err := f.Write("media", 5, data); err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := f.Read("media", 5)
+	got, res, err := f.ReadInto("media", 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestPartitionModesSteerKnobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys, resSys, err := f.Read("system", 0)
+	sys, resSys, err := f.ReadInto("system", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, resScr, err := f.Read("scratch", 0)
+	_, resScr, err := f.ReadInto("scratch", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestPartitionModesSteerKnobs(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	f := newFTL(t, 2)
-	if _, _, err := f.Read("media", 0); err == nil {
+	if _, _, err := f.ReadInto("media", 0, nil); err == nil {
 		t.Fatal("read of unwritten lpa accepted")
 	}
-	if _, _, err := f.Read("nope", 0); err == nil {
+	if _, _, err := f.ReadInto("nope", 0, nil); err == nil {
 		t.Fatal("unknown partition accepted")
 	}
-	if _, _, err := f.Read("media", 1<<20); err == nil {
+	if _, _, err := f.ReadInto("media", 1<<20, nil); err == nil {
 		t.Fatal("out-of-range lpa accepted")
 	}
 	if _, err := f.Write("media", -1, nil); err == nil {
@@ -175,7 +175,7 @@ func TestOverwriteRemaps(t *testing.T) {
 	if _, err := f.Write("scratch", 7, v2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := f.Read("scratch", 7)
+	got, _, err := f.ReadInto("scratch", 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestTrim(t *testing.T) {
 	if err := f.Trim("scratch", 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.Read("scratch", 3); err == nil {
+	if _, _, err := f.ReadInto("scratch", 3, nil); err == nil {
 		t.Fatal("trimmed page still readable")
 	}
 	// Trimming an unwritten page is a no-op.
@@ -237,7 +237,7 @@ func TestGarbageCollectionSustainsOverwrites(t *testing.T) {
 	}
 	// All live data still intact.
 	for lpa := 0; lpa < workingSet; lpa++ {
-		got, _, err := f.Read("scratch", lpa)
+		got, _, err := f.ReadInto("scratch", lpa, nil)
 		if err != nil {
 			t.Fatalf("read lpa %d after GC: %v", lpa, err)
 		}
@@ -305,7 +305,7 @@ func TestPartitionIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := f.Read("media", 0)
+	got, _, err := f.ReadInto("media", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +333,55 @@ func TestServiceTimeAccounting(t *testing.T) {
 	if afterWrite <= 0 {
 		t.Fatal("write time not accounted")
 	}
-	if _, _, err := f.Read("media", 0); err != nil {
+	if _, _, err := f.ReadInto("media", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.ServiceTime <= afterWrite {
 		t.Fatal("read time not accounted")
+	}
+}
+
+// TestReadIntoNilDstOwnsPage: a nil-dst read hands back a page and a
+// result of its own — the next read overwrites neither — while reads
+// into a caller buffer share the partition's result scratch.
+func TestReadIntoNilDstOwnsPage(t *testing.T) {
+	f := newFTL(t, 3)
+	first, second := pagePattern(41, f.geo.PageDataBytes), pagePattern(42, f.geo.PageDataBytes)
+	for lpa, data := range [][]byte{first, second} {
+		if _, err := f.Write("scratch", lpa, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, res, err := f.ReadInto("scratch", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("first read returned wrong data")
+	}
+	got2, res2, err := f.ReadInto("scratch", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got2, second) {
+		t.Fatal("second read returned wrong data")
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("second read overwrote the first read's page")
+	}
+	if res == res2 || !bytes.Equal(res.Data, first) {
+		t.Fatal("second read overwrote the first read's result")
+	}
+	buf := make([]byte, f.geo.PageDataBytes)
+	_, res3, err := f.ReadInto("scratch", 0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res4, err := f.ReadInto("scratch", 1, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3 != res4 {
+		t.Fatal("buffered reads do not share the partition's result scratch")
 	}
 }

@@ -28,8 +28,10 @@ func saturateReads(t *testing.T, f *FTL, global, n int) {
 	t.Helper()
 	die, block := f.addr(global)
 	err := f.q.Dispatcher().WithController(die, func(c *controller.Controller) {
+		cal := c.Device().Calibration()
+		buf := make([]byte, cal.PageDataBytes+cal.PageSpareBytes)
 		for r := 0; r < n; r++ {
-			if _, _, err := c.Device().Read(block, 0); err != nil {
+			if _, _, err := c.Device().ReadInto(block, 0, 0, buf); err != nil {
 				t.Errorf("raw disturb read: %v", err)
 				return
 			}
@@ -58,7 +60,7 @@ func TestDisturbGuardCapsLadderAndMarks(t *testing.T) {
 	global := p.blocks[blk].id
 
 	// Below the budget: the guard stays out of the way.
-	if _, res, err := f.Read("p0", 0); err != nil || res == nil {
+	if _, res, err := f.ReadInto("p0", 0, nil); err != nil || res == nil {
 		t.Fatalf("unguarded read: %v", err)
 	}
 	if p.DisturbCapped != 0 || p.PendingScrubs() != 0 {
@@ -66,14 +68,19 @@ func TestDisturbGuardCapsLadderAndMarks(t *testing.T) {
 	}
 
 	saturateReads(t, f, global, 220)
-	if reads, err := f.q.Dispatcher().BlockReads(f.addr(global)); err != nil || reads < 220 {
-		t.Fatalf("disturb counter %g after saturation (%v)", reads, err)
+	var reads float64
+	var rerr error
+	die, block := f.addr(global)
+	if err := f.q.Dispatcher().WithController(die, func(c *controller.Controller) {
+		reads, rerr = c.Device().BlockReads(block)
+	}); err != nil || rerr != nil || reads < 220 {
+		t.Fatalf("disturb counter %g after saturation (%v, %v)", reads, err, rerr)
 	}
 
 	// The guard budgets against the counter piggybacked on read results
 	// (no control-plane hop per read), so the first read after the raw
 	// saturation still runs unguarded and records the climate...
-	if _, res, err := f.Read("p0", 0); err != nil || res == nil {
+	if _, res, err := f.ReadInto("p0", 0, nil); err != nil || res == nil {
 		t.Fatalf("observation read: %v", err)
 	}
 	if p.DisturbCapped != 0 {
@@ -81,7 +88,7 @@ func TestDisturbGuardCapsLadderAndMarks(t *testing.T) {
 	}
 
 	// ...and the next read runs capped.
-	got, res, err := f.Read("p0", 0)
+	got, res, err := f.ReadInto("p0", 0, nil)
 	if err != nil {
 		t.Fatalf("guarded read lost the page: %v", err)
 	}
@@ -125,7 +132,7 @@ func TestDisturbGuardCapsLadderAndMarks(t *testing.T) {
 		t.Fatal("scrub left the page on the disturb-saturated block")
 	}
 	capped := p.DisturbCapped
-	if _, _, err := f.Read("p0", 0); err != nil {
+	if _, _, err := f.ReadInto("p0", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.DisturbCapped != capped {
@@ -143,7 +150,7 @@ func TestDisturbGuardDisabledByDefault(t *testing.T) {
 	blk, _ := f.BlockOf("p0", 0)
 	p, _ := f.Partition("p0")
 	saturateReads(t, f, p.blocks[blk].id, 500)
-	if _, _, err := f.Read("p0", 0); err != nil {
+	if _, _, err := f.ReadInto("p0", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.DisturbCapped != 0 {
@@ -159,7 +166,7 @@ func TestDisturbGuardPolicyValidation(t *testing.T) {
 	if _, err := f.Write("p0", 0, data); err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := f.Read("p0", 0)
+	_, res, err := f.ReadInto("p0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestScrubRacesLiveTraffic(t *testing.T) {
 				}
 				continue
 			}
-			_, res, err := f.Read("hot", lpa)
+			_, res, err := f.ReadInto("hot", lpa, nil)
 			if err != nil {
 				if errors.Is(err, controller.ErrUncorrectable) {
 					continue // aged medium; loss is not what this test checks
@@ -122,7 +122,7 @@ func TestScrubRacesLiveTraffic(t *testing.T) {
 	// logical page readable through its (possibly relocated) mapping.
 	lost := 0
 	for lpa := 0; lpa < workingSet; lpa++ {
-		if _, _, err := f.Read("hot", lpa); err != nil {
+		if _, _, err := f.ReadInto("hot", lpa, nil); err != nil {
 			if errors.Is(err, controller.ErrUncorrectable) {
 				lost++
 				continue

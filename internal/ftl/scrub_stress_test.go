@@ -53,7 +53,7 @@ func TestRepeatedScrubsDoNotLeakBlocks(t *testing.T) {
 	}
 	// All live data intact after the churn.
 	for lpa := 0; lpa < 30; lpa++ {
-		got, _, err := f.Read("scratch", lpa)
+		got, _, err := f.ReadInto("scratch", lpa, nil)
 		if err != nil {
 			t.Fatalf("final read %d: %v", lpa, err)
 		}

@@ -26,7 +26,7 @@ func TestHealthyReadsDoNotMark(t *testing.T) {
 	if _, err := f.Write("scratch", 0, data); err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := f.Read("scratch", 0)
+	_, res, err := f.ReadInto("scratch", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDegradedReadsMarkAndScrubHeals(t *testing.T) {
 	var res *controller.ReadResult
 	for i := 0; i < 50 && !marked; i++ {
 		var err error
-		_, res, err = f.Read("scratch", 0)
+		_, res, err = f.ReadInto("scratch", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestDegradedReadsMarkAndScrubHeals(t *testing.T) {
 		t.Fatal("marks not cleared after scrub")
 	}
 	// Data survives and now lives on a fresh physical page.
-	got, _, err := f.Read("scratch", 0)
+	got, _, err := f.ReadInto("scratch", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,21 +156,8 @@ func (f *Field) Mul(a, b uint32) uint32 {
 	return uint32(f.expTbl[uint32(f.logTbl[a])+uint32(f.logTbl[b])])
 }
 
-// MulAlpha returns x * alpha^e for e >= 0, a common Chien-search step.
-func (f *Field) MulAlpha(x uint32, e int) uint32 {
-	if x == 0 {
-		return 0
-	}
-	idx := int(f.logTbl[x]) + e%int(f.n)
-	if idx >= int(f.n)*2 {
-		idx -= int(f.n)
-	}
-	return uint32(f.expTbl[idx])
-}
-
 // MulAlphaN returns x * alpha^e for a pre-reduced exponent 0 <= e < N.
-// Unlike MulAlpha it performs no modulo and no range correction: the
-// antilog table is stored doubled (2N entries), so log(x) + e always
+// It performs no modulo and no range correction: the antilog table is stored doubled (2N entries), so log(x) + e always
 // indexes it directly. This is the inner step of the fused syndrome
 // kernel and the decoder's re-check in internal/bch; callers must
 // guarantee the range.

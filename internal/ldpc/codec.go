@@ -91,9 +91,6 @@ func NewCodec(p Params, hw HWConfig) (*Codec, error) {
 // model.
 func NewPageCodec() (*Codec, error) { return NewCodec(PageParams(), DefaultHWConfig()) }
 
-// Levels returns the number of capability levels.
-func (c *Codec) Levels() int { return len(c.p.ParityBits) }
-
 // Family implements ecc.Codec.
 func (c *Codec) Family() ecc.Family { return ecc.FamilyLDPC }
 
@@ -284,13 +281,6 @@ func (c *Codec) ProjectedUBER(level int, rber float64) float64 {
 	return math.Exp(c.logUBER(i, c.p.HardCap[i], rber))
 }
 
-// SoftProjectedUBER is the soft-decision counterpart: the post-
-// correction rate when the read pays the multi-sense soft path.
-func (c *Codec) SoftProjectedUBER(level int, rber float64) float64 {
-	i := c.ClampLevel(level)
-	return math.Exp(c.logUBER(i, c.p.SoftCap[i], rber))
-}
-
 // RequiredLevel implements ecc.Codec: the smallest rate index whose
 // hard-decision tail meets the target.
 func (c *Codec) RequiredLevel(rber, targetUBER float64) (int, error) {
@@ -346,12 +336,6 @@ func (c *Codec) SoftDecodeLatency(level int) time.Duration {
 	perIter := float64(c.edgeCount(i))/float64(c.hw.EdgeParallelism) + n/float64(c.hw.BitParallelism)
 	return c.toDuration(n/float64(c.hw.BitParallelism) + float64(c.hw.PipelineFillCyc) +
 		c.hw.AvgItersSoft*perIter)
-}
-
-// Warm implements ecc.Codec.
-func (c *Codec) Warm(level int) error {
-	_, err := c.decoder(level)
-	return err
 }
 
 var _ ecc.Codec = (*Codec)(nil)

@@ -469,7 +469,7 @@ const (
 // (which is accounted as data loss, not an error); any other failure —
 // including the silent-corruption invariant — is fatal.
 func (e *engine) verifiedRead(phase string, ps *partState, lpa int, pr *PhaseReport, kind readKind) ([]byte, error) {
-	data, res, err := e.f.Read(ps.cfg.Name, lpa)
+	data, res, err := e.f.ReadInto(ps.cfg.Name, lpa, nil)
 	bitsRead := int64(e.pageBytes) * 8
 	pr.BitsRead += bitsRead
 	ps.readBits += bitsRead
@@ -747,14 +747,20 @@ func (e *engine) age(delta float64) error {
 
 // disturb performs raw array reads (ECC bypassed) of the first page of
 // every programmed block — read-disturb aggression outside the host
-// path, run on each die's worker for exclusive device access.
+// path, run on each die's worker for exclusive device access. Every
+// sense lands in one scratch buffer; only the stress it applies matters.
 func (e *engine) disturb(n int) error {
+	var buf []byte
 	for die := 0; die < e.geo.Dies; die++ {
 		err := e.disp.WithController(die, func(c *controller.Controller) {
 			dev := c.Device()
+			if buf == nil {
+				cal := dev.Calibration()
+				buf = make([]byte, cal.PageDataBytes+cal.PageSpareBytes)
+			}
 			for blk := 0; blk < dev.Blocks(); blk++ {
 				for r := 0; r < n; r++ {
-					if _, _, err := dev.Read(blk, 0); err != nil {
+					if _, _, err := dev.ReadInto(blk, 0, 0, buf); err != nil {
 						break // unwritten block: no stress to apply
 					}
 				}

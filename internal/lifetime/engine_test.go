@@ -227,10 +227,6 @@ func TestCorrectedHist(t *testing.T) {
 	if h != want {
 		t.Fatalf("hist = %v, want %v", h, want)
 	}
-	labels := h.Labels()
-	if labels[0] != "0" || labels[2] != "2-3" || labels[7] != "64+" {
-		t.Fatalf("labels = %v", labels)
-	}
 }
 
 // BenchmarkLifetimeSmoke runs the shortest catalog scenario end to end —

@@ -28,17 +28,6 @@ func (h *CorrectedHist) Add(corrected int) {
 	h[b]++
 }
 
-// Labels returns the bucket labels, aligned with the counts.
-func (h CorrectedHist) Labels() []string {
-	out := make([]string, CorrectedHistBuckets)
-	out[0], out[1] = "0", "1"
-	for b := 2; b < CorrectedHistBuckets-1; b++ {
-		out[b] = fmt.Sprintf("%d-%d", 1<<(b-1), 1<<b-1)
-	}
-	out[CorrectedHistBuckets-1] = strconv.Itoa(1<<(CorrectedHistBuckets-2)) + "+"
-	return out
-}
-
 // RetryHistBuckets is the number of buckets in the read-retry-depth
 // histogram: retries 0..6 directly, 7+ collected in the last bucket.
 // It mirrors the controller's manager-level histogram so the two "reads

@@ -26,55 +26,3 @@ func TestReadLevelsIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("ReadLevelsInto allocates %.1f/op, want 0", avg)
 	}
 }
-
-// TestReadBytesIntoZeroAlloc: same contract for the byte-packing read —
-// the level scratch is page-owned and warm after the first call.
-func TestReadBytesIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
-	sim, aged := freshPage(t, 13)
-	r := stats.NewRNG(14)
-	if _, err := sim.Program(mixedTargets(r, testCells), ISPPSV, aged); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, (sim.Cells()+3)/4)
-	sim.ReadBytesInto(dst, aged, ReadOffsets{}) // warm the scratch
-	avg := testing.AllocsPerRun(20, func() {
-		sim.ReadBytesInto(dst, aged, ReadOffsets{})
-	})
-	if avg != 0 {
-		t.Fatalf("ReadBytesInto allocates %.1f/op, want 0", avg)
-	}
-}
-
-// TestReadLevelsIntoMatchesReadLevels pins the batched path to the
-// allocating wrapper bit-for-bit: same RNG stream, same classifications
-// — the property that keeps golden trajectories byte-identical.
-func TestReadLevelsIntoMatchesReadLevels(t *testing.T) {
-	cal := DefaultCalibration()
-	simA := NewPageSim(cal, testCells, stats.NewRNG(21))
-	simB := NewPageSim(cal, testCells, stats.NewRNG(21))
-	aged := cal.Age(3000)
-	simA.Erase(aged)
-	simB.Erase(aged)
-	r := stats.NewRNG(22)
-	targets := mixedTargets(r, testCells)
-	if _, err := simA.Program(targets, ISPPDV, aged); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := simB.Program(targets, ISPPDV, aged); err != nil {
-		t.Fatal(err)
-	}
-	off := ReadOffsets{-0.05, 0, 0.05}
-	dst := make([]Level, testCells)
-	for trial := 0; trial < 4; trial++ {
-		want := simA.ReadLevels(aged, off)
-		got := simB.ReadLevelsInto(dst, aged, off)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d cell %d: ReadLevelsInto %v, ReadLevels %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}

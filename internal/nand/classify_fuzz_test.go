@@ -53,7 +53,7 @@ func FuzzClassifySweep(f *testing.F) {
 		fast, ref := build(), build()
 
 		got := fast.ReadLevelsInto(make([]Level, cells), aged, off)
-		gotBytes := LevelsToBytes(got)
+		gotBytes := LevelsToBytesInto(make([]byte, (len(got)+3)/4), got)
 
 		// Scalar replica of the read: one noise draw per cell in stream
 		// order, the retention model verbatim, first-match classification.

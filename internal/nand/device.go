@@ -86,9 +86,6 @@ func (d *Device) AdvanceTime(hours float64) {
 	}
 }
 
-// ClockHours returns the retention clock.
-func (d *Device) ClockHours() float64 { return d.clockHours }
-
 // BlockReads returns a block's read count since its last erase.
 func (d *Device) BlockReads(blockIdx int) (float64, error) {
 	if blockIdx < 0 || blockIdx >= len(d.blocks) {
@@ -203,28 +200,6 @@ func (d *Device) WrittenAlgorithm(blockIdx, pageIdx int) (Algorithm, error) {
 	return p.alg, nil
 }
 
-// Read returns the page content with bit errors injected per the analytic
-// RBER of the algorithm the page was written with, at the block's current
-// wear. tR (array-to-register time) is modelled as the paper's 75 µs.
-func (d *Device) Read(blockIdx, pageIdx int) (data, spare []byte, err error) {
-	return d.ReadAt(blockIdx, pageIdx, 0)
-}
-
-// ReadAt senses a page at read-retry ladder step (0 = the nominal
-// references; higher steps shift the references per the calibrated
-// retry model, recovering retention-drift errors). The returned data and
-// spare slices share one backing array (data first, spare adjacent).
-func (d *Device) ReadAt(blockIdx, pageIdx, step int) (data, spare []byte, err error) {
-	// Program bounds every page at PageDataBytes+PageSpareBytes, so one
-	// calibration-sized buffer fits any page without a pre-lookup.
-	buf := make([]byte, d.cal.PageDataBytes+d.cal.PageSpareBytes)
-	nData, nSpare, err := d.ReadInto(blockIdx, pageIdx, step, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buf[:nData], buf[nData : nData+nSpare], nil
-}
-
 // RetrySteps returns the calibrated read-retry ladder depth.
 func (d *Device) RetrySteps() int { return d.stress.RetrySteps }
 
@@ -234,12 +209,16 @@ func (d *Device) Stress() StressConfig { return d.stress }
 // SetStress replaces the stress model (tests and ablations).
 func (d *Device) SetStress(s StressConfig) { d.stress = s }
 
-// ReadInto is the allocation-free read path: it senses the page at
-// retry ladder step and writes data followed immediately by spare into
-// buf — exactly the codeword layout the controller decodes — returning
-// the two lengths. buf must hold len(data)+len(spare) bytes; every
-// sense, retries included, counts against the block's read-disturb
-// stress and pays one tR.
+// ReadInto senses a page at read-retry ladder step (0 = the nominal
+// references; higher steps shift the references per the calibrated
+// retry model, recovering retention-drift errors) with bit errors
+// injected per the analytic RBER of the algorithm the page was written
+// with, at the block's current wear and retention age. It writes data
+// followed immediately by spare into buf — exactly the codeword layout
+// the controller decodes — and returns the two lengths. buf must hold
+// len(data)+len(spare) bytes; PageDataBytes+PageSpareBytes always
+// suffices. Every sense, retries included, counts against the block's
+// read-disturb stress and pays one tR (PageReadTime).
 func (d *Device) ReadInto(blockIdx, pageIdx, step int, buf []byte) (nData, nSpare int, err error) {
 	p, b, err := d.pageAt(blockIdx, pageIdx)
 	if err != nil {
@@ -277,10 +256,6 @@ func (d *Device) LastProgramSeq() uint64 { return d.programSeq }
 func (d *Device) LastSense() (seq uint64, flips int) {
 	return d.lastSenseSeq, d.lastSenseFlips
 }
-
-// PageReadTime is the array-to-page-register sensing time tR; the paper
-// quotes 75 µs for the Micron MLC part it references [27].
-const PageReadTime = 75 * time.Microsecond
 
 // corruptInto copies src into dst (equal length) and flips each bit
 // independently with probability rber: the binomial error count is

@@ -12,6 +12,17 @@ func testDevice(t *testing.T) *Device {
 	return NewDevice(cal, 4, 77)
 }
 
+// readAt senses a page at ladder step into a fresh calibration-sized
+// buffer and returns its data and spare parts.
+func readAt(d *Device, blockIdx, pageIdx, step int) (data, spare []byte, err error) {
+	buf := make([]byte, d.cal.PageDataBytes+d.cal.PageSpareBytes)
+	nData, nSpare, err := d.ReadInto(blockIdx, pageIdx, step, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf[:nData], buf[nData : nData+nSpare], nil
+}
+
 func TestDeviceGeometry(t *testing.T) {
 	d := testDevice(t)
 	if d.Blocks() != 4 || d.PagesPerBlock() != 64 {
@@ -33,7 +44,7 @@ func TestDeviceProgramReadRoundTrip(t *testing.T) {
 	if _, err := d.Program(0, 0, data, spare, ISPPSV); err != nil {
 		t.Fatal(err)
 	}
-	gotData, gotSpare, err := d.Read(0, 0)
+	gotData, gotSpare, err := readAt(d, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +109,7 @@ func TestDeviceBoundsChecking(t *testing.T) {
 	if _, err := d.Program(0, 64, nil, nil, ISPPSV); err == nil {
 		t.Fatal("out-of-range page accepted")
 	}
-	if _, _, err := d.Read(0, 0); err == nil {
+	if _, _, err := readAt(d, 0, 0, 0); err == nil {
 		t.Fatal("read of unwritten page accepted")
 	}
 	if err := d.SetCycles(0, -1); err == nil {
@@ -127,11 +138,11 @@ func TestDeviceAgedReadsAreNoisier(t *testing.T) {
 	}
 	freshFlips, agedFlips := 0, 0
 	for i := 0; i < 20; i++ {
-		fd, _, err := d.Read(0, 0)
+		fd, _, err := readAt(d, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad, _, err := d.Read(1, 0)
+		ad, _, err := readAt(d, 1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +175,8 @@ func TestDeviceDVReadsCleanerThanSV(t *testing.T) {
 	}
 	sv, dv := 0, 0
 	for i := 0; i < 30; i++ {
-		a, _, _ := d.Read(0, 0)
-		b, _, _ := d.Read(1, 0)
+		a, _, _ := readAt(d, 0, 0, 0)
+		b, _, _ := readAt(d, 1, 0, 0)
 		sv += bitDiff(a, data)
 		dv += bitDiff(b, data)
 	}
@@ -181,7 +192,7 @@ func TestDeviceOperationDurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := d.LastOpDuration()
-	if _, _, err := d.Read(0, 0); err != nil {
+	if _, _, err := readAt(d, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	read := d.LastOpDuration()

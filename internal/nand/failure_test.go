@@ -126,7 +126,7 @@ func TestReadNoiseCausesBoundaryMisreads(t *testing.T) {
 		if _, err := sim.Program(targets, ISPPSV, aged); err != nil {
 			t.Fatal(err)
 		}
-		got := sim.ReadLevels(aged, ReadOffsets{})
+		got := sim.ReadLevelsInto(make([]Level, sim.Cells()), aged, ReadOffsets{})
 		errs := 0
 		for i := range targets {
 			errs += BitErrors(targets[i], got[i])

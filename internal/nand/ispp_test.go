@@ -79,7 +79,7 @@ func TestProgramPlacesAllLevels(t *testing.T) {
 		if res.Failures != 0 {
 			t.Fatalf("%v: %d cells failed to program on fresh device", alg, res.Failures)
 		}
-		got := sim.ReadLevels(aged, ReadOffsets{})
+		got := sim.ReadLevelsInto(make([]Level, sim.Cells()), aged, ReadOffsets{})
 		wrong := 0
 		for i := range targets {
 			if got[i] != targets[i] {

@@ -75,15 +75,10 @@ func TargetLevels(data []byte) []Level {
 	return out
 }
 
-// LevelsToBytes inverts TargetLevels.
-func LevelsToBytes(levels []Level) []byte {
-	return LevelsToBytesInto(make([]byte, (len(levels)+3)/4), levels)
-}
-
-// LevelsToBytesInto packs levels into dst, which must hold
-// (len(levels)+3)/4 bytes; written bytes are fully assembled before the
-// store (and any partial tail byte cleared first), so a reused scratch
-// buffer never leaks a previous read's bits.
+// LevelsToBytesInto inverts TargetLevels: it packs levels into dst,
+// which must hold (len(levels)+3)/4 bytes; written bytes are fully
+// assembled before the store (and any partial tail byte cleared first),
+// so a reused scratch buffer never leaks a previous read's bits.
 //
 // The bulk runs word-parallel: 32 cells assemble into one uint64 — each
 // cell contributes its 2-bit Gray pattern MSB-first, exactly the scalar
@@ -118,15 +113,11 @@ func (c Calibration) VerifyTarget(l Level) float64 {
 	return c.VFY[l-1]
 }
 
-// ClassifyVTH returns the level a read operation infers from a cell
-// threshold voltage, by comparison against R1..R3 (paper Fig. 3).
-func (c Calibration) ClassifyVTH(vth float64) Level {
-	return c.ClassifyVTHShifted(vth, ReadOffsets{})
-}
-
-// ClassifyVTHShifted classifies against the read references shifted by
-// the per-boundary offset triple — the sensing primitive of staged
-// read-retry (negative offsets track retention drift toward erase).
+// ClassifyVTHShifted returns the level a read operation infers from a
+// cell threshold voltage, by comparison against R1..R3 (paper Fig. 3)
+// shifted by the per-boundary offset triple — the sensing primitive of
+// staged read-retry (negative offsets track retention drift toward
+// erase; ReadOffsets{} is the nominal read).
 func (c Calibration) ClassifyVTHShifted(vth float64, off ReadOffsets) Level {
 	switch {
 	case vth < c.Read[0]+off[0]:

@@ -60,7 +60,7 @@ func TestTargetLevelsRoundTrip(t *testing.T) {
 		if len(levels) != len(data)*4 {
 			t.Fatalf("%d levels for %d bytes", len(levels), len(data))
 		}
-		back := LevelsToBytes(levels)
+		back := LevelsToBytesInto(make([]byte, (len(levels)+3)/4), levels)
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip failed: %x -> %x", data, back)
 		}
@@ -72,7 +72,7 @@ func TestTargetLevelsQuickRoundTrip(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		return bytes.Equal(LevelsToBytes(TargetLevels(data)), data)
+		return bytes.Equal(LevelsToBytesInto(make([]byte, len(data)), TargetLevels(data)), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestClassifyVTH(t *testing.T) {
 		{5.0, L3},
 	}
 	for _, c := range cases {
-		if got := cal.ClassifyVTH(c.vth); got != c.want {
-			t.Errorf("ClassifyVTH(%v) = %v, want %v", c.vth, got, c.want)
+		if got := cal.ClassifyVTHShifted(c.vth, ReadOffsets{}); got != c.want {
+			t.Errorf("ClassifyVTHShifted(%v, nominal) = %v, want %v", c.vth, got, c.want)
 		}
 	}
 }

@@ -25,10 +25,6 @@ type PageSim struct {
 	programmed []Level
 	erased     bool
 
-	// lvlScratch backs ReadBytes-style reads that need a level buffer but
-	// hand back bytes; PageSim is single-goroutine by contract, so one
-	// buffer serves every read.
-	lvlScratch []Level
 	// noiseScratch batches the per-cell sensing-noise draws of one read
 	// so the classification sweep below runs free of RNG calls.
 	noiseScratch []float64
@@ -55,9 +51,6 @@ func NewPageSim(cal Calibration, cells int, rng *stats.RNG) *PageSim {
 
 // Cells returns the number of cells on the page.
 func (p *PageSim) Cells() int { return len(p.k) }
-
-// VTH returns the current threshold voltage of cell i.
-func (p *PageSim) VTH(i int) float64 { return p.vth[i] }
 
 // VTHs returns a copy of all threshold voltages (for distribution
 // inspection and Fig. 4/5 style analysis).
@@ -133,18 +126,14 @@ func (p *PageSim) applyCCI() {
 	}
 }
 
-// ReadLevels senses every cell and classifies it against the read
-// references R1-R3 shifted by the per-boundary offset triple (the
-// staged read-retry knob; ReadOffsets{} is the nominal read), applying
-// the aged retention shift (programmed levels drift down) and sensing
-// noise. The stored VTH is not modified: retention is modelled at read
-// time so repeated reads at different ages reuse one programmed state.
-func (p *PageSim) ReadLevels(aged AgedParams, off ReadOffsets) []Level {
-	return p.ReadLevelsInto(make([]Level, len(p.vth)), aged, off)
-}
-
-// ReadLevelsInto is the allocation-free sensing path: it classifies
-// every cell into dst (which must hold Cells() levels) and returns it.
+// ReadLevelsInto senses every cell and classifies it into dst (which
+// must hold Cells() levels) against the read references R1-R3 shifted
+// by the per-boundary offset triple (the staged read-retry knob;
+// ReadOffsets{} is the nominal read), applying the aged retention shift
+// (programmed levels drift down) and sensing noise, and returns dst.
+// The stored VTH is not modified: retention is modelled at read time so
+// repeated reads at different ages reuse one programmed state.
+//
 // The retention shift per programmed level and the shifted R1-R3
 // boundaries are hoisted out of the per-cell loop, the sensing-noise
 // draws are batched into page-owned scratch in cell order (the RNG
@@ -199,21 +188,4 @@ func b2u(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// ReadBytes reads the page back as data bytes via the Gray mapping. It
-// is a thin allocating shim over ReadBytesInto.
-func (p *PageSim) ReadBytes(aged AgedParams, off ReadOffsets) []byte {
-	return p.ReadBytesInto(make([]byte, (len(p.vth)+3)/4), aged, off)
-}
-
-// ReadBytesInto reads the page back as data bytes into dst, which must
-// hold Cells()/4 bytes (rounded up). The intermediate level buffer is
-// page-owned scratch, reused read over read.
-func (p *PageSim) ReadBytesInto(dst []byte, aged AgedParams, off ReadOffsets) []byte {
-	if cap(p.lvlScratch) < len(p.vth) {
-		p.lvlScratch = make([]Level, len(p.vth))
-	}
-	levels := p.ReadLevelsInto(p.lvlScratch[:len(p.vth)], aged, off)
-	return LevelsToBytesInto(dst, levels)
 }

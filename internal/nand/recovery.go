@@ -15,7 +15,7 @@ import "math"
 //
 // Both fidelity layers participate:
 //
-//   - PageSim.ReadLevels takes a ReadOffsets triple and classifies
+//   - PageSim.ReadLevelsInto takes a ReadOffsets triple and classifies
 //     against the shifted references — the Monte-Carlo ground truth;
 //   - the analytic device path uses RecoveredRBER: an effective-RBER
 //     model anchored so a fresh page gains nothing from the ladder while
@@ -26,27 +26,6 @@ import "math"
 // voltages (negative = toward the erased state, the direction retention
 // drift requires). The zero value is the nominal read.
 type ReadOffsets [3]float64
-
-// retryBoundaryWeight scales one ladder step across the three
-// boundaries: higher levels store more charge and leak proportionally
-// more (the PageSim retention model shifts L1/L2/L3 by 1.0/1.5/2.0 ×
-// RetShift), so the boundary between L1|L2 moves ~1.25× and L2|L3 ~1.75×
-// as far as L0|L1 per calibration step.
-var retryBoundaryWeight = [3]float64{1.0, 1.25, 1.75}
-
-// RetryOffsets returns the read-reference offset triple of calibrated
-// ladder step k (step 0 is the nominal read). Steps are clamped below at
-// zero; the ladder depth itself is a StressConfig property.
-func (c Calibration) RetryOffsets(s StressConfig, step int) ReadOffsets {
-	if step < 0 {
-		step = 0
-	}
-	var off ReadOffsets
-	for i := range off {
-		off[i] = -float64(step) * s.RetryStepV * retryBoundaryWeight[i]
-	}
-	return off
-}
 
 // OptimalRetryStep returns the ladder step whose reference shift best
 // matches the V_TH drift a page has accumulated: the cycling drift the

@@ -114,7 +114,7 @@ func TestDeviceReadAtRecoversBakedPage(t *testing.T) {
 	errsAt := func(step int) int {
 		total := 0
 		for rep := 0; rep < 8; rep++ {
-			got, _, err := dev.ReadAt(0, 0, step)
+			got, _, err := readAt(dev, 0, 0, step)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestPageSimShiftedReferencesRecoverRetentionDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	countErrs := func(off ReadOffsets) int {
-		got := sim.ReadLevels(aged, off)
+		got := sim.ReadLevelsInto(make([]Level, sim.Cells()), aged, off)
 		n := 0
 		for i, tgt := range targets {
 			n += BitErrors(tgt, got[i])

@@ -42,13 +42,6 @@ const (
 	SoftWeakLLR = 1
 )
 
-// ReadSoft is the multi-sense soft read at the device's default width:
-// it senses the page StressConfig.SoftSenses times around retry ladder
-// step. See ReadSoftN for the full contract.
-func (d *Device) ReadSoft(blockIdx, pageIdx, step int, buf []byte, llr []int8) (nData, nSpare, senses int, err error) {
-	return d.ReadSoftN(blockIdx, pageIdx, step, d.stress.SoftSenses, buf, llr)
-}
-
 // ReadSoftN is the multi-sense soft read at an explicit width: it
 // senses the page `senses` times around retry ladder step (clamped to
 // StressConfig.SoftSensesMax when that cap is set), writes the center

@@ -34,7 +34,7 @@ func TestReadSoftShape(t *testing.T) {
 	}
 	buf := make([]byte, len(data)+len(spare))
 	llr := make([]int8, (len(data)+len(spare))*8)
-	nData, nSpare, senses, err := d.ReadSoft(0, 0, 0, buf, llr)
+	nData, nSpare, senses, err := d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestReadSoftChargesStress(t *testing.T) {
 	buf := make([]byte, len(data)+len(spare))
 	llr := make([]int8, (len(data)+len(spare))*8)
 	before, _ := d.BlockReads(0)
-	_, _, senses, err := d.ReadSoft(0, 0, 0, buf, llr)
+	_, _, senses, err := d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReadSoftFlagsErrors(t *testing.T) {
 	d.AdvanceTime(5e3)
 	buf := make([]byte, len(data)+len(spare))
 	llr := make([]int8, (len(data)+len(spare))*8)
-	nData, nSpare, _, err := d.ReadSoft(0, 0, 0, buf, llr)
+	nData, nSpare, _, err := d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +128,16 @@ func TestReadSoftValidation(t *testing.T) {
 	}
 	buf := make([]byte, len(data)+len(spare))
 	llr := make([]int8, (len(data)+len(spare))*8)
-	if _, _, _, err := d.ReadSoft(0, 1, 0, buf, llr); err == nil {
+	if _, _, _, err := d.ReadSoftN(0, 1, 0, d.stress.SoftSenses, buf, llr); err == nil {
 		t.Fatal("soft read of unwritten page accepted")
 	}
-	if _, _, _, err := d.ReadSoft(0, 0, -1, buf, llr); err == nil {
+	if _, _, _, err := d.ReadSoftN(0, 0, -1, d.stress.SoftSenses, buf, llr); err == nil {
 		t.Fatal("negative ladder step accepted")
 	}
-	if _, _, _, err := d.ReadSoft(0, 0, 0, buf[:10], llr); err == nil {
+	if _, _, _, err := d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf[:10], llr); err == nil {
 		t.Fatal("short codeword buffer accepted")
 	}
-	if _, _, _, err := d.ReadSoft(0, 0, 0, buf, llr[:10]); err == nil {
+	if _, _, _, err := d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf, llr[:10]); err == nil {
 		t.Fatal("short LLR buffer accepted")
 	}
 }

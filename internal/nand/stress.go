@@ -31,7 +31,7 @@ type StressConfig struct {
 	// reads may be retried at reference offsets 1..RetrySteps.
 	RetrySteps int
 	// RetryStepV is the reference shift of one ladder step at the R1
-	// boundary [V] (higher boundaries scale per retryBoundaryWeight).
+	// boundary [V].
 	RetryStepV float64
 	// RetryShiftV is the modelled retention drift per decade of storage
 	// time on a fresh device [V]; wear multiplies it. Together with the

@@ -99,7 +99,7 @@ func TestDeviceReadDisturbAccumulatesAndErasesHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := d.Read(0, 0); err != nil {
+		if _, _, err := readAt(d, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestDeviceRetentionClock(t *testing.T) {
 	cal := DefaultCalibration()
 	d := NewDevice(cal, 2, 4)
 	d.AdvanceTime(-5) // ignored
-	if d.ClockHours() != 0 {
+	if d.clockHours != 0 {
 		t.Fatal("negative time advanced the clock")
 	}
 	if err := d.SetCycles(0, 1e5); err != nil {
@@ -134,7 +134,7 @@ func TestDeviceRetentionClock(t *testing.T) {
 	}
 	freshFlips := 0
 	for i := 0; i < 10; i++ {
-		rd, _, err := d.Read(0, 0)
+		rd, _, err := readAt(d, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestDeviceRetentionClock(t *testing.T) {
 	d.AdvanceTime(5e4) // ~6 year bake
 	bakedFlips := 0
 	for i := 0; i < 10; i++ {
-		rd, _, err := d.Read(0, 0)
+		rd, _, err := readAt(d, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestDeviceRetentionClock(t *testing.T) {
 	}
 	newFlips := 0
 	for i := 0; i < 10; i++ {
-		rd, _, err := d.Read(0, 1)
+		rd, _, err := readAt(d, 0, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

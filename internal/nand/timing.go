@@ -1,14 +1,19 @@
-// Package timing holds the shared timing substrate of the memory
-// sub-system: the flash interface bus model and the datasheet constants
-// the paper quotes (Micron MT29F64G08 [27]). The controller and the
-// throughput analyses consume these so that every figure uses one set of
-// numbers.
-package timing
+package nand
 
 import (
 	"fmt"
 	"time"
 )
+
+// This file holds the timing substrate shared by the memory sub-system:
+// the array sensing time and the flash interface bus model, with the
+// datasheet constants the paper quotes (Micron MT29F64G08 [27]). The
+// controller and the throughput analyses consume these so that every
+// figure uses one set of numbers.
+
+// PageReadTime is the array-to-page-register sensing time tR; the paper
+// quotes 75 µs for the Micron MLC part it references [27].
+const PageReadTime = 75 * time.Microsecond
 
 // FlashBus models the asynchronous 8-bit flash interface between the
 // controller and the NAND die.
@@ -27,19 +32,14 @@ func DefaultFlashBus() FlashBus {
 // Transfer returns the time to move n bytes across the bus.
 func (b FlashBus) Transfer(n int) time.Duration {
 	if n < 0 {
-		panic(fmt.Sprintf("timing: negative transfer size %d", n))
+		panic(fmt.Sprintf("nand: negative transfer size %d", n))
 	}
 	if b.WidthBits <= 0 || b.ClockHz <= 0 {
-		panic("timing: uninitialised bus")
+		panic("nand: uninitialised bus")
 	}
 	bytesPerCycle := float64(b.WidthBits) / 8
 	cycles := float64(n) / bytesPerCycle
 	return time.Duration(cycles / b.ClockHz * float64(time.Second))
-}
-
-// BandwidthMBps returns the raw bus bandwidth in MB/s.
-func (b FlashBus) BandwidthMBps() float64 {
-	return b.ClockHz * float64(b.WidthBits) / 8 / 1e6
 }
 
 // Throughput converts a payload size and total operation time into MB/s

@@ -1,4 +1,4 @@
-package timing
+package nand
 
 import (
 	"math"
@@ -46,8 +46,8 @@ func TestTransferPanicsUninitialised(t *testing.T) {
 }
 
 func TestBandwidth(t *testing.T) {
-	b := DefaultFlashBus()
-	if got := b.BandwidthMBps(); math.Abs(got-33) > 0.5 {
+	const n = 1 << 20
+	if got := Throughput(n, DefaultFlashBus().Transfer(n)); math.Abs(got-33) > 0.5 {
 		t.Fatalf("bandwidth = %v MB/s, want 33", got)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -35,16 +34,11 @@ func NewRegistry() *Registry {
 }
 
 // Label renders name{k="v"} for one-label series; labels are part of
-// the series key, so sorting keys yields a stable export. Append more
-// labels by nesting: Label(Label(n, k1, v1), ...) is not supported —
-// use Label2 for two labels.
+// the series key, so sorting keys yields a stable export. Nesting
+// (Label(Label(n, k1, v1), ...)) is not supported: series with more
+// labels spell out their label block.
 func Label(name, k, v string) string {
 	return name + `{` + k + `="` + v + `"}`
-}
-
-// Label2 renders name{k1="v1",k2="v2"}.
-func Label2(name, k1, v1, k2, v2 string) string {
-	return name + `{` + k1 + `="` + v1 + `",` + k2 + `="` + v2 + `"}`
 }
 
 // AddCounter accumulates v into the named counter (creating it at
@@ -162,44 +156,4 @@ func formatVal(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// metricJSON is the JSON export shape: one sorted list per kind.
-type metricJSON struct {
-	Counters []namedVal  `json:"counters"`
-	Gauges   []namedVal  `json:"gauges,omitempty"`
-	Hists    []namedHist `json:"histograms,omitempty"`
-}
-
-type namedVal struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-type namedHist struct {
-	Name string `json:"name"`
-	HistSnapshot
-}
-
-// JSON renders the registry as indented JSON with stable ordering.
-func (r *Registry) JSON() ([]byte, error) {
-	if r == nil {
-		return []byte("{}"), nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out metricJSON
-	for n, v := range r.counters {
-		out.Counters = append(out.Counters, namedVal{n, v})
-	}
-	for n, v := range r.gauges {
-		out.Gauges = append(out.Gauges, namedVal{n, v})
-	}
-	for n, s := range r.hists {
-		out.Hists = append(out.Hists, namedHist{Name: n, HistSnapshot: s})
-	}
-	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
-	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
-	sort.Slice(out.Hists, func(i, j int) bool { return out.Hists[i].Name < out.Hists[j].Name })
-	return json.MarshalIndent(out, "", "  ")
 }

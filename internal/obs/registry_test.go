@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ func buildRegistry() *Registry {
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	r.ObserveHist(Label2("op_latency_us", "class", "clean_read", "drive", "0"), h.Snapshot())
+	r.ObserveHist(`op_latency_us{class="clean_read",drive="0"}`, h.Snapshot())
 	return r
 }
 
@@ -46,33 +45,6 @@ func TestRegistryPrometheusStable(t *testing.T) {
 	// Sorted: drive 0 series before drive 1.
 	if strings.Index(text, `drive="0"`) > strings.Index(text, `drive="1"`) {
 		t.Error("series not sorted by name")
-	}
-}
-
-func TestRegistryJSON(t *testing.T) {
-	a, err := buildRegistry().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := buildRegistry().JSON()
-	if !bytes.Equal(a, b) {
-		t.Fatal("JSON export not stable")
-	}
-	var doc struct {
-		Counters []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"counters"`
-		Hists []struct {
-			Name  string `json:"name"`
-			Count uint64 `json:"count"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(a, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Counters) != 3 || len(doc.Hists) != 1 || doc.Hists[0].Count != 100 {
-		t.Fatalf("unexpected shape: %s", a)
 	}
 }
 

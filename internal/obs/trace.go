@@ -170,15 +170,8 @@ func (s *Stream) Span2(tid int32, name string, ts, dur time.Duration, k1 string,
 	s.push(Event{Name: name, Ph: phaseSpan, Tid: tid, Ts: ts, Dur: dur, K1: k1, V1: v1, K2: k2, V2: v2})
 }
 
-// Instant records a zero-length marker at ts on thread tid.
-func (s *Stream) Instant(tid int32, name string, ts time.Duration) {
-	if s == nil {
-		return
-	}
-	s.push(Event{Name: name, Ph: phaseInstant, Tid: tid, Ts: ts})
-}
-
-// Instant1 is Instant with one static-keyed integer argument.
+// Instant1 records a zero-length marker at ts on thread tid with one
+// static-keyed integer argument.
 func (s *Stream) Instant1(tid int32, name string, ts time.Duration, k1 string, v1 int64) {
 	if s == nil {
 		return
@@ -186,7 +179,7 @@ func (s *Stream) Instant1(tid int32, name string, ts time.Duration, k1 string, v
 	s.push(Event{Name: name, Ph: phaseInstant, Tid: tid, Ts: ts, K1: k1, V1: v1})
 }
 
-// Instant2 is Instant with two static-keyed integer arguments.
+// Instant2 is Instant1 with two static-keyed integer arguments.
 func (s *Stream) Instant2(tid int32, name string, ts time.Duration, k1 string, v1 int64, k2 string, v2 int64) {
 	if s == nil {
 		return

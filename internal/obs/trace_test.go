@@ -100,7 +100,6 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		s.Span(1, "sense", 10, 20)
 		s.Span1(1, "sense", 10, 20, "step", 3)
 		s.Span2(1, "sense", 10, 20, "step", 3, "soft", 1)
-		s.Instant(0, "cache_hit", 5)
 		s.Instant1(0, "cache_hit", 5, "page", 9)
 		s.Instant2(0, "cache_hit", 5, "page", 9, "drive", 2)
 	}); n != 0 {
@@ -122,7 +121,7 @@ func TestTraceStreamLimit(t *testing.T) {
 	tr.SetStreamLimit(2)
 	s := tr.Process(0, "p").Stream()
 	for i := 0; i < 5; i++ {
-		s.Instant(0, "e", time.Duration(i))
+		s.Instant1(0, "e", time.Duration(i), "i", int64(i))
 	}
 	kept, dropped := tr.Events()
 	if kept != 2 || dropped != 3 {

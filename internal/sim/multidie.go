@@ -84,6 +84,3 @@ func (e Env) DieSweep(m Mode, cycles float64, maxDies int) ([]DieScaling, error)
 	}
 	return out, nil
 }
-
-// busBandwidthMBps is exposed for tests validating saturation.
-func (e Env) busBandwidthMBps() float64 { return e.Bus.BandwidthMBps() }

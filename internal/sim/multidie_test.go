@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"xlnand/internal/nand"
 )
 
 func TestScaleDiesValidation(t *testing.T) {
@@ -75,7 +77,8 @@ func TestCrossLayerGainCompoundsWithDies(t *testing.T) {
 		t.Fatal("relaxed codec still slower than nominal")
 	}
 	// The relaxed mode is bus- or codec-bound near the bus bandwidth.
-	if fast.ReadMBps > e.busBandwidthMBps()*1.05 {
+	const n = 1 << 20
+	if busMBps := nand.Throughput(n, e.Bus.Transfer(n)); fast.ReadMBps > busMBps*1.05 {
 		t.Fatalf("read %.2f MB/s exceeds bus bandwidth", fast.ReadMBps)
 	}
 }

@@ -13,14 +13,13 @@ import (
 	"xlnand/internal/bch"
 	"xlnand/internal/hv"
 	"xlnand/internal/nand"
-	"xlnand/internal/timing"
 )
 
 // Env bundles the model components every analysis shares.
 type Env struct {
 	Cal   nand.Calibration
 	HW    bch.HWConfig
-	Bus   timing.FlashBus
+	Bus   nand.FlashBus
 	Power hv.PowerConfig
 	// TargetUBER is the service requirement (1e-11 in the paper).
 	TargetUBER float64
@@ -34,7 +33,7 @@ func DefaultEnv() Env {
 	return Env{
 		Cal:        nand.DefaultCalibration(),
 		HW:         bch.DefaultHWConfig(),
-		Bus:        timing.DefaultFlashBus(),
+		Bus:        nand.DefaultFlashBus(),
 		Power:      hv.DefaultPowerConfig(),
 		TargetUBER: 1e-11,
 		M:          m, K: k, TMin: tmin, TMax: tmax,
@@ -120,8 +119,8 @@ func (e Env) Evaluate(alg nand.Algorithm, t int, cycles float64) (OperatingPoint
 	op.WriteLatency = prog.Duration
 
 	payload := e.K / 8
-	op.ReadMBps = timing.Throughput(payload, op.ReadLatency)
-	op.WriteMBps = timing.Throughput(payload, op.WriteLatency)
+	op.ReadMBps = nand.Throughput(payload, op.ReadLatency)
+	op.WriteMBps = nand.Throughput(payload, op.WriteLatency)
 
 	pw, err := e.Power.ProgramPower(e.Cal, alg, nand.L2, cycles)
 	if err != nil {

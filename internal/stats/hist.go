@@ -1,85 +1,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
-
-// Histogram is a fixed-bin histogram over a closed interval, used to
-// inspect simulated threshold-voltage distributions.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	under  uint64
-	over   uint64
-	n      uint64
-}
-
-// NewHistogram creates a histogram of bins equal-width bins on [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard FP edge at x == Hi-epsilon
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// N returns the number of recorded observations (including out-of-range).
-func (h *Histogram) N() uint64 { return h.n }
-
-// OutOfRange returns the counts that fell below Lo and at/above Hi.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
-
-// BinCenter returns the center x of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// String renders a compact ASCII bar view for debugging.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	max := uint64(1)
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := int(40 * float64(c) / float64(max))
-		fmt.Fprintf(&b, "%8.3f |%s %d\n", h.BinCenter(i), strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}
 
 // Summary holds the first two moments and extrema of a sample.
 type Summary struct {
@@ -200,18 +124,6 @@ func LogSpace(lo, hi float64, n int) []float64 {
 	for i := range out {
 		f := float64(i) / float64(n-1)
 		out[i] = math.Pow(10, llo+(lhi-llo)*f)
-	}
-	return out
-}
-
-// LinSpace returns n points linearly spaced from lo to hi inclusive.
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: LinSpace needs n >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
 	}
 	return out
 }

@@ -3,72 +3,8 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 )
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	if h.N() != 10 {
-		t.Fatalf("N = %d, want 10", h.N())
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(2)
-	h.Add(0.5)
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Fatalf("under/over = %d/%d, want 1/1", under, over)
-	}
-	if h.N() != 3 {
-		t.Fatalf("N = %d, want 3", h.N())
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on hi <= lo")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestHistogramModeOfGaussian(t *testing.T) {
-	r := NewRNG(61)
-	h := NewHistogram(-1, 7, 80)
-	for i := 0; i < 100000; i++ {
-		h.Add(r.NormMuSigma(3, 0.5))
-	}
-	if mode := h.Mode(); math.Abs(mode-3) > 0.2 {
-		t.Fatalf("mode = %v, want ~3", mode)
-	}
-}
-
-func TestHistogramStringRenders(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.6)
-	s := h.String()
-	if !strings.Contains(s, "#") {
-		t.Fatalf("render missing bars: %q", s)
-	}
-	if len(strings.Split(strings.TrimSpace(s), "\n")) != 2 {
-		t.Fatalf("want 2 lines, got %q", s)
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
@@ -135,19 +71,6 @@ func TestLogSpacePanics(t *testing.T) {
 	LogSpace(0, 10, 3)
 }
 
-func TestLinSpace(t *testing.T) {
-	xs := LinSpace(0, 1, 3)
-	want := []float64{0, 0.5, 1}
-	for i := range xs {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Fatalf("LinSpace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-}
-
-// TestPercentileWeightedMatchesExpansion checks the defining property:
-// PercentileWeighted over (value, weight) pairs equals Percentile over
-// the weight-expanded sample, for every quantile.
 func TestPercentileWeightedMatchesExpansion(t *testing.T) {
 	vals := []float64{1, 3, 7, 20, 100}
 	weights := []uint64{3, 1, 5, 2, 4}

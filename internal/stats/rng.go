@@ -187,17 +187,6 @@ func (r *RNG) Binomial(n int, p float64) int {
 	return k
 }
 
-// Perm fills dst with a uniformly random permutation of [0, len(dst)).
-func (r *RNG) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
 // SampleK chooses k distinct integers uniformly from [0, n) using Floyd's
 // algorithm and returns them in unspecified order. It panics if k > n.
 func (r *RNG) SampleK(n, k int) []int {

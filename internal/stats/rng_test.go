@@ -183,19 +183,6 @@ func TestBinomialEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(37)
-	dst := make([]int, 50)
-	r.Perm(dst)
-	seen := make([]bool, 50)
-	for _, v := range dst {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", dst)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSampleKDistinct(t *testing.T) {
 	r := NewRNG(41)
 	for trial := 0; trial < 200; trial++ {

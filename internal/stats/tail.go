@@ -69,12 +69,6 @@ func LogBinomPMF(n, k int, p float64) float64 {
 	return LogBinomCoef(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
 }
 
-// BinomPMF returns the binomial PMF. Underflows to 0 for extreme tails;
-// use LogBinomPMF when the log value is needed.
-func BinomPMF(n, k int, p float64) float64 {
-	return math.Exp(LogBinomPMF(n, k, p))
-}
-
 // LogBinomTail returns ln P[X >= k] for X ~ Binomial(n, p), summed in the
 // log domain starting at the dominant term. The sum converges after a few
 // dozen terms because successive terms decay geometrically in the regime

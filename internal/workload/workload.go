@@ -150,9 +150,6 @@ type Stats struct {
 	ReadMBps, WriteMBps float64
 }
 
-// TotalTime returns the modelled wall time of the replay.
-func (s Stats) TotalTime() time.Duration { return s.ReadTime + s.WriteTime + s.EraseTime }
-
 // Run replays a trace against a controller, generating deterministic
 // page contents from the trace seed and verifying data integrity on
 // every read (mismatches beyond ECC are counted, not fatal).
@@ -177,7 +174,7 @@ func Run(c *controller.Controller, tr Trace) (Stats, error) {
 			st.Writes++
 			st.WriteTime += wr.Latency.Program // pipelined write path
 		case OpRead:
-			rd, err := c.ReadPage(req.Block, req.Page)
+			rd, err := c.ReadPageRetryInto(req.Block, req.Page, c.ReadRetry(), nil)
 			st.ReadTime += rd.Latency.Total()
 			if err != nil {
 				st.Uncorrectable++

@@ -116,9 +116,6 @@ func TestRunReadIntensiveTrace(t *testing.T) {
 	if st.ReadMBps <= 0 || st.WriteMBps <= 0 {
 		t.Fatal("throughputs not computed")
 	}
-	if st.TotalTime() != st.ReadTime+st.WriteTime+st.EraseTime {
-		t.Fatal("total time not additive")
-	}
 }
 
 func TestRunWrapsWithErase(t *testing.T) {

@@ -53,9 +53,11 @@ func (st *Storage) SetPartitionMode(partition string, m Mode) error {
 	return st.f.SetMode(partition, m)
 }
 
-// Read fetches one logical page through the partition's ECC path.
+// Read fetches one logical page through the partition's ECC path. The
+// page and the result are the caller's to keep: later reads, from any
+// goroutine, never overwrite them.
 func (st *Storage) Read(partition string, lpa int) ([]byte, *controller.ReadResult, error) {
-	return st.f.Read(partition, lpa)
+	return st.f.ReadInto(partition, lpa, nil)
 }
 
 // Trim drops a logical page, releasing its physical copy to garbage

@@ -2,12 +2,16 @@ package xlnand
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
 func openStorage(t *testing.T) (*Subsystem, *Storage) {
 	t.Helper()
-	sys, err := Open(Options{Blocks: 8, Seed: 77})
+	sys, err := Open(WithBlocks(8), WithSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +46,46 @@ func TestStorageRoundTripAllPartitions(t *testing.T) {
 	}
 }
 
+// TestStorageConcurrentReadsOwnResults: two goroutines reading different
+// pages of one partition each get back their own page and result, never
+// the other's (run under -race, any sharing of the FTL's per-partition
+// result scratch is also reported as a data race).
+func TestStorageConcurrentReadsOwnResults(t *testing.T) {
+	sys, st := openStorage(t)
+	pages := [][]byte{pageOf(11, sys.PageSize()), pageOf(12, sys.PageSize())}
+	for lpa, data := range pages {
+		if err := st.Write("bulk", lpa, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan string, len(pages))
+	var wg sync.WaitGroup
+	for lpa, want := range pages {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				got, res, err := st.Read("bulk", lpa)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if !bytes.Equal(got, want) || !bytes.Equal(res.Data, want) {
+					errs <- fmt.Sprintf("lpa %d: read %d returned another read's page or result", lpa, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
 func TestStorageRejectsOversubscription(t *testing.T) {
-	sys, err := Open(Options{Blocks: 3, Seed: 1})
+	sys, err := Open(WithBlocks(3), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +200,7 @@ func TestAdvanceTimeIncreasesCorrections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("retention test skipped in -short mode")
 	}
-	sys, err := Open(Options{Blocks: 2, Seed: 31})
+	sys, err := Open(WithBlocks(2), WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,5 +230,57 @@ func TestAdvanceTimeIncreasesCorrections(t *testing.T) {
 	}
 	if baked <= fresh {
 		t.Fatalf("bake did not increase corrected errors: %d vs %d", baked, fresh)
+	}
+}
+
+// TestStorageReadResultsAreOwned: Storage.Read hands its caller a page
+// and a result (recovery stages included) that later reads never touch,
+// although the FTL below reuses one result scratch per partition.
+func TestStorageReadResultsAreOwned(t *testing.T) {
+	sys, err := Open(WithBlocks(4), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.NewStorage([]PartitionSpec{{Name: "aged", Blocks: 4, Mode: ModeNominal}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// End-of-life blocks baked long enough that the first read walks the
+	// recovery ladder, so its result carries per-stage detail.
+	for b := 0; b < sys.Blocks(); b++ {
+		if err := sys.AgeBlock(b, 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lpa := 0; lpa < 2; lpa++ {
+		if err := st.Write("aged", lpa, pageOf(uint64(60+lpa), sys.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.AdvanceTime(1e4)
+	data, res, err := st.Read("aged", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stages) == 0 {
+		t.Fatal("first read never walked the ladder; the stages go unchecked")
+	}
+	wantData := bytes.Clone(data)
+	want := *res
+	want.Data = bytes.Clone(res.Data)
+	want.Stages = slices.Clone(res.Stages)
+	if _, _, err := st.Read("aged", 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, wantData) {
+		t.Fatal("second read overwrote the first read's page")
+	}
+	got := *res
+	if !bytes.Equal(got.Data, want.Data) {
+		t.Fatal("second read overwrote the first result's Data")
+	}
+	got.Data, want.Data = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("second read changed the first read's result:\n got %+v\nwant %+v", got, want)
 	}
 }

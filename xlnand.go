@@ -57,7 +57,9 @@
 // manager caching the offset that worked per block-wear bucket so later
 // reads start there. ReadResult reports the climate through Retries,
 // AppliedOffset and the per-stage latency breakdown; every retry is
-// charged on the modelled timeline.
+// charged on the modelled timeline. The pages and results ReadPage and
+// Storage.Read return belong to the caller: later reads never overwrite
+// them.
 //
 // # Codec families
 //
@@ -87,9 +89,6 @@
 // write path (previously both silently re-enabled the reliability
 // manager).
 //
-// Open's old Options struct is deprecated but still accepted: it
-// implements Option, so Open(Options{Blocks: 4}) keeps compiling.
-//
 // Evaluate operating points analytically with Evaluate/EvaluateMode; the
 // experiment harness regenerating every figure of the paper is exposed
 // through RunExperiment and the cmd/flashsim binary.
@@ -104,7 +103,6 @@ import (
 	"xlnand/internal/ecc"
 	"xlnand/internal/nand"
 	"xlnand/internal/sim"
-	"xlnand/internal/timing"
 )
 
 // CodecFamily selects the ECC family behind the controller.
@@ -151,7 +149,7 @@ type config struct {
 	readRetry     *int
 	softRetry     *int
 	family        ecc.Family
-	bus           *timing.FlashBus
+	bus           *nand.FlashBus
 	hw            *codecHW
 	trace         *Tracer
 }
@@ -248,7 +246,7 @@ type BusConfig struct {
 // ScaleDies) follow the same bus.
 func WithBus(b BusConfig) Option {
 	return optionFunc(func(c *config) {
-		c.bus = &timing.FlashBus{WidthBits: b.WidthBits, ClockHz: b.ClockHz}
+		c.bus = &nand.FlashBus{WidthBits: b.WidthBits, ClockHz: b.ClockHz}
 	})
 }
 
@@ -260,40 +258,6 @@ func WithCodecHW(p, h int, clockHz float64) Option {
 	return optionFunc(func(c *config) {
 		c.hw = &codecHW{parallelismP: p, chienH: h, clockHz: clockHz}
 	})
-}
-
-// Options configures Open.
-//
-// Deprecated: use the functional options (WithBlocks, WithSeed,
-// WithTargetUBER, WithManualECC, ...). Options implements Option, so
-// existing Open(Options{...}) calls keep working.
-type Options struct {
-	// Blocks is the number of simulated flash blocks (default 8).
-	Blocks int
-	// Seed drives all simulation randomness (default 1).
-	Seed uint64
-	// TargetUBERExp sets the reliability target as 10^-exp (default 11,
-	// the paper's 1e-11).
-	TargetUBERExp uint32
-	// ManualECC disables the reliability manager; use SetCapability to
-	// pick t explicitly. The default (false) leaves the manager in
-	// charge.
-	ManualECC bool
-}
-
-func (o Options) apply(c *config) {
-	if o.Blocks != 0 {
-		c.blocks = o.Blocks
-	}
-	if o.Seed != 0 {
-		c.seed = o.Seed
-	}
-	if o.TargetUBERExp != 0 {
-		c.targetUBERExp = o.TargetUBERExp
-	}
-	if o.ManualECC {
-		c.manualECC = true
-	}
 }
 
 // Subsystem is an open simulated NAND memory sub-system: one or more
