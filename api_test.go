@@ -18,8 +18,8 @@ import (
 const apiLedgerFile = "testdata/api.txt"
 
 // TestAPILedger pins the exported surface of every package outside
-// cmd/, examples/ and bench/: functions, methods on exported types,
-// types, constants and variables. Growing or shrinking the API means
+// cmd/ and bench/: functions, methods on exported types, types,
+// constants and variables. Growing or shrinking the API means
 // updating the ledger, so the change shows in the diff. On mismatch the
 // test prints the difference and the content the ledger should have.
 func TestAPILedger(t *testing.T) {
@@ -62,7 +62,7 @@ func apiLedger(t *testing.T) string {
 			switch name := d.Name(); {
 			case path == ".":
 				return nil
-			case path == "cmd", path == "examples", path == "bench", name == "testdata",
+			case path == "cmd", path == "bench", name == "testdata",
 				strings.HasPrefix(name, "."):
 				return filepath.SkipDir
 			}

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRun runs every subcommand in-process with small arguments and
+// checks the exit code; with -json -, stdout must be exactly one JSON
+// document and the tables must go to stderr.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.csv")
+	for _, tc := range []struct {
+		args []string
+		code int
+		json bool
+	}{
+		{args: []string{"figures", "-list"}},
+		{args: []string{"figures", "-fig", "fig05", "-format", "csv", "-out", dir}},
+		{args: []string{"tradeoff", "-cycles", "1e4", "-stride", "16"}},
+		{args: []string{"lifetime", "-list"}},
+		{args: []string{"lifetime", "-shortest", "-json", "-"}, json: true},
+		{args: []string{"fleet", "-drives", "2", "-json", "-"}, json: true},
+		{args: []string{"fleet", "-array", "-drives", "2", "-ops", "64", "-json", "-",
+			"-trace", filepath.Join(dir, "fleet.json"), "-metrics", filepath.Join(dir, "fleet.prom")}, json: true},
+		{args: []string{"trace", "-ops", "32", "-record", tracePath}},
+		{args: []string{"trace", "-replay", tracePath, "-dies", "2", "-mode", "max-read"}},
+		{args: []string{"bch", "roundtrip", "-t", "8", "-errors", "8"}},
+
+		{args: nil, code: 2},
+		{args: []string{"nope"}, code: 2},
+		{args: []string{"figures", "-bogus"}, code: 2},
+		{args: []string{"figures"}, code: 2},
+		{args: []string{"bch", "nope"}, code: 2},
+		{args: []string{"fleet", "-metrics", filepath.Join(dir, "m.prom")}, code: 2},
+		{args: []string{"figures", "-fig", "nope"}, code: 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, strings.NewReader(""), &stdout, &stderr)
+		if code != tc.code {
+			t.Errorf("xlnand %s: exit %d, want %d; stderr:\n%s", strings.Join(tc.args, " "), code, tc.code, stderr.String())
+			continue
+		}
+		if !tc.json {
+			continue
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+			t.Errorf("xlnand %s: stdout is not one JSON document: %v\n%.200s", strings.Join(tc.args, " "), err, stdout.String())
+		}
+		if stderr.Len() == 0 {
+			t.Errorf("xlnand %s: no table on stderr", strings.Join(tc.args, " "))
+		}
+	}
+}
+
+// TestBCHPipeline pipes encode | corrupt | decode through in-memory
+// buffers: the output is the input zero-padded to whole pages.
+func TestBCHPipeline(t *testing.T) {
+	data := make([]byte, 5000)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	stage := func(in []byte, args ...string) []byte {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"bch"}, args...), bytes.NewReader(in), &stdout, &stderr); code != 0 {
+			t.Fatalf("bch %s: exit %d: %s", strings.Join(args, " "), code, stderr.String())
+		}
+		return stdout.Bytes()
+	}
+	cw := stage(data, "encode", "-t", "12")
+	dirty := stage(cw, "corrupt", "-t", "12", "-errors", "12", "-seed", "3")
+	if bytes.Equal(dirty, cw) {
+		t.Fatal("corrupt flipped no bits")
+	}
+	got := stage(dirty, "decode", "-t", "12")
+	want := append(data, make([]byte, 2*4096-len(data))...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("decode returned %d bytes, not the %d-byte zero-padded input", len(got), len(want))
+	}
+}

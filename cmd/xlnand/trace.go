@@ -1,0 +1,188 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"time"
+
+	"xlnand"
+	"xlnand/internal/workload"
+)
+
+// traceCmd replays a synthetic workload trace against the full simulated
+// sub-system (multi-die dispatcher + controller + adaptive codec + NAND
+// devices) through the batched queue API and reports throughput and
+// reliability statistics per service level:
+//
+//	xlnand trace -profile read -ops 400 -cycles 1e5 -mode max-read
+//	xlnand trace -profile mixed -ops 300 -mode nominal -dies 4 -batch 64
+//
+// A batch spanning several dies books the shared bus and codec in the
+// order the die workers arrive, so with -dies above 1 the modelled
+// latencies vary run to run; a single die reproduces them per seed.
+func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
+	fs := newFlags("trace", stderr)
+	var (
+		profile = fs.String("profile", "read", "workload profile: read, write or mixed")
+		ops     = fs.Int("ops", 300, "number of operations")
+		cycles  = fs.Float64("cycles", 0, "pre-age every block to this wear")
+		mode    = fs.String("mode", "nominal", "service level: nominal, min-uber or max-read")
+		seed    = fs.Uint64("seed", 11, "trace seed")
+		blocks  = fs.Int("blocks", 4, "flash blocks per die")
+		dies    = fs.Int("dies", 1, "NAND dies behind the controller")
+		batch   = fs.Int("batch", 32, "requests per queue submission")
+		record  = fs.String("record", "", "write the generated trace to this CSV file and exit")
+		replay  = fs.String("replay", "", "replay a trace CSV instead of generating one")
+	)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	m, ok := map[string]xlnand.Mode{
+		"nominal": xlnand.ModeNominal, "min-uber": xlnand.ModeMinUBER, "max-read": xlnand.ModeMaxRead,
+	}[*mode]
+	if !ok {
+		return usageErrorf("unknown mode %q", *mode)
+	}
+	profileOf, ok := map[string]func(ops, blocks, pages int) workload.Profile{
+		"read": workload.ReadIntensive, "write": workload.WriteIntensive, "mixed": workload.Mixed,
+	}[*profile]
+	if !ok {
+		return usageErrorf("unknown profile %q", *profile)
+	}
+
+	s, err := xlnand.Open(
+		xlnand.WithBlocks(*blocks),
+		xlnand.WithDies(*dies),
+		xlnand.WithSeed(*seed),
+	)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	for d := 0; d < *dies; d++ {
+		for b := 0; b < *blocks; b++ {
+			if err := s.AgeDieBlock(d, b, *cycles); err != nil {
+				return err
+			}
+		}
+	}
+	if err := s.SelectMode(m); err != nil {
+		return err
+	}
+
+	// The trace addresses a flat block space; the queue stripes it
+	// round-robin across the dies.
+	totalBlocks := *blocks * *dies
+	pages := s.PagesPerBlock()
+	var tr workload.Trace
+	if *replay != "" {
+		fh, err := os.Open(*replay)
+		if err != nil {
+			return err
+		}
+		tr, err = workload.ReadTrace(fh)
+		fh.Close()
+		if err != nil {
+			return err
+		}
+	} else {
+		if tr, err = workload.Generate(profileOf(*ops, totalBlocks, pages), *seed); err != nil {
+			return err
+		}
+	}
+	if *record != "" {
+		if err := writeFile(*record, func(w io.Writer) error { return workload.WriteTrace(w, tr) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "recorded %d requests to %s\n", len(tr.Requests), *record)
+		return nil
+	}
+	fmt.Fprintf(stdout, "trace %q, %d requests, mode %s, wear %.0f cycles, %d die(s), batch %d\n",
+		tr.Name, len(tr.Requests), m, *cycles, *dies, *batch)
+	return replayTrace(s, tr, *dies, *batch, stdout)
+}
+
+// replayTrace drives the trace through the queue in batches, preserving
+// per-block ordering (a block always maps to the same die, and per-die
+// execution is FIFO), and prints the statistics to stdout.
+func replayTrace(s *xlnand.Subsystem, tr workload.Trace, dies, batch int, stdout io.Writer) error {
+	batch = max(batch, 1)
+	q := s.NewQueue()
+	ctx := context.Background()
+	page := make([]byte, s.PageSize())
+	for i := range page {
+		page[i] = byte(i * 131)
+	}
+	toRequest := func(r workload.Request) xlnand.Request {
+		die, block := r.Block%dies, r.Block/dies
+		switch r.Kind {
+		case workload.OpWrite:
+			return xlnand.WriteRequest(die, block, r.Page, page)
+		case workload.OpErase:
+			return xlnand.EraseRequest(die, block)
+		default:
+			return xlnand.ReadRequest(die, block, r.Page)
+		}
+	}
+	var (
+		reads, writes, erases    int
+		corrected, uncorrectable int
+		readTime, writeTime      time.Duration
+		first, last              time.Duration // modelled span of the whole replay
+	)
+	for lo := 0; lo < len(tr.Requests); lo += batch {
+		hi := min(lo+batch, len(tr.Requests))
+		reqs := make([]xlnand.Request, 0, hi-lo)
+		for _, r := range tr.Requests[lo:hi] {
+			reqs = append(reqs, toRequest(r))
+		}
+		comps, err := q.Submit(ctx, reqs)
+		if err != nil {
+			return err
+		}
+		for i, c := range comps {
+			if lo+i == 0 || c.Start < first {
+				first = c.Start
+			}
+			if c.Finish > last {
+				last = c.Finish
+			}
+			switch c.Op {
+			case xlnand.OpRead:
+				reads++
+				corrected += c.Corrected
+				readTime += c.Latency()
+			case xlnand.OpWrite:
+				writes++
+				writeTime += c.Latency()
+			case xlnand.OpErase:
+				erases++
+			}
+			if c.Err != nil {
+				if c.Op == xlnand.OpRead && c.Read != nil {
+					uncorrectable++
+					continue
+				}
+				return fmt.Errorf("op %d (%v): %w", lo+i, c.Op, c.Err)
+			}
+		}
+	}
+	// readTime and writeTime are zero when no such op ran.
+	meanRead := readTime / time.Duration(max(reads, 1))
+	meanWrite := writeTime / time.Duration(max(writes, 1))
+	makespan := last - first
+	aggregateMBps := 0.0
+	if makespan > 0 {
+		aggregateMBps = float64(reads+writes) * float64(s.PageSize()) / makespan.Seconds() / 1e6
+	}
+	fmt.Fprintf(stdout, "  reads:  %6d   (mean service latency %v, queueing included)\n", reads, meanRead)
+	fmt.Fprintf(stdout, "  writes: %6d   (mean service latency %v, queueing included)\n", writes, meanWrite)
+	fmt.Fprintf(stdout, "  erases: %6d\n", erases)
+	fmt.Fprintf(stdout, "  corrected bit errors: %d\n", corrected)
+	fmt.Fprintf(stdout, "  uncorrectable pages:  %d\n", uncorrectable)
+	fmt.Fprintf(stdout, "  modelled wall time:   %v\n", makespan)
+	fmt.Fprintf(stdout, "  aggregate throughput: %.2f MB/s\n", aggregateMBps)
+	return nil
+}

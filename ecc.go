@@ -6,8 +6,8 @@ import (
 
 // Codec is the adaptive BCH codec (paper §4): one hardware block whose
 // correction capability is selectable at runtime. It is exposed directly
-// because it is useful standalone — cmd/bchtool drives real data through
-// it.
+// because it is useful standalone — the bch subcommand of cmd/xlnand
+// drives real data through it.
 type Codec = bch.Codec
 
 // NewPageCodec builds the paper's 4 KB-page codec: GF(2^16), k = 32768

@@ -215,10 +215,10 @@ func (sc Scenario) Validate() error {
 }
 
 // Catalog returns the scenario catalog: four device biographies
-// mirroring the examples/ personas, each walking the stack from fresh
-// silicon to end of life. All are sized to run in seconds while still
-// crossing the wear range where the adaptive capability staircase, the
-// scrubber and the mode policy all engage.
+// mirroring the root package's Example personas, each walking the stack
+// from fresh silicon to end of life. All are sized to run in seconds
+// while still crossing the wear range where the adaptive capability
+// staircase, the scrubber and the mode policy all engage.
 func Catalog() []Scenario {
 	return []Scenario{
 		ReadIntensiveArchive(),

@@ -9,7 +9,7 @@ import (
 
 // WriteTrace serialises a trace as CSV (header: op,block,page) preceded
 // by two comment-free metadata rows (name and seed), so traces can be
-// recorded once and replayed across tools (cmd/nandtrace -record/-replay).
+// recorded once and replayed across tools (xlnand trace -record/-replay).
 func WriteTrace(w io.Writer, tr Trace) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"#name", tr.Name}); err != nil {

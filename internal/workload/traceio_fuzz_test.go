@@ -10,7 +10,7 @@ import (
 // byte stream — malformed rows, huge fields, truncated input, binary
 // garbage — ReadTrace must return (Trace, error) without panicking, and
 // any trace it accepts must survive a Write/Read round trip unchanged
-// (the replay-across-tools contract of cmd/nandtrace -record/-replay).
+// (the replay-across-tools contract of xlnand trace -record/-replay).
 func FuzzReadTrace(f *testing.F) {
 	// Seed corpus: a valid trace, then structured mutations of it.
 	var valid bytes.Buffer

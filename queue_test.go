@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -197,9 +198,13 @@ func TestQueueContextCancellation(t *testing.T) {
 
 	// Mid-batch: cancel after the first completion lands. Every request
 	// must still complete — either executed or skipped with the context
-	// error — and the batch error must be the cancellation.
-	ctx, cancel2 := context.WithCancel(context.Background())
+	// error — and the batch error must be the cancellation. The die worker
+	// checks the context once per request; holding every check after the
+	// first until the cancel lands pins the cancel between requests 1 and
+	// 2, so the test never depends on which goroutine wins the race.
+	inner, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
+	ctx := &cancelAfterFirst{Context: inner}
 	var big []Request
 	for p := 0; p < 32; p++ {
 		big = append(big, WriteRequest(0, 1, p, page))
@@ -226,12 +231,23 @@ func TestQueueContextCancellation(t *testing.T) {
 	if got != len(big) {
 		t.Fatalf("lost completions: %d of %d", got, len(big))
 	}
-	if executed == 0 {
-		t.Fatal("nothing executed before cancel")
+	if executed != 1 || skipped != len(big)-1 {
+		t.Fatalf("executed %d, skipped %d; want 1 and %d", executed, skipped, len(big)-1)
 	}
-	if skipped == 0 {
-		t.Skip("batch drained before cancellation propagated (fast machine); skip count unassertable")
+}
+
+// cancelAfterFirst lets its first Err check through and holds every later
+// one until the wrapped context is cancelled.
+type cancelAfterFirst struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterFirst) Err() error {
+	if c.checks.Add(1) > 1 {
+		<-c.Done()
 	}
+	return c.Context.Err()
 }
 
 // TestQueuePerRequestModeOverride: one batch carries nominal, max-read

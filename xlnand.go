@@ -91,7 +91,7 @@
 //
 // Evaluate operating points analytically with Evaluate/EvaluateMode; the
 // experiment harness regenerating every figure of the paper is exposed
-// through RunExperiment and the cmd/flashsim binary.
+// through RunExperiment and the figures subcommand of cmd/xlnand.
 package xlnand
 
 import (
