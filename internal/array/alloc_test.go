@@ -62,9 +62,10 @@ func TestArrayRoundZeroAlloc(t *testing.T) {
 
 // stubMembers swaps every member stack for an in-memory page store whose
 // worker allocates nothing, isolating the array's own round pipeline:
-// below it a write is not allocation-free (the NAND model keeps a copy of
-// every programmed page and dispatch a result per write), and that is not
-// the array's to fix. The returned func stops the stub workers.
+// below it a write is not allocation-free (dispatch allocates a result per
+// write, and the NAND model recycles only a bounded number of erased page
+// stores), and that is not the array's to fix. The returned func stops the
+// stub workers.
 func stubMembers(a *Array) (stop func()) {
 	var stubs []*drive
 	for _, s := range a.slots {
@@ -100,14 +101,17 @@ func stubMembers(a *Array) (stop func()) {
 }
 
 // TestParityRoundZeroAlloc pins the parity-mode round next to the clean
-// one, warmed and with the cache off: read-modify-write planning, the
-// deduplicated read set, reconstruction into the caller's buffer, the
-// four phases and the parity XOR all run on array-owned scratch. Reads,
-// direct and reconstructed, are measured over the real stack; rounds
-// that also overwrite (and forward reads of what they overwrote) over
-// stub members, healthy and with a dead slot. The ops are queued up
-// front — Submit copies a write's payload, which is the caller's
-// allocation, not the round's — and each measured run is one round.
+// one, warmed: read-modify-write planning, the deduplicated read set,
+// reconstruction into the caller's buffer, the four phases and the
+// parity XOR all run on array-owned scratch. Reads, direct and
+// reconstructed, are measured over the real stack with the cache off;
+// rounds that also overwrite (and forward reads of what they overwrote)
+// over stub members, healthy and with a dead slot, and once more with
+// the cache on: buffered writes, fills, dirty evictions and watermark
+// flushes then pass page stores along instead of allocating them. The
+// ops are queued up front — more than the cache's spare list can supply,
+// so Submit's copies are partly the caller's allocation, not the
+// round's — and each measured run is one round.
 func TestParityRoundZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -115,14 +119,17 @@ func TestParityRoundZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name                      string
 		stub, overwrite, degraded bool
+		cache                     int
 	}{
-		{"reads/real-members/degraded", false, false, true},
-		{"read-overwrite/stub-members", true, true, false},
-		{"read-overwrite/stub-members/degraded", true, true, true},
+		{"reads/real-members/degraded", false, false, true, 0},
+		{"read-overwrite/stub-members", true, true, false, 0},
+		{"read-overwrite/stub-members/degraded", true, true, true, 0},
+		{"read-overwrite/stub-members/cache", true, true, false, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(4)
 			cfg.Redundancy = RedundancyParity
+			cfg.Cache = CacheConfig{Pages: tc.cache}
 			a, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -170,6 +177,7 @@ func TestParityRoundZeroAlloc(t *testing.T) {
 					}
 				}
 			}
+			dirtyEvicted := false
 			round := func() {
 				res, err := a.round()
 				if err != nil {
@@ -180,6 +188,7 @@ func TestParityRoundZeroAlloc(t *testing.T) {
 						t.Fatalf("page %d: %v", res[i].Page, res[i].Err)
 					}
 				}
+				dirtyEvicted = dirtyEvicted || len(a.pendingWB) > 0 // a fill's dirty victim
 			}
 			for i := 0; i < warm; i++ {
 				round()
@@ -193,6 +202,10 @@ func TestParityRoundZeroAlloc(t *testing.T) {
 			}
 			if a.sched.pending() != 0 || tc.degraded && degraded == 0 {
 				t.Fatalf("rounds did not run as planned: %d ops pending, %d degraded reads", a.sched.pending(), degraded)
+			}
+			if high, _ := a.watermarks(); tc.cache > 0 && (!dirtyEvicted || a.cache.stats.DirtyHighWaterMark < high) {
+				t.Fatalf("cached rounds did not run as planned: dirty eviction %v, dirty high-water mark %d (flush at %d)",
+					dirtyEvicted, a.cache.stats.DirtyHighWaterMark, high)
 			}
 		})
 	}

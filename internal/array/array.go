@@ -58,6 +58,15 @@
 // reconstructed, round-forwarded and cache-hit reads alike. Drain hands
 // back an array-owned result slice, valid until the next Drain, Flush or
 // Close.
+//
+// A write's page store is handed on, not dropped. Submit copies Op.Data
+// (the caller may reuse it at once) into a store off the cache's spare
+// list. With the cache on, the cache entry takes that store over, and an
+// overwrite returns the replaced store to the spare list. An evicted
+// entry's store goes back there at once if it is clean. A dirty victim's
+// store, and a flush copy, rides its write-back and goes back once that
+// write-back's round has executed. The spare list holds at most the
+// cache's capacity, and no read result ever aliases a store on it.
 package array
 
 import (
@@ -379,8 +388,9 @@ func (a *Array) Submit(op Op) error {
 			return fmt.Errorf("array: write needs %d bytes, got %d", a.pageBytes, len(op.Data))
 		}
 		// Copy: the caller may reuse its buffer; the op may sit queued
-		// and then cached for many rounds.
-		op.Data = append([]byte(nil), op.Data...)
+		// and then cached for many rounds. The store comes off the cache's
+		// spare list, and the cache takes it over when the op is picked.
+		op.Data = append(a.cache.take(), op.Data...)
 	} else if op.Data != nil {
 		return fmt.Errorf("array: read carries data")
 	} else if op.Buf != nil && len(op.Buf) < a.pageBytes {
@@ -397,7 +407,8 @@ func (a *Array) Submit(op Op) error {
 //
 // The returned slice is owned by the array and valid until the next
 // Drain, Flush or Close; callers that keep results longer copy them.
-// (Result.Data is the caller's Op.Buf, or a page the result owns.)
+// (Result.Data is the caller's Op.Buf, or a page the result owns —
+// never a cache entry or a recycled write store.)
 func (a *Array) Drain() ([]Result, error) {
 	if a.closed {
 		return nil, ErrClosed
@@ -426,20 +437,31 @@ func (a *Array) Drain() ([]Result, error) {
 	// Dirty evictions raised by the last round's cache fills would
 	// otherwise sit staged forever (they are already counted as
 	// writebacks): land them before handing control back.
-	a.writeBack(a.pendingWB)
-	a.pendingWB = a.pendingWB[:0]
+	a.writeBackPending()
 	a.drained = out
 	return out, nil
 }
 
-// writeBack executes staged write-backs as one extra round of their own
-// (no host result slot: they are the cache's own traffic).
-func (a *Array) writeBack(wbs []writeback) {
-	if len(wbs) == 0 {
+// writeBackPending executes the staged write-backs as one extra round
+// of their own (no host result slot: they are the cache's own traffic).
+func (a *Array) writeBackPending() {
+	if len(a.pendingWB) == 0 {
 		return
 	}
-	a.scr.acts = appendWriteBacks(a.scr.acts[:0], wbs)
+	a.scr.acts = appendWriteBacks(a.scr.acts[:0], a.pendingWB)
+	a.pendingWB = a.pendingWB[:0]
 	a.advance(a.execRound(a.scr.acts, false))
+	a.recycleWrites(a.scr.acts)
+}
+
+// recycleWrites hands the page stores of an executed round's writes back
+// to the cache's spare list: nothing reads them once the round is over.
+func (a *Array) recycleWrites(acts []action) {
+	for i := range acts {
+		if acts[i].write {
+			a.cache.recycle(acts[i].data)
+		}
+	}
 }
 
 // appendWriteBacks converts staged write-backs into round actions.
@@ -497,7 +519,7 @@ func (a *Array) round() ([]Result, error) {
 				r.CacheHit = true
 				r.Latency = a.cfg.HitLatency
 				hostTime += a.cfg.HitLatency
-				if wb := a.cache.put(op.Page, op.Data, true); wb != nil {
+				if wb, ok := a.cache.put(op.Page, op.Data, true); ok {
 					acts = append(acts, action{write: true, page: wb.page, data: wb.data})
 				}
 				continue
@@ -527,12 +549,14 @@ func (a *Array) round() ([]Result, error) {
 	// water once it crosses the high water, in first-dirtied order.
 	high, low := a.watermarks()
 	if a.cache.enabled() && a.cache.dirtyCount() >= high {
-		acts = appendWriteBacks(acts, a.cache.flush(a.cache.dirtyCount()-low))
+		a.scr.flushed = a.cache.flush(a.scr.flushed[:0], a.cache.dirtyCount()-low)
+		acts = appendWriteBacks(acts, a.scr.flushed)
 	}
 	a.scr.acts, a.scr.fills = acts, fills
 
 	progress := a.rebuiltPages
 	crit := a.execRound(acts, true)
+	a.recycleWrites(acts)
 	a.judgeClimate()
 
 	// Post-barrier, deterministic order: account read bytes, record
@@ -562,8 +586,8 @@ func (a *Array) round() ([]Result, error) {
 		if r.Err != nil {
 			continue
 		}
-		if wb := a.cache.fill(fl.page, r.Data); wb != nil {
-			a.pendingWB = append(a.pendingWB, *wb)
+		if wb, ok := a.cache.fill(fl.page, r.Data); ok {
+			a.pendingWB = append(a.pendingWB, wb)
 		}
 	}
 	if len(picked) == 0 && crit == 0 && hostTime == 0 && a.rebuiltPages == progress && a.rebuildActive() {
@@ -630,8 +654,8 @@ func (a *Array) Flush() error {
 	if a.closed {
 		return ErrClosed
 	}
-	a.writeBack(append(a.pendingWB, a.cache.flush(0)...))
-	a.pendingWB = a.pendingWB[:0]
+	a.pendingWB = a.cache.flush(a.pendingWB, 0)
+	a.writeBackPending()
 	return nil
 }
 

@@ -95,3 +95,69 @@ func TestOpBufHonoured(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitCopySurvivesRecycling pins page-store ownership on the write
+// path: Submit's copy belongs to the array, so a caller that scribbles
+// over its Op.Data right after Submit changes nothing, and stores that
+// the one-page cache recycles over and over never carry one page's
+// bytes into another. Every round of the loop reads the newest version
+// of a page back three ways: forwarded from the write-back of the round
+// that evicts it, from the cache, and from the drive.
+func TestSubmitCopySurvivesRecycling(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Redundancy = RedundancyParity
+	cfg.Cache = CacheConfig{Pages: 1}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	buf := make([]byte, a.PageBytes())
+	write := func(page, version int) {
+		copy(buf, pagePattern(a, page, version))
+		if err := a.Submit(Op{Tenant: "default", Write: true, Page: page, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	}
+	// read drains one read of page and checks it returns version.
+	read := func(page, version int, how string) Result {
+		t.Helper()
+		if err := a.Submit(Op{Tenant: "default", Page: page}); err != nil {
+			t.Fatal(err)
+		}
+		res := mustDrain(t, a)
+		r := res[len(res)-1]
+		if r.Err != nil {
+			t.Fatalf("%s read of page %d: %v", how, page, r.Err)
+		}
+		if !bytes.Equal(r.Data, pagePattern(a, page, version)) {
+			t.Fatalf("%s read of page %d: not version %d", how, page, version)
+		}
+		return r
+	}
+	const p, z, versions = 7, 40, 12
+	write(z, 0)
+	mustDrain(t, a)
+	for v := 1; v <= versions; v++ {
+		// Writing q evicts p while it is dirty, so the read of p later
+		// in the same round is forwarded from p's write-back.
+		write(p, v)
+		write(8+v, v)
+		if r := read(p, v, "forwarded"); r.CacheHit || r.Latency != a.cfg.HitLatency {
+			t.Fatalf("version %d: read of page %d not forwarded (cache hit %v, latency %v)", v, p, r.CacheHit, r.Latency)
+		}
+		if r := read(p, v, "cached"); !r.CacheHit {
+			t.Fatalf("version %d: read of page %d missed the cache", v, p)
+		}
+		read(z, 0, "evicting")
+		if r := read(p, v, "drive"); r.CacheHit || r.Latency == a.cfg.HitLatency {
+			t.Fatalf("version %d: read of page %d not served by a drive", v, p)
+		}
+	}
+	for v := 1; v <= versions; v++ {
+		read(8+v, v, "final")
+	}
+}

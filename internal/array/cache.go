@@ -1,9 +1,6 @@
 package array
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Policy is a pluggable eviction policy for the host cache: it tracks
 // residency order, nothing else. The cache calls Admit when a page
@@ -34,38 +31,38 @@ func NewPolicy(name string) (Policy, error) {
 }
 
 // LRU evicts the least-recently-used page: a doubly linked list in
-// recency order with a map from page to list element.
+// recency order with a map from page to list node.
 type LRU struct {
-	order *list.List            // front = most recent
-	elem  map[int]*list.Element // page -> element (Value is the page)
+	order pageList // front = most recent
+	elem  map[int]*pageNode
 }
 
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU {
-	return &LRU{order: list.New(), elem: make(map[int]*list.Element)}
+	return &LRU{elem: make(map[int]*pageNode)}
 }
 
 // Name implements Policy.
 func (l *LRU) Name() string { return "lru" }
 
 // Admit implements Policy.
-func (l *LRU) Admit(page int) { l.elem[page] = l.order.PushFront(page) }
+func (l *LRU) Admit(page int) { l.elem[page] = l.order.pushFront(page) }
 
 // Touch implements Policy.
 func (l *LRU) Touch(page int) {
-	if e, ok := l.elem[page]; ok {
-		l.order.MoveToFront(e)
+	if nd, ok := l.elem[page]; ok {
+		l.order.moveToFront(nd)
 	}
 }
 
 // Victim implements Policy.
 func (l *LRU) Victim() int {
-	e := l.order.Back()
-	if e == nil {
+	nd := l.order.back()
+	if nd == nil {
 		panic("array: LRU victim of empty cache")
 	}
-	page := e.Value.(int)
-	l.order.Remove(e)
+	page := nd.page
+	l.order.remove(nd)
 	delete(l.elem, page)
 	return page
 }
@@ -78,19 +75,14 @@ func (l *LRU) Len() int { return l.order.Len() }
 // sweeps, clearing set bits, and evicts the first page it finds clear.
 // O(1) per touch, no reordering on hit — the policy hardware caches use.
 type Clock struct {
-	ring *list.List            // circular order (hand wraps via Front)
-	hand *list.Element         // next candidate; nil when empty
-	elem map[int]*list.Element // page -> element (Value is *clockSlot)
-}
-
-type clockSlot struct {
-	page int
-	ref  bool
+	ring pageList  // circular order (hand wraps via front)
+	hand *pageNode // next candidate; nil when empty
+	elem map[int]*pageNode
 }
 
 // NewClock returns an empty clock policy.
 func NewClock() *Clock {
-	return &Clock{ring: list.New(), elem: make(map[int]*list.Element)}
+	return &Clock{elem: make(map[int]*pageNode)}
 }
 
 // Name implements Policy.
@@ -99,29 +91,29 @@ func (c *Clock) Name() string { return "clock" }
 // Admit implements Policy. New pages enter behind the hand with their
 // reference bit set, so they survive the hand's current lap.
 func (c *Clock) Admit(page int) {
-	slot := &clockSlot{page: page, ref: true}
-	var e *list.Element
+	var nd *pageNode
 	if c.hand == nil {
-		e = c.ring.PushBack(slot)
-		c.hand = e
+		nd = c.ring.pushBack(page)
+		c.hand = nd
 	} else {
-		e = c.ring.InsertBefore(slot, c.hand)
+		nd = c.ring.insertBefore(page, c.hand)
 	}
-	c.elem[page] = e
+	nd.ref = true
+	c.elem[page] = nd
 }
 
 // Touch implements Policy.
 func (c *Clock) Touch(page int) {
-	if e, ok := c.elem[page]; ok {
-		e.Value.(*clockSlot).ref = true
+	if nd, ok := c.elem[page]; ok {
+		nd.ref = true
 	}
 }
 
 // advance moves the hand one slot, wrapping at the ring's end.
 func (c *Clock) advance() {
-	c.hand = c.hand.Next()
+	c.hand = c.ring.next(c.hand)
 	if c.hand == nil {
-		c.hand = c.ring.Front()
+		c.hand = c.ring.front()
 	}
 }
 
@@ -131,9 +123,8 @@ func (c *Clock) Victim() int {
 		panic("array: clock victim of empty cache")
 	}
 	for {
-		slot := c.hand.Value.(*clockSlot)
-		if slot.ref {
-			slot.ref = false
+		if c.hand.ref {
+			c.hand.ref = false
 			c.advance()
 			continue
 		}
@@ -142,9 +133,10 @@ func (c *Clock) Victim() int {
 		if victim == c.hand { // last element
 			c.hand = nil
 		}
-		c.ring.Remove(victim)
-		delete(c.elem, slot.page)
-		return slot.page
+		page := victim.page
+		c.ring.remove(victim)
+		delete(c.elem, page)
+		return page
 	}
 }
 
@@ -204,24 +196,49 @@ type cacheEntry struct {
 	// fifo is the entry's position in the dirty FIFO (nil when clean):
 	// write-back order is strictly first-dirtied-first-flushed, so the
 	// drives below observe host writes in a stable, reproducible order.
-	fifo *list.Element // Value is the page number
+	fifo *pageNode
 }
 
 // hostCache is the host-side read cache and write-back buffer. It is
 // confined to the array's front-end goroutine — determinism comes from
-// single-threaded access, not locking.
+// single-threaded access, not locking. Submit, fills and flush copies
+// take their page stores from its spare list, which holds at most cap of
+// them; the package comment follows a store from hop to hop.
 type hostCache struct {
 	cap     int
 	pol     Policy
 	entries map[int]*cacheEntry
-	dirty   *list.List // page numbers in first-dirtied order
+	dirty   pageList // page numbers in first-dirtied order
+	spare   [][]byte // empty page stores nobody holds
 	stats   CacheStats
 }
 
-// writeback is one dirty page leaving the cache for a drive.
+// writeback is one dirty page leaving the cache for a drive. It owns
+// data until its round has executed.
 type writeback struct {
 	page int
 	data []byte
+}
+
+// take returns an empty page store for a copy to append into: one off
+// the spare list, or nil (so the append allocates) when it is empty.
+func (c *hostCache) take() []byte {
+	n := len(c.spare)
+	if n == 0 {
+		return nil
+	}
+	store := c.spare[n-1]
+	c.spare[n-1] = nil
+	c.spare = c.spare[:n-1]
+	return store
+}
+
+// recycle puts a page store nobody holds any more on the spare list,
+// unless the list is full.
+func (c *hostCache) recycle(store []byte) {
+	if len(c.spare) < c.cap {
+		c.spare = append(c.spare, store[:0])
+	}
 }
 
 func newHostCache(cfg CacheConfig) (*hostCache, error) {
@@ -236,7 +253,6 @@ func newHostCache(cfg CacheConfig) (*hostCache, error) {
 		cap:     cfg.Pages,
 		pol:     pol,
 		entries: make(map[int]*cacheEntry),
-		dirty:   list.New(),
 	}
 	c.stats.PolicyName = pol.Name()
 	c.stats.Capacity = cfg.Pages
@@ -263,80 +279,85 @@ func (c *hostCache) lookup(page int) ([]byte, bool) {
 }
 
 // put installs a page (a fill from a drive read, or a host write into
-// the write-back buffer), evicting if the cache is full. The returned
-// writeback is non-nil when the eviction victim was dirty — the caller
-// owns getting it to a drive. data is copied.
-func (c *hostCache) put(page int, data []byte, dirty bool) *writeback {
+// the write-back buffer), evicting if the cache is full. ok reports a
+// dirty eviction victim, returned as wb — the caller owns getting it to
+// a drive. The cache takes ownership of data; an
+// overwrite recycles the store it replaces.
+func (c *hostCache) put(page int, data []byte, dirty bool) (wb writeback, ok bool) {
 	if !c.enabled() {
 		panic("array: put into disabled cache")
 	}
-	var wb *writeback
-	e, ok := c.entries[page]
-	if !ok {
+	e, resident := c.entries[page]
+	if !resident {
 		if len(c.entries) >= c.cap {
-			wb = c.evict()
+			e, wb, ok = c.evict()
+		} else {
+			e = new(cacheEntry)
 		}
-		e = &cacheEntry{data: append([]byte(nil), data...)}
+		*e = cacheEntry{data: data}
 		c.entries[page] = e
 		c.pol.Admit(page)
 	} else {
-		e.data = append(e.data[:0], data...)
+		c.recycle(e.data)
+		e.data = data
 		c.pol.Touch(page)
 	}
 	if dirty && e.fifo == nil {
-		e.fifo = c.dirty.PushBack(page)
+		e.fifo = c.dirty.pushBack(page)
 	}
 	e.dirty = e.dirty || dirty
 	if n := c.dirty.Len(); n > c.stats.DirtyHighWaterMark {
 		c.stats.DirtyHighWaterMark = n
 	}
-	return wb
+	return wb, ok
 }
 
-// fill installs a clean copy read from a drive — unless the page is
-// already resident, in which case the resident copy is newer (a write
-// landed between the miss and the fill) and the stale fill is dropped.
-func (c *hostCache) fill(page int, data []byte) *writeback {
+// fill installs a clean copy of data read from a drive — unless the
+// page is already resident, in which case the resident copy is newer (a
+// write landed between the miss and the fill) and the stale fill is
+// dropped.
+func (c *hostCache) fill(page int, data []byte) (writeback, bool) {
 	if _, ok := c.entries[page]; ok {
-		return nil
+		return writeback{}, false
 	}
-	return c.put(page, data, false)
+	return c.put(page, append(c.take(), data...), false)
 }
 
 // evict removes the policy's victim, surfacing a writeback if it was
-// dirty.
-func (c *hostCache) evict() *writeback {
+// dirty; a clean victim's store goes straight to the spare list. The
+// victim's entry is returned for the caller to reuse.
+func (c *hostCache) evict() (e *cacheEntry, wb writeback, ok bool) {
 	page := c.pol.Victim()
-	e := c.entries[page]
+	e = c.entries[page]
 	delete(c.entries, page)
 	c.stats.Evictions++
 	if !e.dirty {
-		return nil
+		c.recycle(e.data)
+		return e, writeback{}, false
 	}
-	c.dirty.Remove(e.fifo)
+	c.dirty.remove(e.fifo)
 	c.stats.Writebacks++
-	return &writeback{page: page, data: e.data}
+	return e, writeback{page: page, data: e.data}, true
 }
 
-// flush drains up to max dirty pages (all of them when max <= 0) in
-// first-dirtied order. The pages stay resident and become clean; the
-// caller owns writing the returned copies to the drives.
-func (c *hostCache) flush(max int) []writeback {
+// flush appends up to max dirty pages (all of them when max <= 0) to wbs
+// in first-dirtied order. The pages stay resident and become clean; the
+// caller owns writing the appended copies to the drives.
+func (c *hostCache) flush(wbs []writeback, max int) []writeback {
 	if max <= 0 || max > c.dirty.Len() {
 		max = c.dirty.Len()
 	}
-	out := make([]writeback, 0, max)
 	for i := 0; i < max; i++ {
-		front := c.dirty.Front()
-		page := front.Value.(int)
-		c.dirty.Remove(front)
+		front := c.dirty.front()
+		page := front.page
+		c.dirty.remove(front)
 		e := c.entries[page]
 		e.dirty = false
 		e.fifo = nil
 		c.stats.Writebacks++
-		out = append(out, writeback{page: page, data: append([]byte(nil), e.data...)})
+		wbs = append(wbs, writeback{page: page, data: append(c.take(), e.data...)})
 	}
-	return out
+	return wbs
 }
 
 // dirtyCount returns the write-back buffer's current depth.

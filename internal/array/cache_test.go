@@ -144,7 +144,7 @@ func TestCacheCounters(t *testing.T) {
 	if _, ok := c.lookup(1); ok {
 		t.Fatal("hit in empty cache")
 	}
-	if wb := c.put(1, []byte{1}, false); wb != nil {
+	if _, ok := c.put(1, []byte{1}, false); ok {
 		t.Fatal("eviction from non-full cache")
 	}
 	if data, ok := c.lookup(1); !ok || data[0] != 1 {
@@ -152,13 +152,13 @@ func TestCacheCounters(t *testing.T) {
 	}
 	c.put(2, []byte{2}, true)
 	// Cache full; a third page evicts the LRU victim (page 1, clean).
-	if wb := c.put(3, []byte{3}, false); wb != nil {
+	if wb, ok := c.put(3, []byte{3}, false); ok {
 		t.Fatalf("clean eviction surfaced writeback for page %d", wb.page)
 	}
 	// Page 2 is dirty; filling 4 evicts it (2 was touched after 3? no:
 	// order most→least recent is 3, 2) — victim is 2, dirty.
-	wb := c.put(4, []byte{4}, false)
-	if wb == nil || wb.page != 2 || wb.data[0] != 2 {
+	wb, ok := c.put(4, []byte{4}, false)
+	if !ok || wb.page != 2 || wb.data[0] != 2 {
 		t.Fatalf("dirty eviction: got %+v, want page 2", wb)
 	}
 	s := c.stats
@@ -188,11 +188,11 @@ func TestCacheFlushOrder(t *testing.T) {
 	}
 
 	// Partial flush takes the oldest first.
-	part := c.flush(1)
+	part := c.flush(nil, 1)
 	if len(part) != 1 || part[0].page != 5 || part[0].data[0] != 50 {
 		t.Fatalf("partial flush = %+v, want page 5", part)
 	}
-	rest := c.flush(0)
+	rest := c.flush(nil, 0)
 	if len(rest) != 2 || rest[0].page != 3 || rest[1].page != 9 {
 		t.Fatalf("flush order = %+v, want [3 9]", rest)
 	}
@@ -218,7 +218,7 @@ func TestCacheFlushOrder(t *testing.T) {
 func TestCacheFillDoesNotClobberDirty(t *testing.T) {
 	c := mustCache(t, CacheConfig{Pages: 4})
 	c.put(7, []byte{2}, true) // host write
-	if wb := c.fill(7, []byte{1}); wb != nil {
+	if _, ok := c.fill(7, []byte{1}); ok {
 		t.Fatal("fill of resident page evicted something")
 	}
 	data, ok := c.lookup(7)

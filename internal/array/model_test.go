@@ -245,6 +245,10 @@ func TestArrayMatchesReferenceModel(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, a.PageBytes())
 		}
+		// Every write goes through one caller buffer, scribbled over
+		// right after Submit: the array must own its copy, however its
+		// page stores are recycled.
+		wbuf := make([]byte, a.PageBytes())
 		var pending []int // version carried by each submitted op; 0 for reads
 		settle := func() {
 			res, err := a.Drain()
@@ -277,7 +281,9 @@ func TestArrayMatchesReferenceModel(t *testing.T) {
 				if versions[page] == 0 || rnd(10) < 4 {
 					versions[page]++
 					pending = append(pending, versions[page])
-					err = a.Submit(Op{Tenant: "default", Write: true, Page: page, Data: modelPattern(a, page, versions[page])})
+					copy(wbuf, modelPattern(a, page, versions[page]))
+					err = a.Submit(Op{Tenant: "default", Write: true, Page: page, Data: wbuf})
+					clear(wbuf)
 				} else {
 					pending = append(pending, 0)
 					op := Op{Tenant: "default", Page: page}

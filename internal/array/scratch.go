@@ -14,6 +14,7 @@ type roundScratch struct {
 	results []Result
 	acts    []action
 	fills   []fill
+	flushed []writeback // the round's watermark flush
 
 	batches [][]driveOp // per-slot staging of the phase being built; runPhase empties it
 	rs      readSet     // the phase's deduplicated internal reads

@@ -110,6 +110,7 @@ func (c *calendar) acquire(earliest, dur time.Duration) (start, end time.Duratio
 		if n > 0 && c.busy[n-1].end == start {
 			c.busy[n-1].end = end
 		} else {
+			c.room()
 			c.busy = append(c.busy, span{start, end})
 		}
 		c.compact()
@@ -143,12 +144,27 @@ func (c *calendar) acquire(earliest, dur time.Duration) (start, end time.Duratio
 	} else if idx < len(c.busy) && c.busy[idx].start == end {
 		c.busy[idx].start = start
 	} else {
+		c.room()
 		c.busy = append(c.busy, span{})
 		copy(c.busy[idx+1:], c.busy[idx:])
 		c.busy[idx] = span{start, end}
 	}
 	c.compact()
 	return start, end
+}
+
+// room makes space for one more span. The slice doubles, up to exactly
+// the compaction ceiling it never outgrows: append's own rule would take
+// many more (and overshooting) steps to get there, and preallocating
+// would cost every calendar that never fills.
+func (c *calendar) room() {
+	n := len(c.busy)
+	if n < cap(c.busy) {
+		return
+	}
+	grown := make([]span, n, min(max(2*n, 64), 2*maxCalendarSpans))
+	copy(grown, c.busy)
+	c.busy = grown
 }
 
 // compact coalesces the oldest spans into one once the calendar has

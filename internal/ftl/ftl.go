@@ -127,6 +127,12 @@ type Partition struct {
 	// steady-state host read into a caller buffer allocates nothing.
 	readRes    controller.ReadResult
 	capRetries int
+
+	// Relocation read pages (guarded by mu, made on first use): GC and
+	// scrub/retirement decode a live page into one and program it at
+	// once. They are two because a relocation's rewrite can run a GC
+	// round before its own program.
+	gcPage, movePage []byte
 }
 
 // FTL is the translation layer over one multi-die dispatcher.
@@ -286,7 +292,7 @@ func (f *FTL) SetDeepRetry(on bool) { f.noDeepRetry = !on }
 // one attempt with the recovery ladder opened to the device's full
 // calibrated depth, regardless of the configured per-read budget. With
 // deep retry disabled it reports the page uncorrectable immediately.
-func (f *FTL) readPhysDeep(global, page int) (*controller.ReadResult, error) {
+func (f *FTL) readPhysDeep(global, page int, dst []byte) (*controller.ReadResult, error) {
 	if f.noDeepRetry {
 		return nil, fmt.Errorf("ftl: deep retry disabled: %w", controller.ErrUncorrectable)
 	}
@@ -294,7 +300,7 @@ func (f *FTL) readPhysDeep(global, page int) (*controller.ReadResult, error) {
 	if f.trace != nil {
 		start = f.vnow()
 	}
-	res, err := f.readPhys(global, page, &deepRetryBudget, nil, nil)
+	res, err := f.readPhys(global, page, &deepRetryBudget, dst, nil)
 	if f.trace != nil {
 		rescued := int64(0)
 		if err == nil {
@@ -305,6 +311,14 @@ func (f *FTL) readPhysDeep(global, page int) (*controller.ReadResult, error) {
 			"block", int64(block), "rescued", rescued)
 	}
 	return res, err
+}
+
+// relocPage returns the relocation read page *pg, making it on first use.
+func (f *FTL) relocPage(pg *[]byte) []byte {
+	if *pg == nil {
+		*pg = make([]byte, f.geo.PageDataBytes)
+	}
+	return *pg
 }
 
 // erasePhys erases one physical block.
@@ -628,7 +642,8 @@ func (f *FTL) collect(p *Partition) error {
 		if lpa == invalidPPA {
 			continue
 		}
-		res, err := f.readPhys(vb.id, page, nil, nil, nil)
+		dst := f.relocPage(&p.gcPage)
+		res, err := f.readPhys(vb.id, page, nil, dst, nil)
 		if res != nil {
 			p.RelocRetries += res.Retries
 			vb.lastReads = res.BlockReads
@@ -639,7 +654,7 @@ func (f *FTL) collect(p *Partition) error {
 			}
 			// Last chance before the victim is erased: one deep-retry
 			// read at the device's full recovery ladder.
-			deep, derr := f.readPhysDeep(vb.id, page)
+			deep, derr := f.readPhysDeep(vb.id, page, dst)
 			if deep != nil {
 				p.RelocRetries += deep.Retries
 			}
@@ -764,7 +779,8 @@ func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable i
 		if bs.lbaOf[le.page] != le.lpa {
 			continue // already moved by GC during this pass
 		}
-		res, err := f.readPhys(bs.id, le.page, nil, nil, nil)
+		dst := f.relocPage(&p.movePage)
+		res, err := f.readPhys(bs.id, le.page, nil, dst, nil)
 		if res != nil {
 			p.RelocRetries += res.Retries
 			bs.lastReads = res.BlockReads
@@ -775,7 +791,7 @@ func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable i
 			}
 			// A page the normal ladder lost gets one deep-retry
 			// recovery attempt before scrub/retirement gives up on it.
-			deep, derr := f.readPhysDeep(bs.id, le.page)
+			deep, derr := f.readPhysDeep(bs.id, le.page, dst)
 			if deep != nil {
 				p.RelocRetries += deep.Retries
 			}

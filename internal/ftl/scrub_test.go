@@ -147,3 +147,50 @@ func TestScrubDoubleMarkDeduplicated(t *testing.T) {
 		t.Fatalf("pending = %d", p.PendingScrubs())
 	}
 }
+
+// TestScrubRewriteThatCollectsKeepsData pins the relocation read pages:
+// a scrub relocation whose rewrite finds the frontier sealed runs a GC
+// round before its own program, and the GC's reads must not land in the
+// page still holding the data being relocated.
+func TestScrubRewriteThatCollectsKeepsData(t *testing.T) {
+	f := newFTL(t, 3)
+	p, _ := f.Partition("scratch")
+	write := func(lpa int, version uint64) {
+		t.Helper()
+		if _, err := f.Write("scratch", lpa, pagePattern(version<<16|uint64(lpa), 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill blocks 0 and 1, then overwrite lpa 0: the GC round it needs
+	// moves block 0 into block 2, which the overwrite then seals.
+	for lpa := 0; lpa < p.Capacity(); lpa++ {
+		write(lpa, 0)
+	}
+	write(0, 1)
+	if len(p.freePool) != 1 || p.blocks[p.active].writePtr != p.pages {
+		t.Fatalf("setup: free pool %v, frontier at %d", p.freePool, p.blocks[p.active].writePtr)
+	}
+	// Scrub block 1: its first rewrite has to collect (block 1 itself,
+	// now the emptiest sealed block) before it can program.
+	erases := p.Erases
+	p.scrubMarks = map[int]bool{1: true}
+	if _, err := f.Scrub("scratch"); err != nil {
+		t.Fatal(err)
+	}
+	if p.Erases == erases {
+		t.Fatal("the scrub rewrite did not run a GC round")
+	}
+	for lpa := 0; lpa < p.Capacity(); lpa++ {
+		got, _, err := f.ReadInto("scratch", lpa, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		version := uint64(0)
+		if lpa == 0 {
+			version = 1
+		}
+		if !bytes.Equal(got, pagePattern(version<<16|uint64(lpa), 4096)) {
+			t.Fatalf("lpa %d lost its content across the scrub", lpa)
+		}
+	}
+}

@@ -46,7 +46,20 @@ type Device struct {
 	// spare combined) and the content stamp of the page it sensed.
 	lastSenseFlips int
 	lastSenseSeq   uint64
+
+	// freeData and freeSpare hold the page stores Erase released, each
+	// list bounded by freeStores, for Program to fill again. They are
+	// separate because one merged slice would land in a size class well
+	// above the page. Stored bytes never leave the device (every sense
+	// copies out of them), so a released store has no other holder.
+	freeData, freeSpare [][]byte
 }
+
+// freeStores bounds each of the device's free lists: enough to carry a
+// frontier block's first programs after an erase. Longer lists cut
+// allocation further but hold erased pages resident, which raised peak
+// RSS on lifetime runs; at this bound it holds level.
+const freeStores = 16
 
 type block struct {
 	cycles float64 // program/erase cycles endured
@@ -136,7 +149,10 @@ func (d *Device) Erase(blockIdx int) error {
 	}
 	b := &d.blocks[blockIdx]
 	for i := range b.pages {
-		b.pages[i] = page{}
+		p := &b.pages[i]
+		d.freeData = release(d.freeData, p.data)
+		d.freeSpare = release(d.freeSpare, p.spare)
+		*p = page{}
 	}
 	b.cycles++
 	b.reads = 0 // erase heals read-disturb stress
@@ -174,8 +190,11 @@ func (d *Device) Program(blockIdx, pageIdx int, data, spare []byte, alg Algorith
 	if len(spare) > d.cal.PageSpareBytes {
 		return ProgramResult{}, fmt.Errorf("nand: spare %d bytes exceeds spare area %d", len(spare), d.cal.PageSpareBytes)
 	}
-	p.data = append([]byte(nil), data...)
-	p.spare = append([]byte(nil), spare...)
+	var store []byte
+	store, d.freeData = reuse(d.freeData)
+	p.data = append(store, data...)
+	store, d.freeSpare = reuse(d.freeSpare)
+	p.spare = append(store, spare...)
 	p.written = true
 	d.programSeq++
 	p.seq = d.programSeq
@@ -185,6 +204,26 @@ func (d *Device) Program(blockIdx, pageIdx int, data, spare []byte, alg Algorith
 	res := EstimateProgram(d.cal, alg, d.cal.Age(b.cycles))
 	d.lastOpDuration = res.Duration
 	return res, nil
+}
+
+// release puts an erased page's store on a free list unless the list is
+// full (or the page was never programmed).
+func release(free [][]byte, store []byte) [][]byte {
+	if store == nil || len(free) == freeStores {
+		return free
+	}
+	return append(free, store[:0])
+}
+
+// reuse pops an empty store off a free list; nil when the list is empty,
+// so the caller's append allocates.
+func reuse(free [][]byte) (store []byte, rest [][]byte) {
+	n := len(free)
+	if n == 0 {
+		return nil, free
+	}
+	store, free[n-1] = free[n-1], nil
+	return store, free[:n-1]
 }
 
 // WrittenAlgorithm returns the program algorithm a page was written with

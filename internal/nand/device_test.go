@@ -226,3 +226,70 @@ func TestCorruptEmpty(t *testing.T) {
 	d := &Device{rng: stats.NewRNG(8)}
 	d.corruptInto(nil, nil, 0.5) // must not panic or draw from the RNG
 }
+
+// TestRecycledStoreReadsNewLengths re-programs a page whose stores were
+// recycled from a longer page (full data and spare) with shorter data and
+// spare: hard and soft reads return exactly the new lengths, and the
+// bytes they return are the new content, never the old tail.
+func TestRecycledStoreReadsNewLengths(t *testing.T) {
+	d := testDevice(t)
+	cal := d.cal
+	old := make([]byte, cal.PageDataBytes+cal.PageSpareBytes)
+	for i := range old {
+		old[i] = 0xFF
+	}
+	if _, err := d.Program(0, 0, old[:cal.PageDataBytes], old[cal.PageDataBytes:], ISPPSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(5)
+	data, spare := make([]byte, 1000), make([]byte, 10)
+	for _, b := range [][]byte{data, spare} {
+		for i := range b {
+			b[i] = byte(r.Intn(128)) // never 0xFF
+		}
+	}
+	if _, err := d.Program(0, 0, data, spare, ISPPDV); err != nil {
+		t.Fatal(err)
+	}
+	if p := &d.blocks[0].pages[0]; cap(p.data) < cal.PageDataBytes || cap(p.spare) < cal.PageSpareBytes {
+		t.Fatalf("page stores not recycled: cap %d/%d", cap(p.data), cap(p.spare))
+	}
+	want := append(append([]byte(nil), data...), spare...)
+
+	const sentinel = 0x5A
+	buf := make([]byte, len(old))
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	nData, nSpare, err := d.ReadInto(0, 0, 0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nData != len(data) || nSpare != len(spare) {
+		t.Fatalf("hard read lengths %d+%d, want %d+%d", nData, nSpare, len(data), len(spare))
+	}
+	if _, flips := d.LastSense(); bitDiff(buf[:len(want)], want) != flips {
+		t.Fatalf("hard read differs from the new content by more than its %d injected flips", flips)
+	}
+	for i, b := range buf[len(want):] {
+		if b != sentinel {
+			t.Fatalf("hard read wrote byte %d past the new codeword", len(want)+i)
+		}
+	}
+
+	llr := make([]int8, 8*len(old))
+	nData, nSpare, _, err = d.ReadSoftN(0, 0, 0, d.stress.SoftSenses, buf, llr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nData != len(data) || nSpare != len(spare) {
+		t.Fatalf("soft read lengths %d+%d, want %d+%d", nData, nSpare, len(data), len(spare))
+	}
+	// Each old byte differs from its new one in at least one bit.
+	if diff := bitDiff(buf[:len(want)], want); diff > 3 {
+		t.Fatalf("soft read differs from the new content in %d bits", diff)
+	}
+}
