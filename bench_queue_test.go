@@ -1,6 +1,6 @@
 package xlnand
 
-// Benchmarks for the asynchronous queue and the multi-die dispatcher:
+// Benchmarks for the batched queue and the multi-die dispatcher:
 // batch read throughput scaling with die count, cross-checked against
 // the ScaleDies analytic pipeline. Two metrics are reported per die
 // count: model-MB/s (measured on the dispatcher's virtual timeline) and

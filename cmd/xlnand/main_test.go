@@ -58,6 +58,24 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestTraceMultiDieReproducible: a four-die mixed replay submits batches
+// that span dies, which book the shared bus and codec in request order,
+// so two runs print the same bytes.
+func TestTraceMultiDieReproducible(t *testing.T) {
+	args := []string{"trace", "-dies", "4", "-profile", "mixed"}
+	var outs [2]string
+	for i := range outs {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 0 {
+			t.Fatalf("xlnand %s: exit %d: %s", strings.Join(args, " "), code, stderr.String())
+		}
+		outs[i] = stdout.String()
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}
+
 // TestBCHPipeline pipes encode | corrupt | decode through in-memory
 // buffers: the output is the input zero-padded to whole pages.
 func TestBCHPipeline(t *testing.T) {

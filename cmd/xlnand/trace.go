@@ -19,9 +19,8 @@ import (
 //	xlnand trace -profile read -ops 400 -cycles 1e5 -mode max-read
 //	xlnand trace -profile mixed -ops 300 -mode nominal -dies 4 -batch 64
 //
-// A batch spanning several dies books the shared bus and codec in the
-// order the die workers arrive, so with -dies above 1 the modelled
-// latencies vary run to run; a single die reproduces them per seed.
+// Each batch runs in request order, so it books the shared bus and codec
+// in that order and the output is the same for a seed at any -dies.
 func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	fs := newFlags("trace", stderr)
 	var (
@@ -104,9 +103,8 @@ func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	return replayTrace(s, tr, *dies, *batch, stdout)
 }
 
-// replayTrace drives the trace through the queue in batches, preserving
-// per-block ordering (a block always maps to the same die, and per-die
-// execution is FIFO), and prints the statistics to stdout.
+// replayTrace drives the trace through the queue in batches, which run
+// in trace order, and prints the statistics to stdout.
 func replayTrace(s *xlnand.Subsystem, tr workload.Trace, dies, batch int, stdout io.Writer) error {
 	batch = max(batch, 1)
 	q := s.NewQueue()

@@ -1,21 +1,23 @@
-// Package dispatch makes multi-die execution real: it fans queued I/O
-// requests out across N NAND dies with one worker goroutine per die,
-// while serialising the two resources the dies share — the flash bus and
-// the adaptive BCH codec — on a modelled timeline that follows the
-// nand package's timing constants (nand.FlashBus, nand.PageReadTime).
-// The analytic multi-die pipeline of
+// Package dispatch makes multi-die execution real: it routes queued I/O
+// requests to N NAND dies while serialising the two resources the dies
+// share — the flash bus and the adaptive BCH codec — on a modelled
+// timeline that follows the nand package's timing constants
+// (nand.FlashBus, nand.PageReadTime). The analytic multi-die pipeline of
 // internal/sim (ScaleDies: array operations parallel across dies, bus
 // and codec shared) thereby becomes measurable behaviour: a batch's
 // completions carry virtual start/finish stamps whose makespan
 // reproduces the model's steady-state throughput.
 //
-// Concurrency model: each die owns its device and controller exclusively
-// through its worker goroutine, so device state (page arrays, wear,
-// fault-injection RNG) is never shared. The BCH codec instance is shared
-// across dies — it is safe for concurrent use and mirrors the single
-// hardware codec of the paper's controller — and its serialisation, like
-// the bus's, is modelled by a mutex-guarded virtual clock rather than by
-// actual lock-step execution.
+// Concurrency model: every request and every control call runs on the
+// goroutine that issued it, under its die's mutex, so device state (page
+// arrays, wear, fault-injection RNG) is never touched by two goroutines
+// at once. A batch runs in request order, which makes its bookings on
+// the shared calendars — and so its stamps — a function of the batch
+// alone; goroutines working on different dies run in parallel. The BCH
+// codec instance is shared across dies — it is safe for concurrent use
+// and mirrors the single hardware codec of the paper's controller — and
+// its serialisation, like the bus's, is modelled by a mutex-guarded
+// virtual clock rather than by actual lock-step execution.
 package dispatch
 
 import (
@@ -23,13 +25,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xlnand/internal/bch"
 	"xlnand/internal/controller"
 	"xlnand/internal/ecc"
-	"xlnand/internal/freelist"
 	"xlnand/internal/ldpc"
 	"xlnand/internal/nand"
 	"xlnand/internal/obs"
@@ -80,7 +80,7 @@ const maxCalendarSpans = 4096
 
 // calendar is a shared virtual-time resource with arbitration: acquire
 // places dur into the earliest gap at or after earliest. Unlike vclock,
-// reservation order does not bias the timeline — a worker racing ahead
+// reservation order does not bias the timeline — a die racing ahead
 // in real time cannot push other dies' earlier-readiness transfers
 // behind its own future ones, which is how a fair bus or codec arbiter
 // behaves. Busy intervals are kept sorted and coalesced.
@@ -180,14 +180,12 @@ func (c *calendar) compact() {
 	c.busy = c.busy[:n]
 }
 
-// die bundles one NAND die with its controller, worker inbox and array
-// clock. ctrl and its device are exclusively owned: every job — whether
-// routed through the worker goroutine or executed inline by the lean
-// synchronous fast path — runs under mu.
+// die bundles one NAND die with its controller and array clock. mu
+// guards the controller and its device: every request and control call
+// on the die holds it.
 type die struct {
 	idx   int
 	ctrl  *controller.Controller
-	jobs  chan *job
 	clock vclock // array occupancy (sensing / program / erase)
 
 	// trace is the die's span stream (nil when tracing is off). Appends
@@ -197,37 +195,30 @@ type die struct {
 	trace *obs.Stream
 	tid   int32
 
-	// mu serialises controller/device access between the worker and
-	// direct (inline) executors; pending counts jobs enqueued on the
-	// worker inbox that have not finished executing, so a direct
-	// executor can prove the die idle — taking the inline path only
-	// when nothing is queued preserves per-die FIFO ordering for every
-	// ordered (non-concurrent) submission sequence.
-	mu      sync.Mutex
-	pending atomic.Int64
+	mu sync.Mutex
 }
 
-// job carries either one Request or a control function through a die's
-// worker, which owns the controller.
+// job is one request on its way through execute: the request, its
+// arrival on the modelled timeline, and the caller's optional scratch —
+// dst for the decoded page, rres/wres for the result breakdown — which
+// spares the read and write paths every per-operation allocation.
 type job struct {
 	ctx     context.Context
 	req     Request
 	arrival time.Duration
-	deliver func(Completion)
+	dst     []byte
+	rres    *controller.ReadResult
+	wres    *controller.WriteResult
+}
 
-	// Lean synchronous path (DoRead/DoWrite): the worker decodes into
-	// dst, stores the result in the caller's rres/wres scratch, and
-	// sends the completion on sync instead of calling deliver — no
-	// per-operation allocation.
-	dst  []byte
-	rres *controller.ReadResult
-	wres *controller.WriteResult
-	sync chan Completion
-
-	// Control path: fn runs on the worker with exclusive controller
-	// access; done receives one token afterwards.
-	fn   func(*controller.Controller)
-	done chan struct{}
+// fail completes the job with err at its arrival, without touching the
+// die.
+func (j *job) fail(err error) Completion {
+	req := j.req
+	return Completion{
+		Tag: req.Tag, Op: req.Op, Die: req.Die, Block: req.Block, Page: req.Page,
+		Start: j.arrival, Finish: j.arrival, Err: opErr(req, err),
+	}
 }
 
 // Config parametrises dispatcher construction.
@@ -272,21 +263,11 @@ type Dispatcher struct {
 	nowMu sync.Mutex
 	vnow  time.Duration
 
+	// closeMu is held for reading by every request, batch and control
+	// call while it runs, and for writing by Close, which therefore
+	// waits for them.
 	closeMu sync.RWMutex
 	closed  bool
-	wg      sync.WaitGroup
-
-	// jobs recycles the jobs of the synchronous paths — the lean
-	// DoRead/DoWrite path (one job per physical page op of the FTL) and
-	// the control hops (wear polling, statistics) — with their
-	// completion channels: allocating job + channel + closure per op
-	// dominated the dispatch overhead of fleet-scale runs. Each listed
-	// job carries its own sync and done channels, allocated once and
-	// reused; completion is therefore signalled by send, never close. A
-	// free list rather than a sync.Pool, so the zero-allocation round
-	// does not depend on when the collector runs; one per dispatcher, so
-	// drives of an array never share its lock.
-	jobs freelist.List[job]
 }
 
 // dieSeedStride decorrelates the per-die fault-injection RNG streams;
@@ -316,7 +297,7 @@ func buildCodec(cfg Config) (ecc.Codec, error) {
 }
 
 // New builds a dispatcher: one device + controller per die sharing a
-// single adaptive codec, workers started.
+// single adaptive codec.
 func New(cfg Config) (*Dispatcher, error) {
 	if cfg.Dies < 1 {
 		return nil, fmt.Errorf("dispatch: die count %d < 1", cfg.Dies)
@@ -329,9 +310,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	d := &Dispatcher{env: cfg.Env, codec: codec, defaultMode: sim.ModeNominal}
-	d.jobs.New = func() *job {
-		return &job{sync: make(chan Completion, 1), done: make(chan struct{}, 1)}
-	}
 	if cfg.Trace != nil {
 		cfg.Trace.Thread(traceTidBus, "bus")
 		cfg.Trace.Thread(traceTidCodec, "codec")
@@ -342,47 +320,22 @@ func New(cfg Config) (*Dispatcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &die{idx: i, ctrl: ctrl, jobs: make(chan *job, 128), tid: traceTidDie0 + int32(i)}
+		w := &die{idx: i, ctrl: ctrl, tid: traceTidDie0 + int32(i)}
 		if cfg.Trace != nil {
 			cfg.Trace.Thread(w.tid, fmt.Sprintf("die %d", i))
 			w.trace = cfg.Trace.Stream()
 		}
 		d.dies = append(d.dies, w)
 	}
-	for _, w := range d.dies {
-		d.wg.Add(1)
-		go d.worker(w)
-	}
 	return d, nil
 }
 
-// Close stops every worker. Submissions after Close fail with ErrClosed;
-// in-flight operations complete first.
+// Close shuts the dispatcher. Submissions after Close fail with
+// ErrClosed; in-flight operations complete first. Close is idempotent.
 func (d *Dispatcher) Close() error {
 	d.closeMu.Lock()
-	if d.closed {
-		d.closeMu.Unlock()
-		return nil
-	}
 	d.closed = true
-	for _, w := range d.dies {
-		close(w.jobs)
-	}
 	d.closeMu.Unlock()
-	d.wg.Wait()
-	return nil
-}
-
-// enqueue routes a job to its die, failing with ErrClosed after Close.
-func (d *Dispatcher) enqueue(dieIdx int, j *job) error {
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	w := d.dies[dieIdx]
-	w.pending.Add(1)
-	w.jobs <- j
 	return nil
 }
 
@@ -496,34 +449,19 @@ func (d *Dispatcher) validate(req *Request) error {
 	return nil
 }
 
-// worker is the per-die execution loop: it owns the die's controller and
-// device, executes jobs in FIFO order, and stamps each completion onto
-// the shared modelled timeline.
-func (d *Dispatcher) worker(w *die) {
-	defer d.wg.Done()
-	for j := range w.jobs {
-		if j.fn != nil {
-			w.mu.Lock()
-			j.fn(w.ctrl)
-			w.mu.Unlock()
-			w.pending.Add(-1)
-			j.done <- struct{}{}
-			continue
-		}
-		w.mu.Lock()
-		c := d.execute(w, j)
-		w.mu.Unlock()
-		w.pending.Add(-1)
-		d.bumpNow(c.Finish)
-		if j.sync != nil {
-			// Lean path: hand the completion straight back to the blocked
-			// caller. The caller owns j again after the receive, so the
-			// worker must not touch it past this send.
-			j.sync <- c
-			continue
-		}
-		j.deliver(c)
+// run validates one job and executes it on the caller's goroutine under
+// its die's mutex. The caller holds closeMu for reading and has checked
+// that the dispatcher is open.
+func (d *Dispatcher) run(j *job) Completion {
+	if err := d.validate(&j.req); err != nil {
+		return j.fail(err)
 	}
+	w := d.dies[j.req.Die]
+	w.mu.Lock()
+	c := d.execute(w, j)
+	w.mu.Unlock()
+	d.bumpNow(c.Finish)
+	return c
 }
 
 // resolveWrite turns policy + request overrides into the (algorithm,
@@ -578,24 +516,22 @@ func (d *Dispatcher) requiredLevelSV(cycles float64) int {
 	return d.codec.ClampLevel(lvl)
 }
 
-// execute runs one request on the worker's die and books its pipeline
-// stages onto the modelled timeline:
+// execute runs one request on its die and books its pipeline stages
+// onto the modelled timeline:
 //
 //	write: codec encode -> bus transfer -> die program
 //	read:  die sensing (tR) -> bus transfer -> codec decode
 //	erase: die occupancy only
 //
-// The die stage is private to the worker; bus and codec stages contend
+// The die stage is private to the die; bus and codec stages contend
 // with every other die, which is exactly the serialisation ScaleDies
 // assumes.
 func (d *Dispatcher) execute(w *die, j *job) Completion {
 	req := j.req
-	comp := Completion{Tag: req.Tag, Op: req.Op, Die: req.Die, Block: req.Block, Page: req.Page}
 	if err := j.ctx.Err(); err != nil {
-		comp.Err = opErr(req, err)
-		comp.Start, comp.Finish = j.arrival, j.arrival
-		return comp
+		return j.fail(err)
 	}
+	comp := Completion{Tag: req.Tag, Op: req.Op, Die: req.Die, Block: req.Block, Page: req.Page}
 	switch req.Op {
 	case OpWrite:
 		alg, t := d.resolveWrite(w, req)
@@ -694,28 +630,40 @@ func (d *Dispatcher) execute(w *die, j *job) Completion {
 			comp.Err = opErr(req, err)
 		}
 	default:
-		comp.Err = opErr(req, fmt.Errorf("unknown op %d", int(req.Op)))
-		comp.Start, comp.Finish = j.arrival, j.arrival
+		return j.fail(fmt.Errorf("unknown op %d", int(req.Op)))
 	}
 	return comp
 }
 
-// control runs fn on the die's worker goroutine with exclusive access to
-// its controller and device (the race-free path for wear manipulation
-// and statistics while traffic may be in flight).
+// control runs fn on the caller's goroutine with exclusive access to
+// the die's controller and device (the race-free path for wear
+// manipulation and statistics while traffic may be in flight). It fails
+// with ErrClosed after Close.
 func (d *Dispatcher) control(dieIdx int, fn func(*controller.Controller)) error {
 	if dieIdx < 0 || dieIdx >= len(d.dies) {
 		return fmt.Errorf("%w: die %d of %d", ErrBadAddress, dieIdx, len(d.dies))
 	}
-	j := d.jobs.Get()
-	j.fn = fn
-	err := d.enqueue(dieIdx, j)
-	if err == nil {
-		<-j.done
+	d.closeMu.RLock()
+	defer d.closeMu.RUnlock()
+	if d.closed {
+		return ErrClosed
 	}
-	j.fn = nil
-	d.jobs.Put(j)
-	return err
+	w := d.dies[dieIdx]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	fn(w.ctrl)
+	return nil
+}
+
+// each runs fn on every die's controller in die order, under the die's
+// mutex. Unlike control it keeps working after Close: the counters its
+// callers read stay valid once traffic has stopped.
+func (d *Dispatcher) each(fn func(*controller.Controller)) {
+	for _, w := range d.dies {
+		w.mu.Lock()
+		fn(w.ctrl)
+		w.mu.Unlock()
+	}
 }
 
 // Cycles returns a block's program/erase wear.
@@ -756,17 +704,12 @@ func (d *Dispatcher) AdvanceTime(hours float64) error {
 }
 
 // Uncorrectables sums the decode failures observed across all dies. It
-// keeps working after Close: the managers are internally locked, so
-// once the workers are gone they are read directly.
+// keeps working after Close.
 func (d *Dispatcher) Uncorrectables() int {
 	total := 0
-	for i := range d.dies {
-		if err := d.control(i, func(c *controller.Controller) {
-			total += c.Manager().Uncorrectables()
-		}); err != nil {
-			total += d.dies[i].ctrl.Manager().Uncorrectables()
-		}
-	}
+	d.each(func(c *controller.Controller) {
+		total += c.Manager().Uncorrectables()
+	})
 	return total
 }
 
@@ -776,10 +719,11 @@ func (d *Dispatcher) Controller(dieIdx int) *controller.Controller {
 	return d.dies[dieIdx].ctrl
 }
 
-// WithController runs fn on the die's worker goroutine with exclusive
-// access to its controller and device — the race-free window lifetime
+// WithController runs fn on the caller's goroutine with exclusive access
+// to the die's controller and device — the race-free window lifetime
 // harnesses use for stress injection (raw disturb reads) and wear
-// inspection while traffic may be in flight on other queues.
+// inspection while traffic may be in flight on other queues. fn must
+// not call back into the dispatcher.
 func (d *Dispatcher) WithController(dieIdx int, fn func(*controller.Controller)) error {
 	return d.control(dieIdx, fn)
 }
@@ -787,9 +731,9 @@ func (d *Dispatcher) WithController(dieIdx int, fn func(*controller.Controller))
 // PublishMetrics dumps the dispatcher's reliability counters into the
 // registry under the given label set (labels is the pre-rendered
 // `key="value"` block to scope the series, e.g. `drive="3"`, or ""
-// for an unlabelled single-subsystem export). It rides the control
-// plane, so it is safe while traffic is in flight; after Close it
-// reads the internally-locked managers directly.
+// for an unlabelled single-subsystem export). It takes each die's lock
+// in turn, so it is safe while traffic is in flight, and it keeps
+// working after Close.
 func (d *Dispatcher) PublishMetrics(reg *obs.Registry, labels string) {
 	if reg == nil {
 		return
@@ -802,20 +746,15 @@ func (d *Dispatcher) PublishMetrics(reg *obs.Registry, labels string) {
 	}
 	var uncorrectable, softAttempts, softRecovered, retryRecovered int
 	var cleanHits uint64
-	for i := range d.dies {
-		gather := func(c *controller.Controller) {
-			m := c.Manager()
-			uncorrectable += m.Uncorrectables()
-			retryRecovered += m.Recovered()
-			at, rec := m.SoftStats()
-			softAttempts += at
-			softRecovered += rec
-			cleanHits += c.CleanHits()
-		}
-		if err := d.control(i, gather); err != nil {
-			gather(d.dies[i].ctrl)
-		}
-	}
+	d.each(func(c *controller.Controller) {
+		m := c.Manager()
+		uncorrectable += m.Uncorrectables()
+		retryRecovered += m.Recovered()
+		at, rec := m.SoftStats()
+		softAttempts += at
+		softRecovered += rec
+		cleanHits += c.CleanHits()
+	})
 	reg.AddCounter(series("nand_reads_uncorrectable_total"), float64(uncorrectable))
 	reg.AddCounter(series("nand_retry_recovered_total"), float64(retryRecovered))
 	reg.AddCounter(series("nand_soft_attempts_total"), float64(softAttempts))
@@ -824,17 +763,12 @@ func (d *Dispatcher) PublishMetrics(reg *obs.Registry, labels string) {
 	reg.SetGauge(series("dispatch_vtime_seconds"), d.Now().Seconds())
 }
 
-// CleanHits sums the clean-read short-circuit counters across dies
-// (control-plane hop per die; falls back to direct reads after Close —
-// safe only once workers are drained, which Close guarantees).
+// CleanHits sums the clean-read short-circuit counters across dies. It
+// keeps working after Close.
 func (d *Dispatcher) CleanHits() uint64 {
 	var total uint64
-	for i := range d.dies {
-		if err := d.control(i, func(c *controller.Controller) {
-			total += c.CleanHits()
-		}); err != nil {
-			total += d.dies[i].ctrl.CleanHits()
-		}
-	}
+	d.each(func(c *controller.Controller) {
+		total += c.CleanHits()
+	})
 	return total
 }

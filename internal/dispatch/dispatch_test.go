@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,9 +152,6 @@ func TestCloseSemantics(t *testing.T) {
 	if _, err := q.Submit(context.Background(), []Request{{Op: OpRead}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: want ErrClosed, got %v", err)
 	}
-	if _, err := q.SubmitAsync(context.Background(), []Request{{Op: OpRead}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitAsync after Close: want ErrClosed, got %v", err)
-	}
 	if _, err := d.Cycles(0, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("control op after Close: want ErrClosed, got %v", err)
 	}
@@ -193,18 +191,44 @@ func TestControlOpsRouteThroughWorker(t *testing.T) {
 	}
 }
 
-// TestControlJobsReturnClean: a control hop borrows its job from the
-// free list the lean read/write path also draws from, so it must hand
-// the job back with no function left for a later lean request to run
-// and no token left in its done channel.
-func TestControlJobsReturnClean(t *testing.T) {
-	d := newTestDispatcher(t, 1, 1, 11)
-	if _, err := d.Cycles(0, 0); err != nil {
-		t.Fatal(err)
+// TestMultiDieBatchStampsReproducible: a batch spanning four dies books
+// the shared bus and codec in request order, so fresh dispatchers on one
+// seed stamp a mixed batch identically, run after run.
+func TestMultiDieBatchStampsReproducible(t *testing.T) {
+	const dies = 4
+	stamps := func() []time.Duration {
+		d := newTestDispatcher(t, dies, 2, 31)
+		q := d.NewQueue()
+		page := testPage(4, d.Geometry().PageDataBytes)
+		var writes, mixed []Request
+		for p := 0; p < 4; p++ {
+			for die := 0; die < dies; die++ {
+				writes = append(writes, Request{Op: OpWrite, Die: die, Block: 0, Page: p, Data: page})
+				mixed = append(mixed,
+					Request{Op: OpRead, Die: die, Block: 0, Page: p},
+					Request{Op: OpWrite, Die: die, Block: 1, Page: p, Data: page})
+			}
+		}
+		var out []time.Duration
+		for _, batch := range [][]Request{writes, mixed} {
+			comps, err := q.Submit(context.Background(), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range comps {
+				if c.Err != nil {
+					t.Fatal(c.Err)
+				}
+				out = append(out, c.Start, c.Finish)
+			}
+		}
+		return out
 	}
-	j := d.jobs.Get()
-	if j.fn != nil || len(j.done) != 0 || cap(j.done) != 1 {
-		t.Fatalf("recycled control job: fn set %v, done %d/%d", j.fn != nil, len(j.done), cap(j.done))
+	want := stamps()
+	for run := 1; run < 10; run++ {
+		if got := stamps(); !slices.Equal(got, want) {
+			t.Fatalf("run %d stamped the batch differently:\n got %v\nwant %v", run, got, want)
+		}
 	}
 }
 

@@ -18,11 +18,10 @@ func tagFor(die, page int) uint64 {
 	return 0xfee1_0000_0000_0000 | uint64(die)<<16 | uint64(page)
 }
 
-// TestTagsSurviveRetries drives an aged medium through SubmitAsync —
-// completions arrive in finish order, so the tag is the only identity —
-// and checks every tag comes back exactly once, on the completion whose
-// address and payload it was attached to, including reads that walked
-// the recovery ladder.
+// TestTagsSurviveRetries drives an aged medium through one Submit batch
+// that interleaves two dies and checks every tag comes back exactly
+// once, on the completion whose address and payload it was attached to,
+// including reads that walked the recovery ladder.
 func TestTagsSurviveRetries(t *testing.T) {
 	d := newTestDispatcher(t, 2, 2, 424)
 	q := d.NewQueue()
@@ -30,7 +29,7 @@ func TestTagsSurviveRetries(t *testing.T) {
 	geo := d.Geometry()
 
 	// End-of-life retention bake on die 0 only: its reads pay retries,
-	// die 1's stay single-shot, and the async stream interleaves both.
+	// die 1's stay single-shot, and the batch interleaves both.
 	if err := d.SetCycles(0, 0, 1e6); err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +54,13 @@ func TestTagsSurviveRetries(t *testing.T) {
 			reqs = append(reqs, Request{Op: OpRead, Die: die, Block: 0, Page: p, Tag: tagFor(die, p)})
 		}
 	}
-	ch, err := q.SubmitAsync(ctx, reqs)
+	comps, err := q.Submit(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
 	retried := 0
-	for comp := range ch {
+	for _, comp := range comps {
 		if comp.Err != nil {
 			t.Fatalf("read %d/%d.%d failed: %v", comp.Die, comp.Block, comp.Page, comp.Err)
 		}
@@ -135,13 +134,13 @@ func TestTagsSurviveSoftRungs(t *testing.T) {
 	for p := 0; p < pages; p++ {
 		reqs = append(reqs, Request{Op: OpRead, Block: 0, Page: p, Tag: tagFor(0, p)})
 	}
-	ch, err := q.SubmitAsync(ctx, reqs)
+	comps, err := q.Submit(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
 	softSaves := 0
-	for comp := range ch {
+	for _, comp := range comps {
 		want, ok := payload[comp.Tag]
 		if !ok {
 			t.Fatalf("completion carries unknown tag %#x", comp.Tag)

@@ -231,16 +231,18 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 	phaseStart := e.disp.Now()
 	// Stress first: the phase's traffic sees the aged medium.
 	if ph.AgeCycles > 0 {
-		if err := e.agePhased(ph.Name, ph.AgeCycles, pr); err != nil {
+		all := make([]int, e.geo.Dies)
+		for die := range all {
+			all[die] = die
+		}
+		if err := e.agePhased(ph.Name, all, ph.AgeCycles, pr); err != nil {
 			return nil, err
 		}
 	}
-	if ph.AgeCyclesByDie != nil {
-		for die, delta := range ph.AgeCyclesByDie {
-			if delta > 0 {
-				if err := e.agePhasedDie(ph.Name, die, delta, pr); err != nil {
-					return nil, err
-				}
+	for die, delta := range ph.AgeCyclesByDie {
+		if delta > 0 {
+			if err := e.agePhased(ph.Name, []int{die}, delta, pr); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -604,8 +606,10 @@ func (e *engine) scrubPass(phase string, pr *PhaseReport) error {
 	return nil
 }
 
-// agePhased fast-forwards wear by delta cycles in multiplicative steps,
-// refreshing all live data after each step. A fast-forward compresses
+// agePhased fast-forwards the wear of the listed dies by delta cycles in
+// multiplicative steps, counted from their most-worn block, refreshing
+// all live data after each step (every partition, since partitions
+// stripe over all dies). A fast-forward compresses
 // months of real operation during which the background scrubber would
 // have relocated stored data many times at gradually increasing wear; a
 // single giant jump would instead strand cold pages with a capability
@@ -615,30 +619,31 @@ func (e *engine) scrubPass(phase string, pr *PhaseReport) error {
 // step, live pages are rewritten at the new wear (and therefore with the
 // capability the reliability manager now selects), exactly as the
 // maintenance loop would have done along the way.
-func (e *engine) agePhased(phase string, delta float64, pr *PhaseReport) error {
+func (e *engine) agePhased(phase string, dies []int, delta float64, pr *PhaseReport) error {
 	cur := 0.0
-	for die := 0; die < e.geo.Dies; die++ {
+	for _, die := range dies {
 		for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
 			c, err := e.disp.Cycles(die, blk)
 			if err != nil {
 				return err
 			}
-			if c > cur {
-				cur = c
-			}
+			cur = max(cur, c)
 		}
 	}
 	target := cur + delta
 	for cur < target {
-		next := cur * ageStepFactor
-		if next < ageStepFloor {
-			next = ageStepFloor
-		}
-		if next > target {
-			next = target
-		}
-		if err := e.age(next - cur); err != nil {
-			return err
+		next := min(max(cur*ageStepFactor, ageStepFloor), target)
+		step := next - cur
+		for _, die := range dies {
+			for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
+				c, err := e.disp.Cycles(die, blk)
+				if err != nil {
+					return err
+				}
+				if err := e.disp.SetCycles(die, blk, c+step); err != nil {
+					return err
+				}
+			}
 		}
 		cur = next
 		if err := e.refresh(phase, pr); err != nil {
@@ -685,69 +690,9 @@ func (e *engine) refresh(phase string, pr *PhaseReport) error {
 	return nil
 }
 
-// agePhasedDie is agePhased for ONE die — the asymmetric-wear stress.
-// The same multiplicative stepping and live-data refresh discipline
-// applies (refreshes span every partition, since partitions stripe over
-// all dies), but only the target die's blocks advance.
-func (e *engine) agePhasedDie(phase string, die int, delta float64, pr *PhaseReport) error {
-	if die < 0 || die >= e.geo.Dies {
-		return fmt.Errorf("lifetime: %s: aging die %d of %d", e.sc.Name, die, e.geo.Dies)
-	}
-	cur := 0.0
-	for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
-		c, err := e.disp.Cycles(die, blk)
-		if err != nil {
-			return err
-		}
-		if c > cur {
-			cur = c
-		}
-	}
-	target := cur + delta
-	for cur < target {
-		next := cur * ageStepFactor
-		if next < ageStepFloor {
-			next = ageStepFloor
-		}
-		if next > target {
-			next = target
-		}
-		for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
-			c, err := e.disp.Cycles(die, blk)
-			if err != nil {
-				return err
-			}
-			if err := e.disp.SetCycles(die, blk, c+next-cur); err != nil {
-				return err
-			}
-		}
-		cur = next
-		if err := e.refresh(phase, pr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// age fast-forwards every block's program/erase wear.
-func (e *engine) age(delta float64) error {
-	for die := 0; die < e.geo.Dies; die++ {
-		for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
-			c, err := e.disp.Cycles(die, blk)
-			if err != nil {
-				return err
-			}
-			if err := e.disp.SetCycles(die, blk, c+delta); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // disturb performs raw array reads (ECC bypassed) of the first page of
 // every programmed block — read-disturb aggression outside the host
-// path, run on each die's worker for exclusive device access. Every
+// path, run under each die's lock for exclusive device access. Every
 // sense lands in one scratch buffer; only the stress it applies matters.
 func (e *engine) disturb(n int) error {
 	var buf []byte

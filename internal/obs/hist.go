@@ -145,32 +145,14 @@ func (h *LatencyHist) Snapshot() HistSnapshot {
 	if h == nil || h.n == 0 {
 		return HistSnapshot{}
 	}
-	var (
-		vals    []float64
-		weights []uint64
-	)
-	for i, c := range h.counts {
-		if c != 0 {
-			vals = append(vals, float64(histValue(i)))
-			weights = append(weights, c)
-		}
-	}
-	clamp := func(v float64) float64 {
-		if v < float64(h.min) {
-			return float64(h.min)
-		}
-		if v > float64(h.max) {
-			return float64(h.max)
-		}
-		return v
-	}
+	p := h.quantiles(0.50, 0.99, 0.999)
 	return HistSnapshot{
 		Count:  h.n,
 		MinUs:  float64(h.min) / nsPerUs,
 		MeanUs: float64(h.sum) / float64(h.n) / nsPerUs,
-		P50Us:  clamp(stats.PercentileWeighted(vals, weights, 0.50)) / nsPerUs,
-		P99Us:  clamp(stats.PercentileWeighted(vals, weights, 0.99)) / nsPerUs,
-		P999Us: clamp(stats.PercentileWeighted(vals, weights, 0.999)) / nsPerUs,
+		P50Us:  p[0] / nsPerUs,
+		P99Us:  p[1] / nsPerUs,
+		P999Us: p[2] / nsPerUs,
 		MaxUs:  float64(h.max) / nsPerUs,
 	}
 }
@@ -182,6 +164,13 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 	if h == nil || h.n == 0 {
 		return 0
 	}
+	return time.Duration(h.quantiles(q)[0])
+}
+
+// quantiles resolves each q, in nanoseconds, through
+// stats.PercentileWeighted over the (bucket midpoint, count) pairs,
+// clamped to the observed [min, max]. The histogram must not be empty.
+func (h *LatencyHist) quantiles(qs ...float64) []float64 {
 	var (
 		vals    []float64
 		weights []uint64
@@ -192,12 +181,16 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 			weights = append(weights, c)
 		}
 	}
-	v := stats.PercentileWeighted(vals, weights, q)
-	if v < float64(h.min) {
-		v = float64(h.min)
+	out := make([]float64, len(qs))
+	for k, q := range qs {
+		v := stats.PercentileWeighted(vals, weights, q)
+		if v < float64(h.min) {
+			v = float64(h.min)
+		}
+		if v > float64(h.max) {
+			v = float64(h.max)
+		}
+		out[k] = v
 	}
-	if v > float64(h.max) {
-		v = float64(h.max)
-	}
-	return time.Duration(v)
+	return out
 }

@@ -4,10 +4,10 @@ import (
 	"xlnand/internal/dispatch"
 )
 
-// Queue is an asynchronous submission/completion handle onto the
-// sub-system's multi-die dispatcher. Queues are safe for concurrent use
-// from any number of goroutines; any number of queues may target one
-// sub-system.
+// Queue is a submission/completion handle onto the sub-system's
+// multi-die dispatcher. Queues are safe for concurrent use from any
+// number of goroutines; any number of queues may target one sub-system.
+// A call runs on its caller's goroutine, and a batch in request order.
 type Queue = dispatch.Queue
 
 // Request is one I/O operation: an op code, a (die, block, page)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -168,7 +167,7 @@ func TestQueueConcurrentSubmit(t *testing.T) {
 
 // TestQueueContextCancellation covers both cancellation shapes: a
 // pre-cancelled batch (every request skipped, typed error) and a cancel
-// racing a long batch (no lost completions either way).
+// landing mid-batch (no lost completions either way).
 func TestQueueContextCancellation(t *testing.T) {
 	sys, q := openQueued(t, WithDies(1), WithBlocks(2), WithSeed(7))
 	page := pageOf(30, sys.PageSize())
@@ -196,29 +195,24 @@ func TestQueueContextCancellation(t *testing.T) {
 		}
 	}
 
-	// Mid-batch: cancel after the first completion lands. Every request
-	// must still complete — either executed or skipped with the context
-	// error — and the batch error must be the cancellation. The die worker
-	// checks the context once per request; holding every check after the
-	// first until the cancel lands pins the cancel between requests 1 and
-	// 2, so the test never depends on which goroutine wins the race.
+	// Mid-batch: the batch checks the context once per request, and this
+	// one cancels itself on the second check, so request 1 executes and
+	// the other 31 are skipped with the context error. Every request must
+	// still complete, and the batch error must be the cancellation.
 	inner, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	ctx := &cancelAfterFirst{Context: inner}
+	ctx := &cancelOnSecondCheck{Context: inner, cancel: cancel2}
 	var big []Request
 	for p := 0; p < 32; p++ {
 		big = append(big, WriteRequest(0, 1, p, page))
 	}
-	out, err := q.SubmitAsync(ctx, big)
-	if err != nil {
-		t.Fatal(err)
+	comps, err = q.Submit(ctx, big)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-batch Submit returned %v", err)
 	}
 	got, skipped, executed := 0, 0, 0
-	for c := range out {
+	for _, c := range comps {
 		got++
-		if got == 1 {
-			cancel2()
-		}
 		switch {
 		case c.Err == nil:
 			executed++
@@ -236,16 +230,17 @@ func TestQueueContextCancellation(t *testing.T) {
 	}
 }
 
-// cancelAfterFirst lets its first Err check through and holds every later
-// one until the wrapped context is cancelled.
-type cancelAfterFirst struct {
+// cancelOnSecondCheck lets its first Err check through and cancels the
+// wrapped context on the second.
+type cancelOnSecondCheck struct {
 	context.Context
-	checks atomic.Int32
+	cancel context.CancelFunc
+	checks int
 }
 
-func (c *cancelAfterFirst) Err() error {
-	if c.checks.Add(1) > 1 {
-		<-c.Done()
+func (c *cancelOnSecondCheck) Err() error {
+	if c.checks++; c.checks == 2 {
+		c.cancel()
 	}
 	return c.Context.Err()
 }
@@ -432,32 +427,6 @@ func TestQueueDieScalingMatchesModel(t *testing.T) {
 			t.Fatalf("%d-die measured %.1f MB/s vs ScaleDies %.1f MB/s (x%.2f): model diverged",
 				dies, measured[dies], predicted[dies], rel)
 		}
-	}
-}
-
-func TestSubmitAsyncStreamsAndCloses(t *testing.T) {
-	sys, q := openQueued(t, WithDies(2), WithBlocks(1), WithSeed(17))
-	ctx := context.Background()
-	page := pageOf(70, sys.PageSize())
-	var batch []Request
-	for i := 0; i < 8; i++ {
-		r := WriteRequest(i%2, 0, i/2, page)
-		r.Tag = uint64(100 + i)
-		batch = append(batch, r)
-	}
-	out, err := q.SubmitAsync(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tags := map[uint64]bool{}
-	for c := range out {
-		if c.Err != nil {
-			t.Fatal(c.Err)
-		}
-		tags[c.Tag] = true
-	}
-	if len(tags) != 8 {
-		t.Fatalf("only %d distinct tags delivered", len(tags))
 	}
 }
 

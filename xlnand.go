@@ -2,8 +2,7 @@
 // reliability/performance trade-offs in MLC NAND flash memories,
 // reproducing Zambelli et al., "A Cross-Layer Approach for New
 // Reliability-Performance Trade-Offs in MLC NAND Flash Memories"
-// (DATE 2012), grown into an asynchronous, batched, multi-die storage
-// sub-system.
+// (DATE 2012), grown into a batched, multi-die storage sub-system.
 //
 // The library models the full memory sub-system: 2-bit/cell NAND dies
 // with runtime-selectable program algorithm (standard ISPP-SV vs
@@ -26,13 +25,13 @@
 //
 // # The queue API
 //
-// The primary I/O surface is asynchronous and batched, in the
-// submission/completion-queue style of modern flash stacks. Open a
-// sub-system with functional options, create a Queue, and submit
-// batches of requests; the dispatcher fans them out across the dies
-// with one worker per die while the shared flash bus and BCH codec
-// serialise on a modelled timeline, so multi-die interleaving follows
-// the same pipeline model the analytic ScaleDies evaluation predicts:
+// The primary I/O surface is batched, in the submission/completion-queue
+// style of modern flash stacks. Open a sub-system with functional
+// options, create a Queue, and submit batches of requests; a batch runs
+// in request order on the submitting goroutine, its requests overlapping
+// across the dies on a modelled timeline on which the shared flash bus
+// and BCH codec serialise, so multi-die interleaving follows the same
+// pipeline model the analytic ScaleDies evaluation predicts:
 //
 //	sys, _ := xlnand.Open(xlnand.WithDies(4), xlnand.WithBlocks(8))
 //	defer sys.Close()
@@ -333,7 +332,7 @@ func Open(opts ...Option) (*Subsystem, error) {
 	return &Subsystem{disp: disp, q: disp.NewQueue(), env: env}, nil
 }
 
-// Close stops the per-die workers. Submissions after Close fail with
+// Close shuts the sub-system. Submissions after Close fail with
 // ErrClosed; in-flight operations complete first. Close is idempotent.
 func (s *Subsystem) Close() error { return s.disp.Close() }
 
