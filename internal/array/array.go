@@ -1,7 +1,7 @@
 // Package array is the fleet-scale front end over the single-drive
 // stack: an Array stripes a volume address space across N independent
-// drives (each a full dispatcher + FTL instance with its own seeded RNG
-// streams), serves reads through a host-side cache with pluggable
+// drives (each the dispatcher + FTL pair ftl.Open builds, with its own
+// seeded RNG streams from ftl.DriveSeed), serves reads through a host-side cache with pluggable
 // eviction, buffers writes in a write-back buffer with deterministic
 // flush ordering, and schedules tenants through token-bucket QoS.
 // Cross-drive redundancy (rotating parity or mirroring), deterministic
@@ -102,7 +102,7 @@ type Config struct {
 	DiesPerDrive int
 	BlocksPerDie int
 	// Seed derives every drive's RNG streams (drive i runs at
-	// Seed + i*driveSeedStride).
+	// ftl.DriveSeed(Seed, i)).
 	Seed uint64
 	// StripePages is the striping unit in volume pages (default 1:
 	// consecutive pages land on consecutive drives).
@@ -339,7 +339,7 @@ func New(cfg Config) (*Array, error) {
 		a.slots = append(a.slots, s)
 	}
 	a.sparePool = append(a.sparePool, a.allDrives[cfg.Drives:]...)
-	a.pageBytes = a.allDrives[0].disp.Geometry().PageDataBytes
+	a.pageBytes = a.allDrives[0].f.Dispatcher().Geometry().PageDataBytes
 	perDrive := a.allDrives[0].part.Capacity()
 	stripes := perDrive / cfg.StripePages // stripe rows per drive
 	if stripes == 0 {

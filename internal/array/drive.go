@@ -12,17 +12,6 @@ import (
 	"xlnand/internal/sim"
 )
 
-// ftlTraceTid is the trace thread id the drive's FTL stream reports
-// under (matching dispatch's internal thread layout: bus=1, codec=2,
-// ftl=3, dies from 10).
-const ftlTraceTid = 3
-
-// driveSeedStride decorrelates per-drive RNG streams the same way
-// dispatch's dieSeedStride decorrelates dies. A distinct odd constant
-// (splitmix64's second-round multiplier) keeps drive n's die streams
-// disjoint from a single-drive run at seed+n.
-const driveSeedStride = 0xbf58476d1ce4e5b9
-
 // volPartition is the single FTL partition backing a drive's slice of
 // the volume.
 const volPartition = "vol"
@@ -79,12 +68,11 @@ func (op *driveOp) fill(data []byte, lat time.Duration, err error) {
 }
 
 // drive is one physical member of the array: a full dispatcher + FTL
-// stack with a dedicated worker goroutine consuming whole-phase
-// batches, plus its deterministic fault state.
+// stack (ftl.Open) with a dedicated worker goroutine consuming
+// whole-phase batches, plus its deterministic fault state.
 type drive struct {
 	idx  int
 	seed uint64
-	disp *dispatch.Dispatcher
 	f    *ftl.FTL
 	part *ftl.Partition
 
@@ -158,14 +146,16 @@ func (a *Array) runPhase(batches [][]driveOp) time.Duration {
 // newDrive builds one drive: Dies×BlocksPerDie of NAND behind its own
 // dispatcher, with a single volume partition spanning every block.
 func newDrive(idx int, cfg Config, env sim.Env, ctrlCfg controller.Config) (*drive, error) {
-	seed := cfg.Seed + uint64(idx)*driveSeedStride
+	seed := ftl.DriveSeed(cfg.Seed, idx)
 	// Each drive is its own trace process (pid = index + 1; pid 0 is
-	// the host front end); dispatch registers the bus/codec/die threads.
+	// the host front end); dispatch registers the bus/codec/die threads
+	// and the FTL its maintenance thread. The FTL's stream is appended
+	// only from the drive worker, preserving the single-writer contract.
 	var proc *obs.Proc
 	if cfg.Trace != nil {
 		proc = cfg.Trace.Process(int32(idx+1), fmt.Sprintf("drive %d", idx))
 	}
-	disp, err := dispatch.New(dispatch.Config{
+	f, err := ftl.Open(dispatch.Config{
 		Dies:         cfg.DiesPerDrive,
 		BlocksPerDie: cfg.BlocksPerDie,
 		Seed:         seed,
@@ -173,36 +163,17 @@ func newDrive(idx int, cfg Config, env sim.Env, ctrlCfg controller.Config) (*dri
 		Controller:   ctrlCfg,
 		Family:       cfg.Family,
 		Trace:        proc,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("array: drive %d: %w", idx, err)
-	}
-	f, err := ftl.New(disp, env, []ftl.PartitionSpec{
+	}, []ftl.PartitionSpec{
 		{Name: volPartition, Blocks: cfg.DiesPerDrive * cfg.BlocksPerDie},
 	})
 	if err != nil {
-		disp.Close()
-		return nil, fmt.Errorf("array: drive %d: %w", idx, err)
-	}
-	if proc != nil {
-		// The FTL's background spans (GC, scrub, deep retries) report on
-		// their own thread within the drive process. The stream is
-		// appended only from whichever goroutine drives the FTL — here
-		// the drive worker — preserving the single-writer contract.
-		proc.Thread(ftlTraceTid, "ftl")
-		f.SetTrace(proc.Stream(), ftlTraceTid)
-	}
-	part, err := f.Partition(volPartition)
-	if err != nil {
-		disp.Close()
 		return nil, fmt.Errorf("array: drive %d: %w", idx, err)
 	}
 	d := &drive{
 		idx:  idx,
 		seed: seed,
-		disp: disp,
 		f:    f,
-		part: part,
+		part: f.Partitions()[0],
 		jobs: make(chan driveJob),
 		done: make(chan struct{}),
 	}
@@ -226,11 +197,11 @@ func (d *drive) worker() {
 	defer close(d.done)
 	for job := range d.jobs {
 		d.roundElapsed = 0
-		before := d.disp.Now()
+		before := d.f.Dispatcher().Now()
 		for i := range job.batch {
 			d.execute(&job.batch[i])
 		}
-		elapsed := d.disp.Now() - before
+		elapsed := d.f.Dispatcher().Now() - before
 		if d.latFactor > 1 {
 			elapsed = time.Duration(float64(elapsed) * d.latFactor)
 		}
@@ -311,9 +282,9 @@ func (d *drive) report() DriveReport {
 	rep.UncorrectableReads = d.uncorrectableReads
 	rep.InjectedFaults = d.injected
 
-	geo := d.disp.Geometry()
+	geo := d.f.Dispatcher().Geometry()
 	for die := 0; die < geo.Dies; die++ {
-		c := d.disp.Controller(die)
+		c := d.f.Dispatcher().Controller(die)
 		m := c.Manager()
 		hist := m.RetryHistogram()
 		for i, n := range hist {
@@ -329,7 +300,7 @@ func (d *drive) report() DriveReport {
 		rep.WearMin = wmin
 		rep.WearMax = wmax
 	}
-	rep.CleanReads = int64(d.disp.CleanHits())
+	rep.CleanReads = int64(d.f.Dispatcher().CleanHits())
 	if d.latClean.Count()+d.latRetried.Count()+d.latSoft.Count()+d.latWrite.Count() > 0 {
 		rep.Latency = &DriveLatency{
 			CleanRead:   d.latClean.Snapshot(),
@@ -338,7 +309,7 @@ func (d *drive) report() DriveReport {
 			Write:       d.latWrite.Snapshot(),
 		}
 	}
-	rep.ModelledSeconds = d.disp.Now().Seconds()
+	rep.ModelledSeconds = d.f.Dispatcher().Now().Seconds()
 	if d.readOps > 0 {
 		rep.AvgReadLatencyUs = float64(d.readLat.Microseconds()) / float64(d.readOps)
 	}
@@ -357,5 +328,5 @@ func (d *drive) close() {
 	d.closed = true
 	close(d.jobs)
 	<-d.done
-	d.disp.Close()
+	d.f.Dispatcher().Close()
 }

@@ -403,7 +403,7 @@ func (a *Array) PublishMetrics(reg *obs.Registry) {
 			continue
 		}
 		label := `drive="` + strconv.Itoa(s.id) + `"`
-		s.d.disp.PublishMetrics(reg, label)
+		s.d.f.Dispatcher().PublishMetrics(reg, label)
 		s.d.f.PublishMetrics(reg, label)
 	}
 }

@@ -37,12 +37,12 @@ import (
 )
 
 // Trace thread ids within a dispatcher's trace process: the shared bus
-// and codec get fixed lanes, dies start at traceTidDie0. These are
-// stable across runs (part of the byte-identical trace contract).
+// and codec get fixed lanes, dies start at traceTidDie0 (tid 3 is the
+// FTL's). These are stable across runs (part of the byte-identical
+// trace contract).
 const (
 	traceTidBus   = 1
 	traceTidCodec = 2
-	traceTidFTL   = 3
 	traceTidDie0  = 10
 )
 

@@ -9,6 +9,12 @@
 // submitted through the dispatcher with the owning partition's mode as a
 // per-request override, so heterogeneous partitions never fight over
 // global controller state.
+//
+// A drive is the pair Open returns: a multi-die dispatcher and the FTL
+// over it, reached again through FTL.Dispatcher. The drive's stress API
+// lives here too: Age fast-forwards wear in refresh-paced steps and
+// Disturb applies raw read-disturb aggression; a bake is the
+// dispatcher's own AdvanceTime.
 package ftl
 
 import (
@@ -138,7 +144,6 @@ type Partition struct {
 // FTL is the translation layer over one multi-die dispatcher.
 type FTL struct {
 	q     *dispatch.Queue
-	env   sim.Env
 	geo   dispatch.Geometry
 	parts []*Partition
 
@@ -156,29 +161,56 @@ type FTL struct {
 
 	// trace, when non-nil, records scrub passes, GC rounds and
 	// deep-retry rescues as spans on the owning drive's virtual
-	// timeline (SetTrace). The stream follows the same single-writer
-	// rule as the rest of the tracer: callers that scrub concurrently
-	// with host traffic must leave tracing off or serialise externally.
-	trace    *obs.Stream
-	traceTid int32
+	// timeline (Open attaches it). The stream follows the same
+	// single-writer rule as the rest of the tracer: callers that scrub
+	// concurrently with host traffic must leave tracing off or
+	// serialise externally.
+	trace *obs.Stream
 }
 
-// SetTrace attaches a span stream for maintenance work (scrub, GC,
-// deep retry). tid is the thread lane within the drive's trace
-// process. A nil stream (the default) keeps every hook a no-op.
-func (f *FTL) SetTrace(s *obs.Stream, tid int32) {
-	f.trace = s
-	f.traceTid = tid
+// traceTid is the FTL's maintenance thread within a drive's trace
+// process; the dispatcher owns tids 1 (bus), 2 (codec) and 10+ (dies).
+const traceTid = 3
+
+// driveSeedStride decorrelates per-drive RNG streams the way dispatch's
+// dieSeedStride decorrelates dies: a distinct odd constant (splitmix64's
+// second-round multiplier), so drive and die streams never alias.
+const driveSeedStride = 0xbf58476d1ce4e5b9
+
+// DriveSeed derives drive i's seed from a fleet or array master seed.
+func DriveSeed(master uint64, i int) uint64 { return master + uint64(i)*driveSeedStride }
+
+// Open builds a drive: a dispatcher over cfg and an FTL carving its
+// blocks into specs (see New). The dispatcher is closed again on any
+// error. With cfg.Trace set, the FTL's maintenance spans (GC, scrub,
+// deep retry) land on an "ftl" thread of that trace process.
+func Open(cfg dispatch.Config, specs []PartitionSpec) (*FTL, error) {
+	d, err := dispatch.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f, err := New(d, cfg.Env, specs)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	cfg.Trace.Thread(traceTid, "ftl") // nil-safe, like Stream
+	f.trace = cfg.Trace.Stream()
+	return f, nil
 }
+
+// Dispatcher returns the dispatcher the FTL submits through.
+func (f *FTL) Dispatcher() *dispatch.Dispatcher { return f.q.Dispatcher() }
 
 // vnow reads the dispatcher's virtual high-water mark (trace stamps).
-func (f *FTL) vnow() time.Duration { return f.q.Dispatcher().Now() }
+func (f *FTL) vnow() time.Duration { return f.Dispatcher().Now() }
 
 // New builds an FTL over the dispatcher, carving the device's blocks
 // (striped across dies) into the declared partitions. Every partition
 // needs at least two blocks (one of them stays free for garbage
-// collection) and the total must fit the device.
-func New(d *dispatch.Dispatcher, env sim.Env, specs []PartitionSpec) (*FTL, error) {
+// collection) and the total must fit the device. The environment
+// argument is unused.
+func New(d *dispatch.Dispatcher, _ sim.Env, specs []PartitionSpec) (*FTL, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("ftl: no partitions declared")
 	}
@@ -194,7 +226,7 @@ func New(d *dispatch.Dispatcher, env sim.Env, specs []PartitionSpec) (*FTL, erro
 		return nil, fmt.Errorf("ftl: partitions need %d blocks, device has %d",
 			total, geo.Dies*geo.BlocksPerDie)
 	}
-	f := &FTL{q: d.NewQueue(), env: env, geo: geo}
+	f := &FTL{q: d.NewQueue(), geo: geo}
 	next := 0
 	pages := geo.PagesPerBlock
 	for _, s := range specs {
@@ -307,7 +339,7 @@ func (f *FTL) readPhysDeep(global, page int, dst []byte) (*controller.ReadResult
 			rescued = 1
 		}
 		_, block := f.addr(global)
-		f.trace.Span2(f.traceTid, "deep_retry", start, f.vnow()-start,
+		f.trace.Span2(traceTid, "deep_retry", start, f.vnow()-start,
 			"block", int64(block), "rescued", rescued)
 	}
 	return res, err
@@ -333,7 +365,7 @@ func (f *FTL) erasePhys(global int) error {
 // cyclesOf returns a global block's program/erase wear.
 func (f *FTL) cyclesOf(global int) (float64, error) {
 	die, block := f.addr(global)
-	return f.q.Dispatcher().Cycles(die, block)
+	return f.Dispatcher().Cycles(die, block)
 }
 
 // Partitions returns the declared services.
@@ -624,7 +656,7 @@ func (f *FTL) collect(p *Partition) error {
 		gcStart := f.vnow()
 		movedBefore := p.GCMoves
 		defer func() {
-			f.trace.Span2(f.traceTid, "gc", gcStart, f.vnow()-gcStart,
+			f.trace.Span2(traceTid, "gc", gcStart, f.vnow()-gcStart,
 				"victim", int64(p.blocks[victim].id), "moved", int64(p.GCMoves-movedBefore))
 		}()
 	}

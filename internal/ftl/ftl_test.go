@@ -11,35 +11,29 @@ import (
 	"xlnand/internal/stats"
 )
 
-// newDispatcher builds a single-die dispatcher for FTL tests.
-func newDispatcher(t *testing.T, dies, blocks int, seed uint64) *dispatch.Dispatcher {
+// openFTL opens a drive for FTL tests and closes it when the test ends.
+func openFTL(t *testing.T, dies, blocks int, seed uint64, specs ...PartitionSpec) *FTL {
 	t.Helper()
-	env := sim.DefaultEnv()
-	d, err := dispatch.New(dispatch.Config{
+	f, err := Open(dispatch.Config{
 		Dies: dies, BlocksPerDie: blocks, Seed: seed,
-		Env: env, Controller: controller.DefaultConfig(),
-	})
+		Env: sim.DefaultEnv(), Controller: controller.DefaultConfig(),
+	}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.Close() })
-	return d
+	t.Cleanup(func() { f.Dispatcher().Close() })
+	return f
 }
 
 // newFTL builds an FTL over a small device with the three paper service
 // levels as partitions.
 func newFTL(t *testing.T, blocksPerPart int) *FTL {
 	t.Helper()
-	d := newDispatcher(t, 1, 3*blocksPerPart, 321)
-	f, err := New(d, sim.DefaultEnv(), []PartitionSpec{
-		{Name: "system", Blocks: blocksPerPart, Mode: sim.ModeMinUBER},
-		{Name: "media", Blocks: blocksPerPart, Mode: sim.ModeMaxRead},
-		{Name: "scratch", Blocks: blocksPerPart, Mode: sim.ModeNominal},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return openFTL(t, 1, 3*blocksPerPart, 321,
+		PartitionSpec{Name: "system", Blocks: blocksPerPart, Mode: sim.ModeMinUBER},
+		PartitionSpec{Name: "media", Blocks: blocksPerPart, Mode: sim.ModeMaxRead},
+		PartitionSpec{Name: "scratch", Blocks: blocksPerPart, Mode: sim.ModeNominal},
+	)
 }
 
 func pagePattern(seed uint64, size int) []byte {
@@ -51,30 +45,30 @@ func pagePattern(seed uint64, size int) []byte {
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	env := sim.DefaultEnv()
-	d := newDispatcher(t, 1, 4, 1)
-	if _, err := New(d, env, nil); err == nil {
-		t.Fatal("no partitions accepted")
+func TestOpenValidation(t *testing.T) {
+	cfg := dispatch.Config{
+		Dies: 1, BlocksPerDie: 4, Seed: 1,
+		Env: sim.DefaultEnv(), Controller: controller.DefaultConfig(),
 	}
-	if _, err := New(d, env, []PartitionSpec{{Name: "x", Blocks: 1}}); err == nil {
-		t.Fatal("1-block partition accepted")
+	for _, specs := range [][]PartitionSpec{
+		nil,                      // no partitions
+		{{Name: "x", Blocks: 1}}, // below the 2-block minimum
+		{{Name: "x", Blocks: 8}}, // more blocks than the device
+	} {
+		if _, err := Open(cfg, specs); err == nil {
+			t.Fatalf("partitions %+v accepted", specs)
+		}
 	}
-	if _, err := New(d, env, []PartitionSpec{{Name: "x", Blocks: 8}}); err == nil {
-		t.Fatal("oversubscribed device accepted")
+	cfg.Dies = 0
+	if _, err := Open(cfg, []PartitionSpec{{Name: "x", Blocks: 2}}); err == nil {
+		t.Fatal("zero-die dispatcher accepted")
 	}
 }
 
 // TestMultiDieStriping verifies that a partition's global block ids
 // stripe round-robin across dies and that round trips work on every die.
 func TestMultiDieStriping(t *testing.T) {
-	d := newDispatcher(t, 2, 4, 99)
-	f, err := New(d, sim.DefaultEnv(), []PartitionSpec{
-		{Name: "data", Blocks: 6, Mode: sim.ModeMaxRead},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFTL(t, 2, 4, 99, PartitionSpec{Name: "data", Blocks: 6, Mode: sim.ModeMaxRead})
 	p, _ := f.Partition("data")
 	seen := map[int]bool{}
 	for _, bs := range p.blocks {

@@ -3,7 +3,6 @@ package ftl
 import (
 	"testing"
 
-	"xlnand/internal/controller"
 	"xlnand/internal/sim"
 )
 
@@ -11,35 +10,9 @@ import (
 // guard installed.
 func guardFTL(t *testing.T, pol ScrubPolicy) *FTL {
 	t.Helper()
-	d := newDispatcher(t, 1, 4, 99)
-	f, err := New(d, sim.DefaultEnv(), []PartitionSpec{
-		{Name: "p0", Blocks: 4, Mode: sim.ModeNominal},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFTL(t, 1, 4, 99, PartitionSpec{Name: "p0", Blocks: 4, Mode: sim.ModeNominal})
 	f.SetRetryGuard(pol)
 	return f
-}
-
-// saturateReads inflates a physical block's read-disturb counter with
-// raw array reads (outside the host path).
-func saturateReads(t *testing.T, f *FTL, global, n int) {
-	t.Helper()
-	die, block := f.addr(global)
-	err := f.q.Dispatcher().WithController(die, func(c *controller.Controller) {
-		cal := c.Device().Calibration()
-		buf := make([]byte, cal.PageDataBytes+cal.PageSpareBytes)
-		for r := 0; r < n; r++ {
-			if _, _, err := c.Device().ReadInto(block, 0, 0, buf); err != nil {
-				t.Errorf("raw disturb read: %v", err)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDisturbGuardCapsLadderAndMarks: once a block crosses the disturb
@@ -67,14 +40,11 @@ func TestDisturbGuardCapsLadderAndMarks(t *testing.T) {
 		t.Fatalf("guard engaged below budget: capped=%d marks=%d", p.DisturbCapped, p.PendingScrubs())
 	}
 
-	saturateReads(t, f, global, 220)
-	var reads float64
-	var rerr error
-	die, block := f.addr(global)
-	if err := f.q.Dispatcher().WithController(die, func(c *controller.Controller) {
-		reads, rerr = c.Device().BlockReads(block)
-	}); err != nil || rerr != nil || reads < 220 {
-		t.Fatalf("disturb counter %g after saturation (%v, %v)", reads, err, rerr)
+	if err := f.Disturb(220); err != nil {
+		t.Fatal(err)
+	}
+	if reads := blockReads(t, f, global); reads < 220 {
+		t.Fatalf("disturb counter %g after saturation", reads)
 	}
 
 	// The guard budgets against the counter piggybacked on read results
@@ -147,9 +117,10 @@ func TestDisturbGuardDisabledByDefault(t *testing.T) {
 	if _, err := f.Write("p0", 0, data); err != nil {
 		t.Fatal(err)
 	}
-	blk, _ := f.BlockOf("p0", 0)
 	p, _ := f.Partition("p0")
-	saturateReads(t, f, p.blocks[blk].id, 500)
+	if err := f.Disturb(500); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := f.ReadInto("p0", 0, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func (f *FTL) Scrub(part string) (ScrubReport, error) {
 	if f.trace != nil && len(marks) > 0 {
 		scrubStart := f.vnow()
 		defer func() {
-			f.trace.Span2(f.traceTid, "scrub", scrubStart, f.vnow()-scrubStart,
+			f.trace.Span2(traceTid, "scrub", scrubStart, f.vnow()-scrubStart,
 				"blocks", int64(rep.BlocksRefreshed), "moved", int64(rep.PagesMoved))
 		}()
 	}

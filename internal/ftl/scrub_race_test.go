@@ -16,13 +16,8 @@ import (
 // writes, GC rounds and the scrub-mark bookkeeping without deadlocking
 // or corrupting the mapping.
 func TestScrubRacesLiveTraffic(t *testing.T) {
-	d := newDispatcher(t, 2, 8, 777)
-	f, err := New(d, sim.DefaultEnv(), []PartitionSpec{
-		{Name: "hot", Blocks: 8, Mode: sim.ModeNominal},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFTL(t, 2, 8, 777, PartitionSpec{Name: "hot", Blocks: 8, Mode: sim.ModeNominal})
+	d := f.Dispatcher()
 	// Pre-age the array so reads correct a few bits and the low alarm
 	// threshold below keeps the scrubber busy rather than idle.
 	for die := 0; die < 2; die++ {

@@ -16,13 +16,9 @@ import (
 	"xlnand/internal/stats"
 )
 
-// Trace thread ids within a drive's trace process. The dispatcher owns
-// tids 1 (bus), 2 (codec) and 10+ (dies); the phase annotator and the
-// FTL maintenance thread take the gaps.
-const (
-	phaseTraceTid = 0
-	ftlTraceTid   = 3
-)
+// phaseTraceTid is the phase annotator's thread within a drive's trace
+// process (the dispatcher and the FTL own tids 1 and up).
+const phaseTraceTid = 0
 
 // InvariantError reports a violated end-to-end invariant. The scenario
 // name and seed reproduce the failure exactly: rerunning the scenario
@@ -66,12 +62,10 @@ type partState struct {
 
 // engine runs one scenario.
 type engine struct {
-	sc   Scenario
-	env  sim.Env
-	disp *dispatch.Dispatcher
-	f    *ftl.FTL
-	geo  dispatch.Geometry
-	rng  *stats.RNG
+	sc  Scenario
+	f   *ftl.FTL
+	geo dispatch.Geometry
+	rng *stats.RNG
 
 	parts     []*partState
 	pageBytes int
@@ -105,7 +99,11 @@ func Run(sc Scenario) (*Report, error) {
 	case sc.ReadRetry < 0:
 		ctrlCfg.MaxRetries = 0 // single-shot read path
 	}
-	disp, err := dispatch.New(dispatch.Config{
+	specs := make([]ftl.PartitionSpec, len(sc.Partitions))
+	for i, pc := range sc.Partitions {
+		specs[i] = ftl.PartitionSpec{Name: pc.Name, Blocks: pc.Blocks, Mode: pc.Mode}
+	}
+	f, err := ftl.Open(dispatch.Config{
 		Dies:         sc.Dies,
 		BlocksPerDie: sc.BlocksPerDie,
 		Seed:         sc.Seed,
@@ -113,20 +111,12 @@ func Run(sc Scenario) (*Report, error) {
 		Controller:   ctrlCfg,
 		Family:       sc.Codec,
 		Trace:        sc.Trace,
-	})
+	}, specs)
 	if err != nil {
 		return nil, err
 	}
+	disp := f.Dispatcher()
 	defer disp.Close()
-
-	specs := make([]ftl.PartitionSpec, len(sc.Partitions))
-	for i, pc := range sc.Partitions {
-		specs[i] = ftl.PartitionSpec{Name: pc.Name, Blocks: pc.Blocks, Mode: pc.Mode}
-	}
-	f, err := ftl.New(disp, env, specs)
-	if err != nil {
-		return nil, err
-	}
 	if sc.ReadRetry < 0 {
 		// The single-shot ablation must be the pre-recovery pipeline
 		// end to end: no FTL deep-retry rescue either.
@@ -138,20 +128,14 @@ func Run(sc Scenario) (*Report, error) {
 
 	e := &engine{
 		sc:        sc,
-		env:       env,
-		disp:      disp,
 		f:         f,
 		geo:       disp.Geometry(),
 		rng:       stats.NewRNG(sc.Seed),
 		pageBytes: disp.Geometry().PageDataBytes,
 	}
 	e.scratch = make([]byte, e.pageBytes)
-	if sc.Trace != nil {
-		sc.Trace.Thread(phaseTraceTid, "phase")
-		e.trace = sc.Trace.Stream()
-		sc.Trace.Thread(ftlTraceTid, "ftl")
-		f.SetTrace(sc.Trace.Stream(), ftlTraceTid)
-	}
+	sc.Trace.Thread(phaseTraceTid, "phase") // nil-safe, like Stream
+	e.trace = sc.Trace.Stream()
 	if sc.SafetyMargin > 0 {
 		for die := 0; die < sc.Dies; die++ {
 			if err := disp.WithController(die, func(c *controller.Controller) {
@@ -228,31 +212,34 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 		BakeHours:    ph.BakeHours,
 		DisturbReads: ph.DisturbReads,
 	}
-	phaseStart := e.disp.Now()
-	// Stress first: the phase's traffic sees the aged medium.
+	phaseStart := e.f.Dispatcher().Now()
+	// Stress first: the phase's traffic sees the aged medium. Each aging
+	// step rewrites every live page (every partition, since partitions
+	// stripe over all dies) at the new wear.
+	refresh := func() error { return e.refresh(ph.Name, pr) }
 	if ph.AgeCycles > 0 {
 		all := make([]int, e.geo.Dies)
 		for die := range all {
 			all[die] = die
 		}
-		if err := e.agePhased(ph.Name, all, ph.AgeCycles, pr); err != nil {
+		if err := e.f.Age(all, ph.AgeCycles, refresh); err != nil {
 			return nil, err
 		}
 	}
 	for die, delta := range ph.AgeCyclesByDie {
 		if delta > 0 {
-			if err := e.agePhased(ph.Name, []int{die}, delta, pr); err != nil {
+			if err := e.f.Age([]int{die}, delta, refresh); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if ph.BakeHours > 0 {
-		if err := e.disp.AdvanceTime(ph.BakeHours); err != nil {
+		if err := e.f.Dispatcher().AdvanceTime(ph.BakeHours); err != nil {
 			return nil, err
 		}
 	}
 	if ph.DisturbReads > 0 {
-		if err := e.disturb(ph.DisturbReads); err != nil {
+		if err := e.f.Disturb(ph.DisturbReads); err != nil {
 			return nil, err
 		}
 	}
@@ -271,7 +258,7 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 		ps.reads, ps.writes, ps.readBits, ps.corrected = 0, 0, 0, 0
 		ps.allReads, ps.retries, ps.recovered = 0, 0, 0
 	}
-	start := e.disp.Now()
+	start := e.f.Dispatcher().Now()
 
 	// Traffic with the scrubber on its cadence.
 	for op := 0; op < ph.Ops; op++ {
@@ -305,7 +292,7 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 	}
 
 	// Performance on the modelled timeline.
-	pr.MakespanMS = (e.disp.Now() - start).Seconds() * 1e3
+	pr.MakespanMS = (e.f.Dispatcher().Now() - start).Seconds() * 1e3
 	if e.readTime > 0 {
 		pr.ReadMBps = float64(e.readBytes) / e.readTime.Seconds() / 1e6
 	}
@@ -349,7 +336,7 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 			}
 		}
 		die := die
-		if err := e.disp.WithController(die, func(c *controller.Controller) {
+		if err := e.f.Dispatcher().WithController(die, func(c *controller.Controller) {
 			pr.CalibSteps[die] = c.Manager().PredictStep(maxWear)
 		}); err != nil {
 			return nil, err
@@ -423,7 +410,7 @@ func (e *engine) runPhase(phi int, ph Phase) (*PhaseReport, error) {
 	}
 	// One span per biography phase on the dispatcher's virtual clock,
 	// named after the phase, wrapping its stress and traffic segments.
-	e.trace.Span2(phaseTraceTid, ph.Name, phaseStart, e.disp.Now()-phaseStart,
+	e.trace.Span2(phaseTraceTid, ph.Name, phaseStart, e.f.Dispatcher().Now()-phaseStart,
 		"ops", int64(ph.Ops), "reads", int64(pr.HostReads))
 	return pr, nil
 }
@@ -606,65 +593,6 @@ func (e *engine) scrubPass(phase string, pr *PhaseReport) error {
 	return nil
 }
 
-// agePhased fast-forwards the wear of the listed dies by delta cycles in
-// multiplicative steps, counted from their most-worn block, refreshing
-// all live data after each step (every partition, since partitions
-// stripe over all dies). A fast-forward compresses
-// months of real operation during which the background scrubber would
-// have relocated stored data many times at gradually increasing wear; a
-// single giant jump would instead strand cold pages with a capability
-// sized for a much younger device and read them straight into decode
-// failure — a fast-forward artifact, not a behaviour of the modelled
-// system. The step refreshes reproduce the gradual path: after each
-// step, live pages are rewritten at the new wear (and therefore with the
-// capability the reliability manager now selects), exactly as the
-// maintenance loop would have done along the way.
-func (e *engine) agePhased(phase string, dies []int, delta float64, pr *PhaseReport) error {
-	cur := 0.0
-	for _, die := range dies {
-		for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
-			c, err := e.disp.Cycles(die, blk)
-			if err != nil {
-				return err
-			}
-			cur = max(cur, c)
-		}
-	}
-	target := cur + delta
-	for cur < target {
-		next := min(max(cur*ageStepFactor, ageStepFloor), target)
-		step := next - cur
-		for _, die := range dies {
-			for blk := 0; blk < e.geo.BlocksPerDie; blk++ {
-				c, err := e.disp.Cycles(die, blk)
-				if err != nil {
-					return err
-				}
-				if err := e.disp.SetCycles(die, blk, c+step); err != nil {
-					return err
-				}
-			}
-		}
-		cur = next
-		if err := e.refresh(phase, pr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Aging advances at most this factor per step before a refresh, and the
-// first step lands at the floor (fresh-device wear is too low for the
-// factor to make progress from). The factor is bounded by the
-// reliability manager's provisioning margin: the calibrated RBER grows
-// roughly as cycles^0.75 near end of life, so a 1.6x cycle step raises
-// RBER by ~1.45x — within the safety margin lifetime scenarios
-// configure, which keeps pages written before a step decodable after it.
-const (
-	ageStepFactor = 1.6
-	ageStepFloor  = 1e3
-)
-
 // refresh rewrites every live logical page at the device's current wear,
 // verifying each against the oracle on the way through. Unreadable pages
 // are data loss (counted, left in place); readable pages are rewritten
@@ -690,41 +618,13 @@ func (e *engine) refresh(phase string, pr *PhaseReport) error {
 	return nil
 }
 
-// disturb performs raw array reads (ECC bypassed) of the first page of
-// every programmed block — read-disturb aggression outside the host
-// path, run under each die's lock for exclusive device access. Every
-// sense lands in one scratch buffer; only the stress it applies matters.
-func (e *engine) disturb(n int) error {
-	var buf []byte
-	for die := 0; die < e.geo.Dies; die++ {
-		err := e.disp.WithController(die, func(c *controller.Controller) {
-			dev := c.Device()
-			if buf == nil {
-				cal := dev.Calibration()
-				buf = make([]byte, cal.PageDataBytes+cal.PageSpareBytes)
-			}
-			for blk := 0; blk < dev.Blocks(); blk++ {
-				for r := 0; r < n; r++ {
-					if _, _, err := dev.ReadInto(blk, 0, 0, buf); err != nil {
-						break // unwritten block: no stress to apply
-					}
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // wearSnapshot reads every block's cycle count.
 func (e *engine) wearSnapshot() ([][]float64, error) {
 	out := make([][]float64, e.geo.Dies)
 	for die := range out {
 		out[die] = make([]float64, e.geo.BlocksPerDie)
 		for blk := range out[die] {
-			c, err := e.disp.Cycles(die, blk)
+			c, err := e.f.Dispatcher().Cycles(die, blk)
 			if err != nil {
 				return nil, err
 			}

@@ -11,21 +11,15 @@ import (
 	"xlnand/internal/sim"
 )
 
-// fleetSeedStride decorrelates per-drive scenario seeds (splitmix64's
-// second-round multiplier — a different odd constant than the
-// dispatcher's per-die stride, so drive streams and die streams can
-// never alias).
-const fleetSeedStride = 0xbf58476d1ce4e5b9
-
 // FleetScenario drives N identical drives through a shared phase
 // schedule: every drive plays the Base biography with its own seed
-// (Seed + drive*fleetSeedStride), so the fleet ages in lock-step while
+// (ftl.DriveSeed(Seed, drive)), so the fleet ages in lock-step while
 // each drive's fault history stays statistically independent.
 type FleetScenario struct {
 	Name        string
 	Description string
 	// Seed is the fleet master seed; drive i runs Base with
-	// Seed + i*fleetSeedStride (Base.Seed is ignored).
+	// ftl.DriveSeed(Seed, i) (Base.Seed is ignored).
 	Seed   uint64
 	Drives int
 	// Workers caps concurrently running drive engines (0 = min(Drives, 16)).
@@ -190,7 +184,7 @@ func RunFleet(fs FleetScenario) (*FleetResult, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			sc := fs.Base
-			sc.Seed = fs.Seed + uint64(idx)*fleetSeedStride
+			sc.Seed = ftl.DriveSeed(fs.Seed, idx)
 			sc.Name = fmt.Sprintf("%s/drive%03d", fs.Name, idx)
 			sc.Trace = proc
 			if after, ok := killAfter[idx]; ok {

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"xlnand/internal/stats"
@@ -125,13 +126,14 @@ func (d *Device) Cycles(blockIdx int) (float64, error) {
 }
 
 // SetCycles pre-ages a block (lifetime experiments fast-forward wear
-// without replaying a million programs).
+// without replaying a million programs). The count must be finite and
+// non-negative.
 func (d *Device) SetCycles(blockIdx int, cycles float64) error {
 	if blockIdx < 0 || blockIdx >= len(d.blocks) {
 		return fmt.Errorf("nand: block %d out of range", blockIdx)
 	}
-	if cycles < 0 {
-		return fmt.Errorf("nand: negative cycle count %g", cycles)
+	if !(cycles >= 0) || math.IsInf(cycles, 1) {
+		return fmt.Errorf("nand: invalid cycle count %g", cycles)
 	}
 	d.blocks[blockIdx].cycles = cycles
 	return nil

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"math"
 	"testing"
 
 	"xlnand/internal/stats"
@@ -112,8 +113,10 @@ func TestDeviceBoundsChecking(t *testing.T) {
 	if _, _, err := readAt(d, 0, 0, 0); err == nil {
 		t.Fatal("read of unwritten page accepted")
 	}
-	if err := d.SetCycles(0, -1); err == nil {
-		t.Fatal("negative cycles accepted")
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := d.SetCycles(0, c); err == nil {
+			t.Fatalf("cycle count %g accepted", c)
+		}
 	}
 	if _, err := d.Program(0, 0, make([]byte, 5000), nil, ISPPSV); err == nil {
 		t.Fatal("oversized data accepted")

@@ -99,6 +99,18 @@ func TestModeSwitchingChangesBehaviour(t *testing.T) {
 	}
 }
 
+func TestAgeBlockRejectsNonFiniteWear(t *testing.T) {
+	s := openTest(t)
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.AgeBlock(1, c); err == nil {
+			t.Fatalf("AgeBlock(1, %g) accepted", c)
+		}
+	}
+	if c, err := s.BlockCycles(1); err != nil || c != 0 {
+		t.Fatalf("rejected wear changed block 1: %g, %v", c, err)
+	}
+}
+
 func TestMinUBERModeKeepsNominalT(t *testing.T) {
 	s := openTest(t)
 	if err := s.AgeBlock(0, 1e6); err != nil {
