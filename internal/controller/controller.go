@@ -148,7 +148,7 @@ func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c.regs.setFamily(uint32(codec.Family()))
-	c.mgr = NewReliabilityManager(codec, c.targetUBER())
+	c.mgr = NewReliabilityManager(codec, dev.Calibration(), c.targetUBER())
 	if cfg.Adaptive {
 		if err := c.regs.Write(RegAdaptive, 1); err != nil {
 			return nil, err

@@ -30,6 +30,12 @@ type ReliabilityManager struct {
 	targetUBER float64
 	cal        nand.Calibration
 
+	// memo is SelectLevel's last decision per program algorithm. The
+	// level is a pure function of the post-margin RBER (codec and
+	// targetUBER never change), and consecutive writes mostly repeat
+	// it, so one entry per algorithm skips most solver runs.
+	memo [2]levelMemo
+
 	// Measurement state, tracked per program algorithm: SV pages and DV
 	// pages have error rates an order of magnitude apart, so a shared
 	// estimate would poison the better algorithm's capability choice.
@@ -144,12 +150,23 @@ func algIndex(alg nand.Algorithm) int {
 	return 0
 }
 
-// NewReliabilityManager builds a manager for the codec and UBER target.
-func NewReliabilityManager(codec ecc.Codec, targetUBER float64) *ReliabilityManager {
+// levelMemo pairs a post-margin RBER with the level SelectLevel chose
+// for it. A NaN rber never compares equal, so it marks an empty entry.
+type levelMemo struct {
+	rber  float64
+	level int
+}
+
+// NewReliabilityManager builds a manager for the codec and UBER target;
+// its model path reads the RBER lifetime model of cal, which should be
+// the calibration the device runs on.
+func NewReliabilityManager(codec ecc.Codec, cal nand.Calibration, targetUBER float64) *ReliabilityManager {
+	empty := levelMemo{rber: math.NaN()}
 	return &ReliabilityManager{
 		codec:        codec,
 		targetUBER:   targetUBER,
-		cal:          nand.DefaultCalibration(),
+		cal:          cal,
+		memo:         [2]levelMemo{empty, empty},
 		alpha:        0.05,
 		SafetyMargin: 1.3,
 	}
@@ -191,6 +208,10 @@ func (m *ReliabilityManager) Uncorrectables() int {
 func (m *ReliabilityManager) EstimateRBER(alg nand.Algorithm, cycles float64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.estimateLocked(alg, cycles)
+}
+
+func (m *ReliabilityManager) estimateLocked(alg nand.Algorithm, cycles float64) float64 {
 	est := m.cal.RBER(alg, cycles)
 	if i := algIndex(alg); m.ewmaWeight[i] > 0 && m.ewmaRBER[i] > est {
 		est = m.ewmaRBER[i]
@@ -203,14 +224,29 @@ func (m *ReliabilityManager) EstimateRBER(alg nand.Algorithm, cycles float64) fl
 // codec's range. If even the strongest level cannot meet the target the
 // manager pins it — the device is end-of-life and the status path will
 // surface uncorrectables. For the BCH family the level is the
-// correction capability t; for LDPC it is the rate index.
+// correction capability t; for LDPC it is the rate index. A repeat of
+// the algorithm's previous post-margin RBER returns the memoised level
+// without running the solver.
 func (m *ReliabilityManager) SelectLevel(alg nand.Algorithm, cycles float64) int {
-	rber := m.EstimateRBER(alg, cycles) * m.SafetyMargin
+	memo := &m.memo[algIndex(alg)]
+	m.mu.Lock()
+	rber := m.estimateLocked(alg, cycles) * m.SafetyMargin
+	if memo.rber == rber {
+		lvl := memo.level
+		m.mu.Unlock()
+		return lvl
+	}
+	m.mu.Unlock()
 	lvl, err := m.codec.RequiredLevel(rber, m.targetUBER)
 	if err != nil {
-		return m.codec.MaxLevel()
+		lvl = m.codec.MaxLevel()
+	} else {
+		lvl = m.codec.ClampLevel(lvl)
 	}
-	return m.codec.ClampLevel(lvl)
+	m.mu.Lock()
+	*memo = levelMemo{rber, lvl}
+	m.mu.Unlock()
+	return lvl
 }
 
 // ProjectedUBER reports the post-correction error rate the manager

@@ -1,10 +1,15 @@
 package controller
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"xlnand/internal/bch"
+	"xlnand/internal/ecc"
+	"xlnand/internal/ldpc"
 	"xlnand/internal/nand"
+	"xlnand/internal/stats"
 )
 
 func newManager(t *testing.T) *ReliabilityManager {
@@ -13,7 +18,7 @@ func newManager(t *testing.T) *ReliabilityManager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewReliabilityManager(bch.NewHWCodec(codec, bch.DefaultHWConfig()), 1e-11)
+	return NewReliabilityManager(bch.NewHWCodec(codec, bch.DefaultHWConfig()), nand.DefaultCalibration(), 1e-11)
 }
 
 func TestSelectTMonotoneInWear(t *testing.T) {
@@ -121,5 +126,137 @@ func TestUncorrectableCounter(t *testing.T) {
 	}
 	if got := m.Uncorrectables(); got != 3 {
 		t.Fatalf("uncorrectable count = %d", got)
+	}
+}
+
+// directLevel is SelectLevel without its memo: the clamped level the
+// codec requires at the manager's current estimate and margin, or the
+// strongest level when the target is out of reach.
+func directLevel(m *ReliabilityManager, alg nand.Algorithm, cycles float64) int {
+	lvl, err := m.codec.RequiredLevel(m.EstimateRBER(alg, cycles)*m.SafetyMargin, m.targetUBER)
+	if err != nil {
+		return m.codec.MaxLevel()
+	}
+	return m.codec.ClampLevel(lvl)
+}
+
+// TestManagerUsesDeviceCalibration: the controller's manager sizes the
+// code from the RBER model the device actually runs on, not from the
+// default calibration.
+func TestManagerUsesDeviceCalibration(t *testing.T) {
+	cal := nand.DefaultCalibration()
+	cal.RBERFresh *= 30
+	dev := nand.NewDevice(cal, 1, 1)
+	codec, err := bch.NewPageCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Manager()
+	for _, alg := range []nand.Algorithm{nand.ISPPSV, nand.ISPPDV} {
+		for _, cycles := range []float64{0, 1e3, 1e5} {
+			want, err := m.codec.RequiredLevel(cal.RBER(alg, cycles)*m.SafetyMargin, m.targetUBER)
+			if err != nil {
+				want = m.codec.MaxLevel()
+			}
+			want = m.codec.ClampLevel(want)
+			if got := m.SelectLevel(alg, cycles); got != want {
+				t.Errorf("%v at %g cycles: level %d, the device's own RBER needs %d", alg, cycles, got, want)
+			}
+		}
+	}
+}
+
+// memoManagers returns one BCH and one LDPC page manager.
+func memoManagers(t *testing.T) []*ReliabilityManager {
+	t.Helper()
+	bc, err := bch.NewPageCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := ldpc.NewPageCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []*ReliabilityManager
+	for _, codec := range []ecc.Codec{bch.NewHWCodec(bc, bch.DefaultHWConfig()), lc} {
+		ms = append(ms, NewReliabilityManager(codec, nand.DefaultCalibration(), 1e-11))
+	}
+	return ms
+}
+
+// TestSelectLevelMemoExact drives each family's manager through a
+// seeded interleaving of decode feedback, capability selections at
+// repeating and fresh wear points (NaN and an out-of-reach end of life
+// included), both algorithms, and safety-margin changes. Every
+// selection must equal the solver run directly, memo hit or not.
+func TestSelectLevelMemoExact(t *testing.T) {
+	algs := []nand.Algorithm{nand.ISPPSV, nand.ISPPDV}
+	cycles := []float64{0, 10, 1e3, 3e4, 1e5, 1e6, 1e8, math.NaN()}
+	margins := []float64{1, 1.3, 1.7, 3}
+	for _, m := range memoManagers(t) {
+		rng := stats.NewRNG(7)
+		var hits, misses int
+		for step := 0; step < 3000; step++ {
+			alg := algs[rng.Intn(len(algs))]
+			switch r := rng.Intn(10); {
+			case r < 3:
+				m.ObserveDecode(alg, 33808, rng.Intn(40))
+			case r < 4:
+				m.SafetyMargin = margins[rng.Intn(len(margins))]
+			default:
+				n := cycles[rng.Intn(len(cycles))]
+				if m.memo[algIndex(alg)].rber == m.EstimateRBER(alg, n)*m.SafetyMargin {
+					hits++
+				} else {
+					misses++
+				}
+				if got, want := m.SelectLevel(alg, n), directLevel(m, alg, n); got != want {
+					t.Fatalf("%v step %d: %v at %g cycles: memoised level %d, solver %d",
+						m.codec.Family(), step, alg, n, got, want)
+				}
+			}
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("%v: %d memo hits, %d misses: the interleaving exercises only one path", m.codec.Family(), hits, misses)
+		}
+	}
+}
+
+// TestSelectLevelMemoConcurrent: selections and decode feedback from
+// many goroutines share one memo. Run under -race it checks the memo is
+// only touched under the manager's lock; in any mode every selection is
+// a valid level and, once the feedback stops, the memo agrees with the
+// solver.
+func TestSelectLevelMemoConcurrent(t *testing.T) {
+	for _, m := range memoManagers(t) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := stats.NewRNG(uint64(g))
+				for i := 0; i < 300; i++ {
+					alg := nand.Algorithm(rng.Intn(2))
+					if g%2 == 0 {
+						m.ObserveDecode(alg, 33808, rng.Intn(40))
+						continue
+					}
+					if lvl := m.SelectLevel(alg, float64(rng.Intn(4))*1e3); lvl < m.codec.MinLevel() || lvl > m.codec.MaxLevel() {
+						t.Errorf("level %d outside [%d, %d]", lvl, m.codec.MinLevel(), m.codec.MaxLevel())
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, alg := range []nand.Algorithm{nand.ISPPSV, nand.ISPPDV} {
+			if got, want := m.SelectLevel(alg, 1e3), directLevel(m, alg, 1e3); got != want {
+				t.Fatalf("%v %v: level %d after the concurrent phase, solver %d", m.codec.Family(), alg, got, want)
+			}
+		}
 	}
 }

@@ -234,9 +234,12 @@ func buildCode(p Params, lvl int) *code {
 			// an iterative decoder miscorrect.
 			sLo := i * pb / WC
 			sHi := (i + 1) * pb / WC
+			// The hash offset is reduced in uint64 first: int(h>>12)
+			// would go negative where int is 32 bits.
 			row, best := -1, int(^uint(0)>>1)
+			off := int((h >> 12) % uint64(sHi-sLo))
 			for r := sLo; r < sHi; r++ {
-				cand := sLo + (r-sLo+int(h>>12))%(sHi-sLo)
+				cand := sLo + (r-sLo+off)%(sHi-sLo)
 				// Avoid adjacent block-rows across consecutive slots when
 				// the stratum is big enough to afford it (two-block
 				// strata would degenerate): adjacency lets a column's

@@ -16,7 +16,9 @@ import (
 // its own decoder against seeded random error patterns at a grid of
 // weights and records the mean iterations-to-converge, so the codec
 // calendar books the cost the engine would actually pay for the error
-// weight the read observed.
+// weight the read observed. The page geometry's tables ship precomputed
+// in latency_tables.go; calibrate generates them, and builds the tables
+// of any other geometry on first use.
 const (
 	// calTrials decodes per sampled weight; the layered schedule is
 	// near-deterministic in weight, so a small sample already has tight
@@ -38,9 +40,10 @@ type measuredTable struct {
 }
 
 // measuredAt returns (building on first use) the level's calibration
-// table. Construction costs a few dozen decodes (~0.2 s of host time),
-// so it is done once per process, not once per drive: the table is a
-// pure function of what measuredKey names, and small enough to keep.
+// table. The table is a pure function of what measuredKey names, so it
+// is built at most once per process, not once per drive; the page
+// geometry's tables ship precomputed (pageMeasuredIters), and only
+// other geometries pay the few dozen decodes of a calibration.
 func (c *Codec) measuredAt(level int) *measuredTable {
 	i := c.ClampLevel(level)
 	if t := c.measured[i].Load(); t != nil {
@@ -58,15 +61,27 @@ func (c *Codec) measuredAt(level int) *measuredTable {
 	return t
 }
 
-// measuredTables holds every calibration made so far; the lock is held
-// across a calibration so concurrent drives wait for one instead of each
-// running their own.
+// measuredTables holds every calibration made so far, seeded with the
+// page geometry's committed tables; the lock is held across a
+// calibration so concurrent drives wait for one instead of each running
+// their own.
 var measuredTables = struct {
 	sync.Mutex
 	m map[measuredKey]*measuredTable
-}{m: make(map[measuredKey]*measuredTable)}
+}{m: pageMeasuredTables()}
 
 type measuredKey struct{ k, parityBits, hardCap, level int }
+
+// pageMeasuredTables keys the committed pageMeasuredIters under the
+// PageParams geometry.
+func pageMeasuredTables() map[measuredKey]*measuredTable {
+	p := PageParams()
+	m := make(map[measuredKey]*measuredTable)
+	for i, iters := range pageMeasuredIters {
+		m[measuredKey{p.K, p.ParityBits[i], p.HardCap[i], i}] = &measuredTable{iters: iters}
+	}
+	return m
+}
 
 // calibrate measures the level's iterations-to-converge curve: encode a
 // seeded random message, flip w bits, decode, record the iteration

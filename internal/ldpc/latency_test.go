@@ -1,7 +1,11 @@
 package ldpc
 
 import (
+	"fmt"
+	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,28 +39,69 @@ func TestMeasuredLatencyCalibration(t *testing.T) {
 	}
 }
 
-// TestMeasuredLatencyDeterministic: calibration is seeded, so a second
-// codec measuring afresh gets exactly the table the first one published
-// — the property that keeps latency trajectories reproducible across
-// runs, and what lets every codec of a geometry share one table and one
-// code structure instead of rebuilding them per drive.
+// TestMeasuredLatencyDeterministic: calibration is seeded, so a fresh
+// calibration at every level reproduces the committed page tables bit
+// for bit, and every codec of the geometry shares them — the property
+// that keeps latency trajectories reproducible across runs, and what
+// lets every codec of a geometry share one table and one code structure
+// instead of rebuilding them per drive. On a mismatch the test prints
+// the regenerated literal for latency_tables.go.
 func TestMeasuredLatencyDeterministic(t *testing.T) {
 	a := testRig(t)
 	b := testRig(t)
-	for _, lvl := range []int{0, a.MaxLevel()} {
-		shared, fresh := a.measuredAt(lvl), b.calibrate(lvl)
-		if !slices.Equal(shared.iters, fresh.iters) {
-			t.Fatalf("level %d: a fresh calibration differs from the published one:\n%v\n%v", lvl, fresh.iters, shared.iters)
+	if len(pageMeasuredIters) != a.MaxLevel()+1 {
+		t.Errorf("committed tables cover %d levels, codec has %d", len(pageMeasuredIters), a.MaxLevel()+1)
+	}
+	fresh := make([][]float64, a.MaxLevel()+1)
+	for lvl := range fresh {
+		fresh[lvl] = b.calibrate(lvl).iters
+		if lvl >= len(pageMeasuredIters) || !bitsEqual(fresh[lvl], pageMeasuredIters[lvl]) {
+			t.Errorf("level %d: a fresh calibration differs from the committed table", lvl)
+		}
+		shared := a.measuredAt(lvl)
+		if lvl < len(pageMeasuredIters) && !bitsEqual(shared.iters, pageMeasuredIters[lvl]) {
+			t.Errorf("level %d: the published table is not the committed one", lvl)
 		}
 		if b.measuredAt(lvl) != shared {
-			t.Fatalf("level %d: second codec calibrated privately", lvl)
+			t.Errorf("level %d: second codec calibrated privately", lvl)
 		}
 		ca, _ := a.codeAt(lvl)
 		cb, _ := b.codeAt(lvl)
 		if ca != cb {
-			t.Fatalf("level %d: second codec built a private code structure", lvl)
+			t.Errorf("level %d: second codec built a private code structure", lvl)
 		}
 	}
+	if t.Failed() {
+		t.Logf("regenerated literal for latency_tables.go:\n%s", itersLiteral(fresh))
+	}
+}
+
+// bitsEqual compares two tables bit for bit.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// itersLiteral renders tables as the pageMeasuredIters declaration,
+// each value in the shortest form that round-trips exactly.
+func itersLiteral(tables [][]float64) string {
+	var sb strings.Builder
+	sb.WriteString("var pageMeasuredIters = [][]float64{\n")
+	for lvl, iters := range tables {
+		fmt.Fprintf(&sb, "\t// level %d: weights 0..%d\n\t{", lvl, len(iters)-1)
+		for i, x := range iters {
+			if i%6 == 0 {
+				sb.WriteString("\n\t\t")
+			} else {
+				sb.WriteString(" ")
+			}
+			sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64) + ",")
+		}
+		sb.WriteString("\n\t},\n")
+	}
+	sb.WriteString("}\n")
+	return sb.String()
 }
 
 // TestMeasuredLatencyBounded: the measured cost of a rated correction

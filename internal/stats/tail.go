@@ -87,14 +87,14 @@ func LogBinomTail(n, k int, p float64) float64 {
 	}
 	sum := 1.0
 	rel := 1.0
-	li := l0
 	for i := k + 1; i <= n; i++ {
 		// ratio PMF(i)/PMF(i-1) = (n-i+1)/i * p/(1-p)
 		ratio := float64(n-i+1) / float64(i) * p / (1 - p)
 		rel *= ratio
-		li += math.Log(ratio)
 		sum += rel
-		if rel < 1e-18*sum || math.IsInf(li, -1) {
+		// A ratio that underflows to 0 zeroes rel, so this test also
+		// ends the series once the terms have left float64 range.
+		if rel < 1e-18*sum {
 			break
 		}
 	}

@@ -192,3 +192,71 @@ func TestLogSumExpCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// logBinomTailReference is LogBinomTail as it was when every series
+// term also accumulated its logarithm li, and the loop broke on
+// li == -Inf as well as on the relative-size test. It is the oracle for
+// TestLogBinomTailMatchesReference.
+func logBinomTailReference(n, k int, p float64) float64 {
+	if k <= 0 {
+		return 0 // P >= 1e0
+	}
+	if k > n {
+		return math.Inf(-1)
+	}
+	// Accumulate terms relative to the first (largest in our regime).
+	l0 := LogBinomPMF(n, k, p)
+	if math.IsInf(l0, -1) {
+		return l0
+	}
+	sum := 1.0
+	rel := 1.0
+	li := l0
+	for i := k + 1; i <= n; i++ {
+		// ratio PMF(i)/PMF(i-1) = (n-i+1)/i * p/(1-p)
+		ratio := float64(n-i+1) / float64(i) * p / (1 - p)
+		rel *= ratio
+		li += math.Log(ratio)
+		sum += rel
+		if rel < 1e-18*sum || math.IsInf(li, -1) {
+			break
+		}
+	}
+	// Far past the cliff (k << n·p) the relative terms grow without
+	// bound and the accumulator can overflow — but the tail is a
+	// probability: its log never exceeds 0.
+	if v := l0 + math.Log(sum); v < 0 {
+		return v
+	}
+	return 0
+}
+
+// TestLogBinomTailMatchesReference: dropping li changed no result. The
+// tail must equal the reference bit for bit (NaN matching NaN) over the
+// codeword lengths the codecs use, thresholds at and past both ends,
+// and error rates from zero and the smallest subnormal through a
+// log-spaced sweep to one and NaN.
+func TestLogBinomTailMatchesReference(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 10, 64, 255, 1000}
+	for tc := 1; tc <= 65; tc++ {
+		ns = append(ns, 32768+16*tc) // BCH page codeword: k + m·t
+	}
+	for _, parity := range []int{512, 768, 1024, 1280, 1536, 1728} {
+		ns = append(ns, 32768+64+parity) // LDPC page codeword: K + CRC + parity
+	}
+	ps := []float64{0, 5e-324}
+	for e := -12.0; e <= math.Log10(0.5); e += 0.5 {
+		ps = append(ps, math.Pow(10, e))
+	}
+	ps = append(ps, 0.5, 1-1e-15, 1, math.NaN())
+	for _, n := range ns {
+		for _, k := range []int{0, 1, min(66, n), n / 2, n, n + 1} {
+			for _, p := range ps {
+				got, want := LogBinomTail(n, k, p), logBinomTailReference(n, k, p)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Errorf("LogBinomTail(%d, %d, %g) = %v, reference %v", n, k, p, got, want)
+				}
+			}
+		}
+	}
+}
