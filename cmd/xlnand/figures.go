@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 
 	"xlnand"
+	"xlnand/internal/experiments"
+	"xlnand/internal/sim"
 )
 
 // figuresCmd regenerates the figures of the paper, and of the
@@ -33,7 +35,7 @@ func figuresCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		for _, e := range xlnand.Experiments() {
+		for _, e := range experiments.All() {
 			fmt.Fprintf(stdout, "  %-16s %s\n", e.ID, e.Description)
 		}
 		return nil
@@ -41,7 +43,7 @@ func figuresCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	var ids []string
 	switch {
 	case *all:
-		for _, e := range xlnand.Experiments() {
+		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
 		}
 	case *figID != "":
@@ -51,18 +53,22 @@ func figuresCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	for _, id := range ids {
-		fig, err := xlnand.RunExperiment(id, *seed)
+		r, err := experiments.ByID(id)
+		if err != nil {
+			return err
+		}
+		fig, err := r.Run(sim.DefaultEnv(), *seed)
 		if err != nil {
 			return err
 		}
 		var rendered, ext string
 		switch *format {
 		case "ascii":
-			rendered, ext = xlnand.RenderASCII(fig, *width, *height), "txt"
+			rendered, ext = experiments.ASCII(fig, *width, *height), "txt"
 		case "table":
-			rendered, ext = xlnand.RenderTable(fig), "txt"
+			rendered, ext = experiments.Table(fig), "txt"
 		case "csv":
-			rendered, ext = xlnand.RenderCSV(fig), "csv"
+			rendered, ext = experiments.CSV(fig), "csv"
 		default:
 			return usageErrorf("unknown format %q", *format)
 		}

@@ -62,7 +62,7 @@ func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	defer s.Close()
 	for d := 0; d < *dies; d++ {
 		for b := 0; b < *blocks; b++ {
-			if err := s.AgeDieBlock(d, b, *cycles); err != nil {
+			if err := s.AgeBlock(d, b, *cycles); err != nil {
 				return err
 			}
 		}

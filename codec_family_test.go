@@ -3,8 +3,8 @@ package xlnand
 import (
 	"bytes"
 	"context"
-	"time"
 	"testing"
+	"time"
 
 	"xlnand/internal/dispatch"
 	"xlnand/internal/nand"
@@ -22,15 +22,15 @@ func TestWithCodecLDPCRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	wr, err := s.WritePage(0, 0, data)
+	wr, err := writePage(s, 0, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxLvl := s.Dispatcher().Codec().MaxLevel()
+	maxLvl := s.disp.Codec().MaxLevel()
 	if wr.T < 0 || wr.T > maxLvl {
 		t.Fatalf("write level %d outside LDPC rate range [0,%d]", wr.T, maxLvl)
 	}
-	rd, err := s.ReadPage(0, 0)
+	rd, err := readPage(s, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +60,16 @@ func TestWithCodecLDPCSoftRecoveryThroughQueue(t *testing.T) {
 	}
 	// Deep-bake corner: raw errors past the hard caps at every ladder
 	// step, inside the soft capability (see controller soft tests).
-	if err := s.AgeBlock(0, 2e7); err != nil {
+	if err := s.AgeBlock(0, 0, 2e7); err != nil {
 		t.Fatal(err)
 	}
 	const pages = 4
 	for p := 0; p < pages; p++ {
-		if _, err := s.WritePage(0, p, data); err != nil {
+		if _, err := writePage(s, 0, p, data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Dispatcher().AdvanceTime(1e5); err != nil {
+	if err := s.AdvanceTime(1e5); err != nil {
 		t.Fatal(err)
 	}
 	q := s.NewQueue()
@@ -119,16 +119,16 @@ func TestWithSoftRetryDisablesSoftRung(t *testing.T) {
 	}
 	defer s.Close()
 	data := make([]byte, s.PageSize())
-	if err := s.AgeBlock(0, 2e7); err != nil {
+	if err := s.AgeBlock(0, 0, 2e7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WritePage(0, 0, data); err != nil {
+	if _, err := writePage(s, 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Dispatcher().AdvanceTime(1e5); err != nil {
+	if err := s.AdvanceTime(1e5); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := s.ReadPage(0, 0)
+	rd, err := readPage(s, 0, 0)
 	if rd.SoftSenses != 0 {
 		t.Fatalf("soft rung ran with WithSoftRetry(0): %+v", rd)
 	}
@@ -140,10 +140,10 @@ func TestWithSoftRetryDisablesSoftRung(t *testing.T) {
 func TestCodecFamilyBCHDefault(t *testing.T) {
 	s := openTest(t)
 	defer s.Close()
-	if got := s.Dispatcher().Codec().Family(); got != CodecBCH {
+	if got := s.disp.Codec().Family(); got != CodecBCH {
 		t.Fatalf("default family %v, want BCH", got)
 	}
-	if got := s.Dispatcher().Codec().MaxLevel(); got != 65 {
+	if got := s.disp.Codec().MaxLevel(); got != 65 {
 		t.Fatalf("BCH max level %d, want 65", got)
 	}
 }

@@ -112,38 +112,45 @@ func Example_quickstart() {
 	}
 	defer sys.Close()
 
-	// Write a page of recognisable data (blocking convenience path).
+	// Every I/O goes through a queue. DoWrite and DoRead run one request
+	// and wait for it, filling a result (and, for a read, a page buffer)
+	// the caller owns; Do is the same call returning fresh copies.
+	q := sys.NewQueue()
+	ctx := context.Background()
+
+	// Write a page of recognisable data to die 0.
 	data := make([]byte, sys.PageSize())
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	wr, err := sys.WritePage(0, 0, data)
-	if err != nil {
+	var wr xlnand.WriteResult
+	if _, err := q.DoWrite(ctx, xlnand.WriteRequest(0, 0, 0, data), &wr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote page 0.0 with %s at t=%d (%d parity bytes, program %v)\n",
 		wr.Alg, wr.T, wr.ParityBy, wr.Latency.Program)
 
 	// Read it back on the fresh device: errors are very rare.
-	rd, err := sys.ReadPage(0, 0)
-	if err != nil {
+	page := make([]byte, sys.PageSize())
+	var rd xlnand.ReadResult
+	if _, err := q.DoRead(ctx, xlnand.ReadRequest(0, 0, 0), page, &rd); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fresh read: %d bit error(s) corrected, latency %v\n",
 		rd.Corrected, rd.Latency.Total())
 
-	// Fast-forward a block to 100k program/erase cycles and store a
-	// page there: the reliability manager raises t automatically.
-	if err := sys.AgeBlock(1, 1e5); err != nil {
+	// Fast-forward die 0's block 1 to 100k program/erase cycles and
+	// store a page there: the reliability manager raises t
+	// automatically.
+	if err := sys.AgeBlock(0, 1, 1e5); err != nil {
 		log.Fatal(err)
 	}
-	wrAged, err := sys.WritePage(1, 0, data)
-	if err != nil {
+	if _, err := q.DoWrite(ctx, xlnand.WriteRequest(0, 1, 0, data), &wr); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("aged block write: manager raised capability to t=%d\n", wrAged.T)
+	fmt.Printf("aged block write: manager raised capability to t=%d\n", wr.T)
 
-	rdAged, err := sys.ReadPage(1, 0)
+	rdAged, err := q.Do(ctx, xlnand.ReadRequest(0, 1, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,13 +164,12 @@ func Example_quickstart() {
 	// per-stage split when the ladder engaged). The budget is an Open
 	// option: xlnand.WithReadRetry(n).
 	fmt.Printf("aged read: %d bit error(s) corrected, content intact, latency %v (%d retries, offset step %d)\n",
-		rdAged.Corrected, rdAged.Latency.Total(), rdAged.Retries, rdAged.AppliedOffset)
+		rdAged.Corrected, rdAged.Read.Latency.Total(), rdAged.Retries, rdAged.Read.AppliedOffset)
 
 	// The batched path: submit writes and reads across both dies in one
 	// call; array operations overlap while bus and codec serialise. The
 	// batch runs in request order, so its modelled makespan is the same
 	// on every run.
-	q := sys.NewQueue()
 	var batch []xlnand.Request
 	for die := 0; die < sys.Dies(); die++ {
 		for p := 1; p < 5; p++ {
@@ -175,7 +181,7 @@ func Example_quickstart() {
 			batch = append(batch, xlnand.ReadRequest(die, 0, p))
 		}
 	}
-	comps, err := q.Submit(context.Background(), batch)
+	comps, err := q.Submit(ctx, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,16 +239,18 @@ func Example_endurance() {
 	// block at increasing wear and report the capability the manager
 	// picked.
 	fmt.Println("\nmanager-selected capability on live writes:")
+	q := sys.NewQueue()
+	ctx := context.Background()
 	data := make([]byte, sys.PageSize())
 	for i, wear := range []float64{1, 1e4, 1e6} {
-		if err := sys.AgeBlock(0, wear); err != nil {
+		if err := sys.AgeBlock(0, 0, wear); err != nil {
 			log.Fatal(err)
 		}
-		wr, err := sys.WritePage(0, i, data)
+		wr, err := q.Do(ctx, xlnand.WriteRequest(0, 0, i, data))
 		if err != nil {
 			log.Fatal(err)
 		}
-		rd, err := sys.ReadPage(0, i)
+		rd, err := q.Do(ctx, xlnand.ReadRequest(0, 0, i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -307,7 +315,7 @@ func Example_readIntensive() {
 	defer sys.Close()
 	const wear = 1e6 // end of life, where the gain peaks
 	for b := 0; b < sys.Blocks(); b++ {
-		if err := sys.AgeBlock(b, wear); err != nil {
+		if err := sys.AgeBlock(0, b, wear); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -440,7 +448,7 @@ func Example_missionCritical() {
 	// Store a critical payload with a per-request min-UBER override — no
 	// global mode switch, so surrounding traffic keeps its own level —
 	// and verify integrity.
-	if err := sys.AgeBlock(0, 1e4); err != nil {
+	if err := sys.AgeBlock(0, 0, 1e4); err != nil {
 		log.Fatal(err)
 	}
 	image := make([]byte, sys.PageSize())

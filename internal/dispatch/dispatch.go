@@ -23,6 +23,7 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -255,7 +256,6 @@ type Dispatcher struct {
 	defaultMode sim.Mode
 	pinnedT     int  // pinned capability level; meaningful only when pinned
 	pinned      bool // false = adaptive (reliability manager in charge)
-	algOverride *nand.Algorithm
 
 	// vnow is the high-water mark of the modelled timeline; submissions
 	// arrive at the current mark so synchronous callers never pipeline
@@ -375,11 +375,10 @@ func (d *Dispatcher) bumpNow(t time.Duration) {
 
 // SetDefaultMode installs the sub-system default service level. A
 // capability pinned via PinCapability survives mode switches (the
-// manual-ECC contract); an expert algorithm override does not.
+// manual-ECC contract).
 func (d *Dispatcher) SetDefaultMode(m sim.Mode) {
 	d.policyMu.Lock()
 	d.defaultMode = m
-	d.algOverride = nil
 	d.policyMu.Unlock()
 }
 
@@ -419,19 +418,10 @@ func (d *Dispatcher) PinnedT() int {
 	return d.pinnedT
 }
 
-// SetAlgorithmOverride pins the program algorithm regardless of the
-// default mode (expert path). Cleared by SetDefaultMode.
-func (d *Dispatcher) SetAlgorithmOverride(alg nand.Algorithm) {
-	d.policyMu.Lock()
-	a := alg
-	d.algOverride = &a
-	d.policyMu.Unlock()
-}
-
-func (d *Dispatcher) policySnapshot() (mode sim.Mode, pinnedT int, pinned bool, algOv *nand.Algorithm) {
+func (d *Dispatcher) policySnapshot() (mode sim.Mode, pinnedT int, pinned bool) {
 	d.policyMu.Lock()
 	defer d.policyMu.Unlock()
-	return d.defaultMode, d.pinnedT, d.pinned, d.algOverride
+	return d.defaultMode, d.pinnedT, d.pinned
 }
 
 // validate range-checks a request against the geometry.
@@ -472,17 +462,13 @@ func (d *Dispatcher) run(j *job) Completion {
 //   - min-UBER keeps the SV-sized capability while programming with DV;
 //   - otherwise the die's reliability manager picks t for the wear.
 func (d *Dispatcher) resolveWrite(w *die, req Request) (nand.Algorithm, int) {
-	mode, pinnedT, pinned, algOv := d.policySnapshot()
+	mode, pinnedT, pinned := d.policySnapshot()
 	if req.Mode != nil {
 		mode = *req.Mode
-		algOv = nil // per-request mode is authoritative
 	}
 	alg := nand.ISPPSV
 	if mode != sim.ModeNominal {
 		alg = nand.ISPPDV
-	}
-	if algOv != nil {
-		alg = *algOv
 	}
 	cycles, err := w.ctrl.Device().Cycles(req.Block)
 	if err != nil {
@@ -691,8 +677,13 @@ func (d *Dispatcher) SetCycles(dieIdx, block int, cycles float64) error {
 	return cerr
 }
 
-// AdvanceTime moves every die's retention clock forward.
+// AdvanceTime moves every die's retention clock forward. Zero and
+// negative hours are a no-op; a non-finite duration is rejected before
+// any die moves.
 func (d *Dispatcher) AdvanceTime(hours float64) error {
+	if math.IsNaN(hours) || math.IsInf(hours, 0) {
+		return fmt.Errorf("dispatch: retention bake of %g hours", hours)
+	}
 	for i := range d.dies {
 		if err := d.control(i, func(c *controller.Controller) {
 			c.Device().AdvanceTime(hours)
@@ -701,16 +692,6 @@ func (d *Dispatcher) AdvanceTime(hours float64) error {
 		}
 	}
 	return nil
-}
-
-// Uncorrectables sums the decode failures observed across all dies. It
-// keeps working after Close.
-func (d *Dispatcher) Uncorrectables() int {
-	total := 0
-	d.each(func(c *controller.Controller) {
-		total += c.Manager().Uncorrectables()
-	})
-	return total
 }
 
 // Controller exposes a die's controller for register-level access. The

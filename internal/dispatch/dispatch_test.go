@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -186,8 +187,26 @@ func TestControlOpsRouteThroughWorker(t *testing.T) {
 	if err := d.AdvanceTime(100); err != nil {
 		t.Fatal(err)
 	}
-	if d.Uncorrectables() != 0 {
-		t.Fatal("phantom uncorrectables")
+	for die := 0; die < 2; die++ {
+		if n := d.Controller(die).Manager().Uncorrectables(); n != 0 {
+			t.Fatalf("die %d: %d phantom uncorrectables", die, n)
+		}
+	}
+}
+
+// TestAdvanceTimeRejectsNonFiniteHours: a NaN or infinite bake is an
+// error; zero and negative hours stay the device's no-op.
+func TestAdvanceTimeRejectsNonFiniteHours(t *testing.T) {
+	d := newTestDispatcher(t, 2, 1, 3)
+	for _, h := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := d.AdvanceTime(h); err == nil {
+			t.Fatalf("AdvanceTime(%g) accepted", h)
+		}
+	}
+	for _, h := range []float64{0, -1} {
+		if err := d.AdvanceTime(h); err != nil {
+			t.Fatalf("AdvanceTime(%g): %v", h, err)
+		}
 	}
 }
 

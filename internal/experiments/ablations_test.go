@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -165,6 +166,32 @@ func TestByID(t *testing.T) {
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+// TestRegistryRendersFig05: the registry holds every figure and
+// ablation, and a real figure renders with its series in all three
+// formats the figures subcommand offers.
+func TestRegistryRendersFig05(t *testing.T) {
+	if n := len(All()); n < 13 {
+		t.Fatalf("only %d experiments registered", n)
+	}
+	r, err := ByID("fig05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.Run(env(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ASCII(f, 60, 15), "RBER ISPP-SV") {
+		t.Fatal("ASCII render incomplete")
+	}
+	if !strings.Contains(Table(f), "RBER ISPP-DV") {
+		t.Fatal("table render incomplete")
+	}
+	if !strings.HasPrefix(CSV(f), "series,x,y\n") {
+		t.Fatal("CSV render incomplete")
 	}
 }
 

@@ -2,6 +2,7 @@ package lifetime
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -199,6 +200,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"no phases", func(s *Scenario) { s.Phases = nil }},
 		{"bad read fraction", func(s *Scenario) { s.Phases[0].ReadFraction = 1.5 }},
 		{"negative stress", func(s *Scenario) { s.Phases[0].BakeHours = -1 }},
+		{"infinite bake", func(s *Scenario) { s.Phases[0].BakeHours = math.Inf(1) }},
+		{"NaN bake", func(s *Scenario) { s.Phases[0].BakeHours = math.NaN() }},
 		{"bad scrub threshold", func(s *Scenario) { s.Scrub.FractionOfT = 2 }},
 	}
 	for _, tc := range cases {

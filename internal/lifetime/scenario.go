@@ -20,6 +20,7 @@ package lifetime
 
 import (
 	"fmt"
+	"math"
 
 	"xlnand/internal/ecc"
 	"xlnand/internal/ftl"
@@ -188,6 +189,9 @@ func (sc Scenario) Validate() error {
 		}
 		if ph.AgeCycles < 0 || ph.BakeHours < 0 || ph.DisturbReads < 0 {
 			return fmt.Errorf("lifetime: %s: phase %q has negative stress", sc.Name, ph.Name)
+		}
+		if math.IsNaN(ph.BakeHours) || math.IsInf(ph.BakeHours, 0) {
+			return fmt.Errorf("lifetime: %s: phase %q bakes for %g hours", sc.Name, ph.Name, ph.BakeHours)
 		}
 		if len(ph.AgeCyclesByDie) > sc.Dies {
 			return fmt.Errorf("lifetime: %s: phase %q ages %d dies, device has %d",

@@ -84,14 +84,3 @@ func ParetoFront(points []OperatingPoint) []OperatingPoint {
 	})
 	return front
 }
-
-// MeetsUBER filters points to those satisfying the target.
-func MeetsUBER(points []OperatingPoint, target float64) []OperatingPoint {
-	var out []OperatingPoint
-	for _, p := range points {
-		if p.UBER <= target {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -261,26 +261,3 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestMeetsUBERFilter(t *testing.T) {
-	e := DefaultEnv()
-	pts, err := e.ExplorePoints(1e6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := MeetsUBER(pts, e.TargetUBER)
-	if len(ok) == 0 {
-		t.Fatal("no configuration meets the target at EOL (DV t>=15 should)")
-	}
-	for _, p := range ok {
-		if p.UBER > e.TargetUBER {
-			t.Fatal("filter passed a violating point")
-		}
-	}
-	// Low-t SV points at EOL must be filtered out.
-	for _, p := range ok {
-		if p.Alg == nand.ISPPSV && p.T < 30 {
-			t.Fatalf("SV t=%d cannot meet 1e-11 at EOL", p.T)
-		}
-	}
-}

@@ -9,19 +9,6 @@ import (
 // power (paper §6.3's metric set).
 type OperatingPoint = sim.OperatingPoint
 
-// Env exposes the analytic model environment for metric evaluation
-// without opening a full sub-system.
-type Env = sim.Env
-
-// DefaultEnv returns the paper's model configuration.
-func DefaultEnv() Env { return sim.DefaultEnv() }
-
-// Evaluate computes the metrics of an explicit (algorithm, t, cycles)
-// configuration under the sub-system's environment.
-func (s *Subsystem) Evaluate(alg Algorithm, t int, cycles float64) (OperatingPoint, error) {
-	return s.env.Evaluate(alg, t, cycles)
-}
-
 // EvaluateMode computes the metrics of a service level at the given wear.
 func (s *Subsystem) EvaluateMode(m Mode, cycles float64) (OperatingPoint, error) {
 	return s.env.EvaluateMode(m, cycles)
@@ -44,11 +31,6 @@ func (s *Subsystem) ExploreOperatingPoints(cycles float64, tStride int) ([]Opera
 // (UBER, read throughput, write throughput, power).
 func ParetoFront(points []OperatingPoint) []OperatingPoint {
 	return sim.ParetoFront(points)
-}
-
-// MeetsUBER filters operating points to those at/below the target.
-func MeetsUBER(points []OperatingPoint, target float64) []OperatingPoint {
-	return sim.MeetsUBER(points, target)
 }
 
 // LifetimePoint pairs a wear level with the metrics of every mode.

@@ -12,8 +12,3 @@ type DieScaling = sim.DieScaling
 func (s *Subsystem) ScaleDies(m Mode, cycles float64, dies int) (DieScaling, error) {
 	return s.env.ScaleDies(m, cycles, dies)
 }
-
-// DieSweep evaluates a service level across die counts 1..maxDies.
-func (s *Subsystem) DieSweep(m Mode, cycles float64, maxDies int) ([]DieScaling, error) {
-	return s.env.DieSweep(m, cycles, maxDies)
-}

@@ -20,10 +20,10 @@ func TestWithTraceDeterministic(t *testing.T) {
 		defer sys.Close()
 		data := pageOf(3, sys.PageSize())
 		for p := 0; p < 4; p++ {
-			if _, err := sys.WritePage(0, p, data); err != nil {
+			if _, err := writePage(sys, 0, p, data); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.ReadPage(0, p); err != nil {
+			if _, err := readPage(sys, 0, p); err != nil {
 				t.Fatal(err)
 			}
 		}

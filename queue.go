@@ -46,14 +46,8 @@ var (
 	ErrClosed = dispatch.ErrClosed
 )
 
-// Geometry describes an open sub-system's shape.
-type Geometry = dispatch.Geometry
-
 // NewQueue returns a submission handle onto the sub-system.
 func (s *Subsystem) NewQueue() *Queue { return s.disp.NewQueue() }
-
-// Geometry reports the sub-system's shape.
-func (s *Subsystem) Geometry() Geometry { return s.disp.Geometry() }
 
 // ReadRequest builds a read of one page.
 func ReadRequest(die, block, page int) Request {

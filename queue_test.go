@@ -253,7 +253,7 @@ func TestQueuePerRequestModeOverride(t *testing.T) {
 	ctx := context.Background()
 	page := pageOf(40, sys.PageSize())
 	for b := 0; b < 3; b++ {
-		if err := sys.AgeBlock(b, 1e6); err != nil {
+		if err := sys.AgeBlock(0, b, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,9 +305,10 @@ func TestQueuePerRequestModeOverride(t *testing.T) {
 	}
 }
 
-// TestManualCapabilitySurvivesSelectMode is the regression test for the
-// ManualECC clobber: SelectMode and min-UBER writes used to silently
-// re-enable the reliability manager after SetCapability pinned t.
+// TestManualCapabilitySurvivesSelectMode: neither SelectMode nor a
+// min-UBER write re-enables the reliability manager after SetCapability
+// pinned t, and SetAdaptive(false) on a fresh sub-system pins the worst
+// case.
 func TestManualCapabilitySurvivesSelectMode(t *testing.T) {
 	sys, _ := openQueued(t, WithBlocks(2), WithSeed(13))
 	page := pageOf(50, sys.PageSize())
@@ -315,7 +316,7 @@ func TestManualCapabilitySurvivesSelectMode(t *testing.T) {
 	if err := sys.SelectMode(ModeMaxRead); err != nil {
 		t.Fatal(err)
 	}
-	wr, err := sys.WritePage(0, 0, page)
+	wr, err := writePage(sys, 0, 0, page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestManualCapabilitySurvivesSelectMode(t *testing.T) {
 	if err := sys.SelectMode(ModeMinUBER); err != nil {
 		t.Fatal(err)
 	}
-	wr, err = sys.WritePage(0, 1, page)
+	wr, err = writePage(sys, 0, 1, page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestManualCapabilitySurvivesSelectMode(t *testing.T) {
 	if err := sys.SelectMode(ModeNominal); err != nil {
 		t.Fatal(err)
 	}
-	wr, err = sys.WritePage(0, 2, page)
+	wr, err = writePage(sys, 0, 2, page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,12 +350,21 @@ func TestManualCapabilitySurvivesSelectMode(t *testing.T) {
 	// clobbering it with the worst case.
 	sys.SetCapability(9)
 	sys.SetAdaptive(false)
-	wr, err = sys.WritePage(0, 3, page)
+	wr, err = writePage(sys, 0, 3, page)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wr.T != 9 {
 		t.Fatalf("SetAdaptive(false) clobbered the pinned t=9: wrote at t=%d", wr.T)
+	}
+	fresh, _ := openQueued(t, WithBlocks(1), WithSeed(13))
+	fresh.SetAdaptive(false)
+	wr, err = writePage(fresh, 0, 0, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wr.T != 65 {
+		t.Fatalf("SetAdaptive(false) on a fresh sub-system wrote at t=%d, want the worst case 65", wr.T)
 	}
 }
 
@@ -438,7 +448,7 @@ func TestSubsystemCloseTyped(t *testing.T) {
 	if _, err := q.Submit(context.Background(), []Request{ReadRequest(0, 0, 0)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
-	if _, err := sys.WritePage(0, 0, make([]byte, sys.PageSize())); !errors.Is(err, ErrClosed) {
-		t.Fatalf("legacy write after Close: want ErrClosed, got %v", err)
+	if _, err := writePage(sys, 0, 0, make([]byte, sys.PageSize())); !errors.Is(err, ErrClosed) {
+		t.Fatalf("single write after Close: want ErrClosed, got %v", err)
 	}
 }

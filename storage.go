@@ -39,20 +39,6 @@ func (st *Storage) Write(partition string, lpa int, data []byte) error {
 	return err
 }
 
-// WriteResult stores one logical page and reports the physical write:
-// the capability and algorithm the partition's service level resolved
-// to, and the modelled latency breakdown.
-func (st *Storage) WriteResult(partition string, lpa int, data []byte) (*controller.WriteResult, error) {
-	return st.f.Write(partition, lpa, data)
-}
-
-// SetPartitionMode retunes a partition's service level at runtime:
-// subsequent writes use the new mode while stored pages keep the
-// configuration they were written with.
-func (st *Storage) SetPartitionMode(partition string, m Mode) error {
-	return st.f.SetMode(partition, m)
-}
-
 // Read fetches one logical page through the partition's ECC path. The
 // page and the result are the caller's to keep: later reads, from any
 // goroutine, never overwrite them.
@@ -108,9 +94,11 @@ func (st *Storage) Stats() ([]PartitionStats, error) {
 }
 
 // AdvanceTime moves every die's retention clock forward (hours), baking
-// every stored page — lifetime studies combine this with AgeBlock.
-func (s *Subsystem) AdvanceTime(hours float64) {
-	_ = s.disp.AdvanceTime(hours)
+// every stored page — lifetime studies combine this with AgeBlock. Zero
+// and negative hours leave the clocks alone; a non-finite duration is
+// rejected, and so is any call after Close (ErrClosed).
+func (s *Subsystem) AdvanceTime(hours float64) error {
+	return s.disp.AdvanceTime(hours)
 }
 
 // ScrubPolicy configures background refresh: reads whose corrected-error

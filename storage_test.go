@@ -204,25 +204,27 @@ func TestAdvanceTimeIncreasesCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AgeBlock(0, 1e5); err != nil {
+	if err := sys.AgeBlock(0, 0, 1e5); err != nil {
 		t.Fatal(err)
 	}
 	data := pageOf(5, sys.PageSize())
-	if _, err := sys.WritePage(0, 0, data); err != nil {
+	if _, err := writePage(sys, 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	fresh := 0
 	for i := 0; i < 10; i++ {
-		rd, err := sys.ReadPage(0, 0)
+		rd, err := readPage(sys, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh += rd.Corrected
 	}
-	sys.AdvanceTime(5e4)
+	if err := sys.AdvanceTime(5e4); err != nil {
+		t.Fatal(err)
+	}
 	baked := 0
 	for i := 0; i < 10; i++ {
-		rd, err := sys.ReadPage(0, 0)
+		rd, err := readPage(sys, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +250,7 @@ func TestStorageReadResultsAreOwned(t *testing.T) {
 	// End-of-life blocks baked long enough that the first read walks the
 	// recovery ladder, so its result carries per-stage detail.
 	for b := 0; b < sys.Blocks(); b++ {
-		if err := sys.AgeBlock(b, 1e6); err != nil {
+		if err := sys.AgeBlock(0, b, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +259,9 @@ func TestStorageReadResultsAreOwned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys.AdvanceTime(1e4)
+	if err := sys.AdvanceTime(1e4); err != nil {
+		t.Fatal(err)
+	}
 	data, res, err := st.Read("aged", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -56,9 +56,10 @@
 // manager caching the offset that worked per block-wear bucket so later
 // reads start there. ReadResult reports the climate through Retries,
 // AppliedOffset and the per-stage latency breakdown; every retry is
-// charged on the modelled timeline. The pages and results ReadPage and
+// charged on the modelled timeline. The pages and results Queue.Do and
 // Storage.Read return belong to the caller: later reads never overwrite
-// them.
+// them. Queue.DoRead and Queue.DoWrite take a caller-owned buffer and
+// result instead, and allocate nothing.
 //
 // # Codec families
 //
@@ -74,28 +75,18 @@
 // path can, at a visible throughput price. WithSoftRetry configures
 // that rung; ReadResult.Soft and Completion.SoftSenses report it.
 //
-// # Migrating from WritePage/ReadPage
+// SelectMode installs the sub-system default level, and per-request
+// Mode overrides it for one write; a capability pinned with
+// SetCapability survives both SelectMode and the min-UBER write path.
 //
-// The blocking single-page calls remain as convenience wrappers over
-// the queue and keep their exact semantics on die 0:
-//
-//	wr, err := sys.WritePage(b, p, data)   ≡   q.Do(ctx, Request{Op: OpWrite, Block: b, Page: p, Data: data})
-//	rd, err := sys.ReadPage(b, p)          ≡   q.Do(ctx, Request{Op: OpRead, Block: b, Page: p})
-//
-// SelectMode still installs the sub-system default level, but per-request
-// Mode overrides replace the old register toggle dance; a capability
-// pinned with SetCapability now survives SelectMode and the min-UBER
-// write path (previously both silently re-enabled the reliability
-// manager).
-//
-// Evaluate operating points analytically with Evaluate/EvaluateMode; the
-// experiment harness regenerating every figure of the paper is exposed
-// through RunExperiment and the figures subcommand of cmd/xlnand.
+// Evaluate operating points analytically with EvaluateMode,
+// ExploreOperatingPoints and LifetimeSweep; the figures subcommand of
+// cmd/xlnand regenerates every figure of the paper.
 package xlnand
 
 import (
-	"context"
 	"fmt"
+	"math"
 
 	"xlnand/internal/controller"
 	"xlnand/internal/dispatch"
@@ -144,7 +135,6 @@ type config struct {
 	dies          int
 	seed          uint64
 	targetUBERExp uint32
-	manualECC     bool
 	readRetry     *int
 	softRetry     *int
 	family        ecc.Family
@@ -168,7 +158,7 @@ type optionFunc func(*config)
 
 func (f optionFunc) apply(c *config) { f(c) }
 
-// WithBlocks sets the flash blocks per die (default 8).
+// WithBlocks sets the flash blocks per die (default 8; at least 1).
 func WithBlocks(n int) Option { return optionFunc(func(c *config) { c.blocks = n }) }
 
 // WithDies sets the number of NAND dies behind the controller (default
@@ -186,10 +176,6 @@ func WithSeed(seed uint64) Option { return optionFunc(func(c *config) { c.seed =
 func WithTargetUBER(exp uint32) Option {
 	return optionFunc(func(c *config) { c.targetUBERExp = exp })
 }
-
-// WithManualECC disables the reliability manager; use SetCapability to
-// pick t explicitly (the capability starts pinned at the worst case).
-func WithManualECC() Option { return optionFunc(func(c *config) { c.manualECC = true }) }
 
 // WithReadRetry sets the read-recovery ladder budget: how many re-reads
 // at shifted read references a failing decode may trigger before the
@@ -242,7 +228,8 @@ type BusConfig struct {
 // WithBus replaces the default 8-bit 33 MHz flash interface — e.g. an
 // ONFI-style DDR bus for configurations where die interleaving should
 // not saturate on transfers. The analytic evaluations (EvaluateMode,
-// ScaleDies) follow the same bus.
+// ScaleDies) follow the same bus. Open rejects a width below 1 and a
+// clock that is not a positive finite rate.
 func WithBus(b BusConfig) Option {
 	return optionFunc(func(c *config) {
 		c.bus = &nand.FlashBus{WidthBits: b.WidthBits, ClockHz: b.ClockHz}
@@ -253,6 +240,8 @@ func WithBus(b BusConfig) Option {
 // width p (bits/cycle), Chien-search parallelism h and clock rate. The
 // default is the paper's p=8, h=32 at 80 MHz; wider/faster instances
 // keep the shared decoder from bounding multi-die read interleaving.
+// Open rejects p or h below 1 and a clock that is not a positive finite
+// rate.
 func WithCodecHW(p, h int, clockHz float64) Option {
 	return optionFunc(func(c *config) {
 		c.hw = &codecHW{parallelismP: p, chienH: h, clockHz: clockHz}
@@ -264,7 +253,6 @@ func WithCodecHW(p, h int, clockHz float64) Option {
 // the multi-die dispatcher.
 type Subsystem struct {
 	disp *dispatch.Dispatcher
-	q    *dispatch.Queue // internal queue backing the blocking wrappers
 	env  sim.Env
 }
 
@@ -276,21 +264,21 @@ func Open(opts ...Option) (*Subsystem, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.blocks < 0 {
-		return nil, fmt.Errorf("xlnand: negative block count %d", cfg.blocks)
+	if cfg.blocks < 1 {
+		return nil, fmt.Errorf("xlnand: block count %d < 1", cfg.blocks)
 	}
 	if cfg.dies < 1 {
 		return nil, fmt.Errorf("xlnand: die count %d < 1", cfg.dies)
 	}
 	env := sim.DefaultEnv()
 	if cfg.bus != nil {
-		if cfg.bus.WidthBits <= 0 || cfg.bus.ClockHz <= 0 {
+		if cfg.bus.WidthBits <= 0 || !positiveFinite(cfg.bus.ClockHz) {
 			return nil, fmt.Errorf("xlnand: invalid bus config %+v", *cfg.bus)
 		}
 		env.Bus = *cfg.bus
 	}
 	if cfg.hw != nil {
-		if cfg.hw.parallelismP <= 0 || cfg.hw.chienH <= 0 || cfg.hw.clockHz <= 0 {
+		if cfg.hw.parallelismP <= 0 || cfg.hw.chienH <= 0 || !positiveFinite(cfg.hw.clockHz) {
 			return nil, fmt.Errorf("xlnand: invalid codec hardware config %+v", *cfg.hw)
 		}
 		env.HW.ParallelismP = cfg.hw.parallelismP
@@ -305,7 +293,6 @@ func Open(opts ...Option) (*Subsystem, error) {
 
 	ctrlCfg := controller.DefaultConfig()
 	ctrlCfg.TargetUBERExp = cfg.targetUBERExp
-	ctrlCfg.Adaptive = !cfg.manualECC
 	ctrlCfg.Bus = env.Bus
 	if cfg.readRetry != nil {
 		ctrlCfg.MaxRetries = *cfg.readRetry
@@ -326,11 +313,12 @@ func Open(opts ...Option) (*Subsystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.manualECC {
-		disp.PinCapability(disp.Codec().MaxLevel())
-	}
-	return &Subsystem{disp: disp, q: disp.NewQueue(), env: env}, nil
+	return &Subsystem{disp: disp, env: env}, nil
 }
+
+// positiveFinite reports whether a clock rate is usable: a NaN or
+// infinite rate would make its pipeline stage free.
+func positiveFinite(hz float64) bool { return hz > 0 && !math.IsInf(hz, 1) }
 
 // Close shuts the sub-system. Submissions after Close fail with
 // ErrClosed; in-flight operations complete first. Close is idempotent.
@@ -365,11 +353,6 @@ func (s *Subsystem) SelectMode(m Mode) error {
 // Mode returns the currently selected default service level.
 func (s *Subsystem) Mode() Mode { return s.disp.DefaultMode() }
 
-// SetAlgorithm pins the program algorithm regardless of the default mode
-// (expert path; SelectMode covers the paper's use cases). Cleared by the
-// next SelectMode.
-func (s *Subsystem) SetAlgorithm(alg Algorithm) { s.disp.SetAlgorithmOverride(alg) }
-
 // SetCapability pins the ECC correction capability, disabling the
 // reliability manager until SetAdaptive(true) re-enables it. The pin
 // survives SelectMode and the min-UBER write path.
@@ -392,70 +375,9 @@ type WriteResult = controller.WriteResult
 // ReadResult reports a page read.
 type ReadResult = controller.ReadResult
 
-// WritePage encodes and programs one page on die 0 (data must be
-// PageSize bytes) at the default service level. It is a blocking
-// wrapper over the queue; batch or cross-die traffic should use Submit.
-func (s *Subsystem) WritePage(block, page int, data []byte) (WriteResult, error) {
-	comp, err := s.q.Do(context.Background(), dispatch.Request{
-		Op: dispatch.OpWrite, Block: block, Page: page, Data: data,
-	})
-	if comp.Write == nil {
-		return WriteResult{}, err
-	}
-	return *comp.Write, err
-}
-
-// ReadPage reads, transfers and decodes one page on die 0.
-func (s *Subsystem) ReadPage(block, page int) (ReadResult, error) {
-	comp, err := s.q.Do(context.Background(), dispatch.Request{
-		Op: dispatch.OpRead, Block: block, Page: page,
-	})
-	if comp.Read == nil {
-		return ReadResult{}, err
-	}
-	return *comp.Read, err
-}
-
-// EraseBlock erases a block on die 0 (incrementing its wear).
-func (s *Subsystem) EraseBlock(block int) error {
-	_, err := s.q.Do(context.Background(), dispatch.Request{
-		Op: dispatch.OpErase, Block: block,
-	})
-	return err
-}
-
-// AgeBlock fast-forwards a die-0 block's program/erase wear to the given
+// AgeBlock fast-forwards a block's program/erase wear to the given
 // cycle count, so lifetime behaviour can be studied without replaying
-// millions of operations. For other dies use AgeDieBlock.
-func (s *Subsystem) AgeBlock(block int, cycles float64) error {
-	return s.disp.SetCycles(0, block, cycles)
-}
-
-// AgeDieBlock fast-forwards any die's block wear.
-func (s *Subsystem) AgeDieBlock(die, block int, cycles float64) error {
+// millions of operations.
+func (s *Subsystem) AgeBlock(die, block int, cycles float64) error {
 	return s.disp.SetCycles(die, block, cycles)
 }
-
-// BlockCycles returns a die-0 block's wear.
-func (s *Subsystem) BlockCycles(block int) (float64, error) {
-	return s.disp.Cycles(0, block)
-}
-
-// Uncorrectables returns the number of decode failures observed across
-// all dies since Open.
-func (s *Subsystem) Uncorrectables() int { return s.disp.Uncorrectables() }
-
-// Controller exposes die 0's controller for advanced use (register-level
-// access, reliability-manager inspection). The caller must ensure no
-// queue traffic is in flight.
-func (s *Subsystem) Controller() *controller.Controller { return s.disp.Controller(0) }
-
-// DieController exposes any die's controller under the same quiescence
-// contract as Controller.
-func (s *Subsystem) DieController(die int) *controller.Controller {
-	return s.disp.Controller(die)
-}
-
-// Dispatcher exposes the multi-die dispatcher (geometry, virtual
-// timeline, control-plane operations).
-func (s *Subsystem) Dispatcher() *dispatch.Dispatcher { return s.disp }

@@ -2,9 +2,9 @@ package xlnand
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"xlnand/internal/stats"
@@ -17,6 +17,24 @@ func openTest(t *testing.T) *Subsystem {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// writePage and readPage run one die-0 request through a queue and
+// return a copy of its result.
+func writePage(s *Subsystem, block, page int, data []byte) (WriteResult, error) {
+	comp, err := s.NewQueue().Do(context.Background(), WriteRequest(0, block, page, data))
+	if comp.Write == nil {
+		return WriteResult{}, err
+	}
+	return *comp.Write, err
+}
+
+func readPage(s *Subsystem, block, page int) (ReadResult, error) {
+	comp, err := s.NewQueue().Do(context.Background(), ReadRequest(0, block, page))
+	if comp.Read == nil {
+		return ReadResult{}, err
+	}
+	return *comp.Read, err
 }
 
 func pageOf(seed uint64, size int) []byte {
@@ -47,13 +65,49 @@ func TestOpenRejectsNegativeBlocks(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadConfig: a clock that is not a positive finite rate
+// would make its pipeline stage free, and a die without blocks fails
+// every operation, so Open refuses them all.
+func TestOpenRejectsBadConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"zero blocks", WithBlocks(0)},
+		{"zero dies", WithDies(0)},
+		{"bus NaN clock", WithBus(BusConfig{WidthBits: 8, ClockHz: nan})},
+		{"bus +Inf clock", WithBus(BusConfig{WidthBits: 8, ClockHz: inf})},
+		{"bus -Inf clock", WithBus(BusConfig{WidthBits: 8, ClockHz: -inf})},
+		{"bus zero clock", WithBus(BusConfig{WidthBits: 8, ClockHz: 0})},
+		{"bus zero width", WithBus(BusConfig{WidthBits: 0, ClockHz: 33e6})},
+		{"codec NaN clock", WithCodecHW(8, 32, nan)},
+		{"codec +Inf clock", WithCodecHW(8, 32, inf)},
+		{"codec negative clock", WithCodecHW(8, 32, -80e6)},
+		{"codec zero width", WithCodecHW(0, 32, 80e6)},
+		{"codec zero Chien parallelism", WithCodecHW(8, 0, 80e6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if s, err := Open(tc.opt); err == nil {
+				s.Close()
+				t.Fatal("accepted")
+			}
+		})
+	}
+	s, err := Open(WithBlocks(1), WithBus(BusConfig{WidthBits: 8, ClockHz: 66e6}), WithCodecHW(16, 32, 160e6))
+	if err != nil {
+		t.Fatalf("valid configuration rejected: %v", err)
+	}
+	s.Close()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	s := openTest(t)
 	data := pageOf(1, s.PageSize())
-	if _, err := s.WritePage(0, 0, data); err != nil {
+	if _, err := writePage(s, 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := s.ReadPage(0, 0)
+	rd, err := readPage(s, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,23 +118,23 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestModeSwitchingChangesBehaviour(t *testing.T) {
 	s := openTest(t)
-	if err := s.AgeBlock(0, 1e6); err != nil {
+	if err := s.AgeBlock(0, 0, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AgeBlock(1, 1e6); err != nil {
+	if err := s.AgeBlock(0, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SelectMode(ModeNominal); err != nil {
 		t.Fatal(err)
 	}
-	nom, err := s.WritePage(0, 0, pageOf(2, s.PageSize()))
+	nom, err := writePage(s, 0, 0, pageOf(2, s.PageSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SelectMode(ModeMaxRead); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := s.WritePage(1, 0, pageOf(3, s.PageSize()))
+	fast, err := writePage(s, 1, 0, pageOf(3, s.PageSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +145,10 @@ func TestModeSwitchingChangesBehaviour(t *testing.T) {
 		t.Fatalf("max-read t=%d not relaxed vs nominal t=%d", fast.T, nom.T)
 	}
 	// Both decode fine.
-	if _, err := s.ReadPage(0, 0); err != nil {
+	if _, err := readPage(s, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadPage(1, 0); err != nil {
+	if _, err := readPage(s, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,34 +156,87 @@ func TestModeSwitchingChangesBehaviour(t *testing.T) {
 func TestAgeBlockRejectsNonFiniteWear(t *testing.T) {
 	s := openTest(t)
 	for _, c := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := s.AgeBlock(1, c); err == nil {
-			t.Fatalf("AgeBlock(1, %g) accepted", c)
+		if err := s.AgeBlock(0, 1, c); err == nil {
+			t.Fatalf("AgeBlock(0, 1, %g) accepted", c)
 		}
 	}
-	if c, err := s.BlockCycles(1); err != nil || c != 0 {
+	if c, err := s.disp.Cycles(0, 1); err != nil || c != 0 {
 		t.Fatalf("rejected wear changed block 1: %g, %v", c, err)
+	}
+}
+
+// TestAgeBlockAddressesOneDie: aging a block wears that die's block and
+// no other, and an address outside the geometry is a typed error.
+func TestAgeBlockAddressesOneDie(t *testing.T) {
+	s, err := Open(WithDies(2), WithBlocks(2), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AgeBlock(1, 1, 4e4); err != nil {
+		t.Fatal(err)
+	}
+	for die := 0; die < 2; die++ {
+		for block := 0; block < 2; block++ {
+			want := 0.0
+			if die == 1 && block == 1 {
+				want = 4e4
+			}
+			if c, err := s.disp.Cycles(die, block); err != nil || c != want {
+				t.Fatalf("die %d block %d: wear %g, %v; want %g", die, block, c, err, want)
+			}
+		}
+	}
+	for _, die := range []int{-1, 2} {
+		if err := s.AgeBlock(die, 0, 1e3); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("AgeBlock(%d, 0, 1e3): %v, want ErrBadAddress", die, err)
+		}
+	}
+	if err := s.AgeBlock(0, 2, 1e3); err == nil {
+		t.Fatal("AgeBlock on a block outside the die accepted")
+	}
+}
+
+// TestAdvanceTimeRejectsNonFiniteHours: a non-finite bake is an error,
+// and after Close every bake reports ErrClosed. Zero and negative hours
+// stay a no-op.
+func TestAdvanceTimeRejectsNonFiniteHours(t *testing.T) {
+	s := openTest(t)
+	for _, h := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := s.AdvanceTime(h); err == nil {
+			t.Fatalf("AdvanceTime(%g) accepted", h)
+		}
+	}
+	for _, h := range []float64{0, -5} {
+		if err := s.AdvanceTime(h); err != nil {
+			t.Fatalf("AdvanceTime(%g): %v", h, err)
+		}
+	}
+	s.Close()
+	if err := s.AdvanceTime(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AdvanceTime after Close: %v, want ErrClosed", err)
 	}
 }
 
 func TestMinUBERModeKeepsNominalT(t *testing.T) {
 	s := openTest(t)
-	if err := s.AgeBlock(0, 1e6); err != nil {
+	if err := s.AgeBlock(0, 0, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AgeBlock(1, 1e6); err != nil {
+	if err := s.AgeBlock(0, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SelectMode(ModeNominal); err != nil {
 		t.Fatal(err)
 	}
-	nom, err := s.WritePage(0, 0, pageOf(4, s.PageSize()))
+	nom, err := writePage(s, 0, 0, pageOf(4, s.PageSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SelectMode(ModeMinUBER); err != nil {
 		t.Fatal(err)
 	}
-	min, err := s.WritePage(1, 0, pageOf(5, s.PageSize()))
+	min, err := writePage(s, 1, 0, pageOf(5, s.PageSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,16 +266,16 @@ func TestUncorrectableSurfaced(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	s.SetCapability(3)
-	if err := s.AgeBlock(0, 1e6); err != nil {
+	if err := s.AgeBlock(0, 0, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WritePage(0, 0, pageOf(6, s.PageSize())); err != nil {
+	if _, err := writePage(s, 0, 0, pageOf(6, s.PageSize())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadPage(0, 0); !errors.Is(err, ErrUncorrectable) {
+	if _, err := readPage(s, 0, 0); !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", err)
 	}
-	if s.Uncorrectables() == 0 {
+	if s.disp.Controller(0).Manager().Uncorrectables() == 0 {
 		t.Fatal("uncorrectable counter not incremented")
 	}
 }
@@ -234,20 +341,14 @@ func TestParetoAndFilters(t *testing.T) {
 	if len(front) == 0 {
 		t.Fatal("empty Pareto front")
 	}
-	ok := MeetsUBER(pts, 1e-11)
-	for _, p := range ok {
-		if p.UBER > 1e-11 {
-			t.Fatal("MeetsUBER filter broken")
-		}
-	}
 }
 
 func TestPublicCodecRoundTrip(t *testing.T) {
-	codec, err := NewCodec(16, 1024, 3, 8)
+	codec, err := NewPageCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := pageOf(8, 128)
+	msg := pageOf(8, 4096)
 	cw, err := codec.EncodeCodeword(5, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,46 +359,17 @@ func TestPublicCodecRoundTrip(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
-	if !bytes.Equal(cw[:128], msg) {
+	if !bytes.Equal(cw[:4096], msg) {
 		t.Fatal("codec round trip failed")
 	}
 }
 
 func TestPublicUBERHelpers(t *testing.T) {
-	if UBER(33808, 65, 1e-3) <= 0 {
-		t.Fatal("UBER helper broken")
-	}
-	if UBERTail(33808, 65, 1e-3) < UBER(33808, 65, 1e-3) {
-		t.Fatal("tail below dominant term")
-	}
 	tc, err := RequiredT(16, 32768, 1e-6, 1e-11, 65)
 	if err != nil || tc != 3 {
 		t.Fatalf("RequiredT = %d, %v", tc, err)
 	}
 	if RBER(ISPPDV, 1e6) >= RBER(ISPPSV, 1e6) {
 		t.Fatal("RBER helper ordering broken")
-	}
-}
-
-func TestExperimentRegistryAndRender(t *testing.T) {
-	exps := Experiments()
-	if len(exps) < 13 {
-		t.Fatalf("only %d experiments registered", len(exps))
-	}
-	f, err := RunExperiment("fig05", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(RenderASCII(f, 60, 15), "RBER ISPP-SV") {
-		t.Fatal("ASCII render incomplete")
-	}
-	if !strings.Contains(RenderTable(f), "RBER ISPP-DV") {
-		t.Fatal("table render incomplete")
-	}
-	if !strings.HasPrefix(RenderCSV(f), "series,x,y\n") {
-		t.Fatal("CSV render incomplete")
-	}
-	if _, err := RunExperiment("nope", 1); err == nil {
-		t.Fatal("unknown experiment accepted")
 	}
 }
