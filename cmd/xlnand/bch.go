@@ -47,6 +47,9 @@ func bchCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	cwBytes := pageBytes + parityBytes
+	if *nErrors < 0 || *nErrors > 8*cwBytes {
+		return usageErrorf("-errors %d: want 0 to %d (the bits of one codeword at t=%d)", *nErrors, 8*cwBytes, *t)
+	}
 	emit := func(b []byte) error {
 		_, err := stdout.Write(b)
 		return err

@@ -36,6 +36,10 @@ func TestRun(t *testing.T) {
 		{args: []string{"figures", "-bogus"}, code: 2},
 		{args: []string{"figures"}, code: 2},
 		{args: []string{"bch", "nope"}, code: 2},
+		{args: []string{"bch", "corrupt", "-errors", "-3"}, code: 2},
+		{args: []string{"bch", "roundtrip", "-errors", "-3"}, code: 2},
+		{args: []string{"bch", "corrupt", "-errors", "40000"}, code: 2},
+		{args: []string{"bch", "roundtrip", "-t", "8", "-errors", "40000"}, code: 2},
 		{args: []string{"fleet", "-metrics", filepath.Join(dir, "m.prom")}, code: 2},
 		{args: []string{"figures", "-fig", "nope"}, code: 1},
 	} {

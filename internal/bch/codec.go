@@ -199,6 +199,17 @@ func (c *Codec) Decode(t int, codeword []byte) (int, error) {
 	return d.Decode(codeword)
 }
 
+// DecodeSensed is Decode at capability t for a codeword this codec
+// encoded at t with exactly the bit positions in flips inverted; see
+// Decoder.DecodeSensed. It implements ecc.SensedDecoder.
+func (c *Codec) DecodeSensed(t int, codeword []byte, flips []int) (int, error) {
+	d, err := c.decoder(t)
+	if err != nil {
+		return 0, err
+	}
+	return d.DecodeSensed(codeword, flips)
+}
+
 // Warm pre-builds the code, encoder and decoder for capability t — plus
 // the shared syndrome lookup tables — so that first use in a
 // latency-sensitive path needs no construction work and takes no lock.

@@ -95,6 +95,45 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeSensed is BenchmarkDecode's t = 65 rows at EOL-sized
+// error counts through DecodeSensed: the syndromes come from the flip
+// positions, so the page is never divided. The rest of the pipeline
+// (BM, roots, correction, re-check) is the same, so the gap to the
+// matching BenchmarkDecode row is the division and the syndrome pass.
+func BenchmarkDecodeSensed(b *testing.B) {
+	const tcap = 65
+	codec := benchCodec(b, tcap)
+	code, err := codec.Code(tcap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := stats.NewRNG(0xdec0de + uint64(tcap))
+	cw, err := codec.EncodeCodeword(tcap, benchPage(r, codec.K/8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, nerr := range []int{tcap / 2, tcap} {
+		positions := r.SampleK(code.CodewordBits(), nerr)
+		b.Run(fmt.Sprintf("t=%d/errs=%d", tcap, nerr), func(b *testing.B) {
+			b.SetBytes(int64(codec.K / 8))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range positions {
+					cw[p/8] ^= 1 << uint(7-p%8)
+				}
+				n, err := codec.DecodeSensed(tcap, cw, positions)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != nerr {
+					b.Fatalf("corrected %d of %d errors", n, nerr)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEncode measures the steady-state parity computation through
 // the allocation-free EncodeInto path.
 func BenchmarkEncode(b *testing.B) {

@@ -79,22 +79,20 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 // corrected, or ErrUncorrectable (codeword untouched) when the pattern
 // exceeds the code's capability in a detectable way.
 //
-// The steady-state hot path allocates nothing and walks the codeword
-// exactly once: all odd syndromes advance together in one fused pass,
-// and the post-correction verification updates the syndromes
-// algebraically from the flipped positions (O(errors·t)) instead of
-// re-reading the page.
+// The steady-state hot path allocates nothing and reads the page once:
+// the sliced division reduces it to its r-bit remainder, all odd
+// syndromes of that remainder advance together in one fused pass, and
+// the post-correction verification updates the syndromes algebraically
+// from the flipped positions (O(errors·t)) instead of re-reading the
+// page. DecodeSensed skips the page read altogether when the error
+// positions are known.
 func (d *Decoder) Decode(codeword []byte) (int, error) {
-	nbits := d.code.CodewordBits()
-	if nbits%8 != 0 {
-		return 0, fmt.Errorf("bch: codeword bits %d not byte aligned; use DecodePoly", nbits)
-	}
-	if len(codeword) != nbits/8 {
-		return 0, fmt.Errorf("bch: codeword is %d bytes, want %d", len(codeword), nbits/8)
+	nbits, err := d.checkLen(codeword)
+	if err != nil {
+		return 0, err
 	}
 	sc := d.pool.Get()
 	defer d.pool.Put(sc)
-	f := d.code.Field
 	t := d.code.T
 
 	// Remainder-first syndromes: divide the page by g(x) with the sliced
@@ -110,9 +108,62 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 	} else {
 		syn = d.syn.SyndromesInto(sc.syn, codeword, t)
 	}
+	return d.correct(codeword, nbits, syn, sc)
+}
+
+// DecodeSensed is Decode for a word whose error pattern is known: the
+// codeword this code encoded with exactly the bits at flips (distinct
+// codeword bit positions, numbered as in Decode) inverted. Syndromes
+// are linear, and a codeword's are zero, so the received word's odd
+// syndromes are the flips' own contributions (O(len(flips)·t), the
+// re-check's algebra) and the even ones follow by squaring; the page is
+// never divided. The rest — Berlekamp-Massey, root finding, in-place
+// correction, the re-check and its rollback — is Decode's, so the count,
+// the error and the bytes left in codeword are exactly Decode's on the
+// same buffer. A word that is not such a codeword gets no such
+// guarantee: the flips are trusted, not checked against the bytes.
+func (d *Decoder) DecodeSensed(codeword []byte, flips []int) (int, error) {
+	nbits, err := d.checkLen(codeword)
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range flips {
+		if p < 0 || p >= nbits {
+			return 0, fmt.Errorf("bch: flip position %d outside codeword of %d bits", p, nbits)
+		}
+	}
+	sc := d.pool.Get()
+	defer d.pool.Put(sc)
+	t := d.code.T
+	syn := sc.syn[:2*t]
+	oddSyndromesOf(d.code.Field, syn[:t], flips, nbits)
+	log, exp := d.code.Field.Tables()
+	expandOdd(syn, t, log, exp)
+	return d.correct(codeword, nbits, syn, sc)
+}
+
+// checkLen validates the codeword geometry and returns its bit length.
+func (d *Decoder) checkLen(codeword []byte) (int, error) {
+	nbits := d.code.CodewordBits()
+	if nbits%8 != 0 {
+		return 0, fmt.Errorf("bch: codeword bits %d not byte aligned; use DecodePoly", nbits)
+	}
+	if len(codeword) != nbits/8 {
+		return 0, fmt.Errorf("bch: codeword is %d bytes, want %d", len(codeword), nbits/8)
+	}
+	return nbits, nil
+}
+
+// correct is the decode tail shared by Decode and DecodeSensed: given
+// the received word's syndromes S_1..S_2t, it locates the errors
+// (Berlekamp-Massey, then the locator's roots), corrects them in place
+// and re-checks the result, rolling the codeword back on failure.
+func (d *Decoder) correct(codeword []byte, nbits int, syn []uint32, sc *decodeScratch) (int, error) {
 	if AllZero(syn) {
 		return 0, nil
 	}
+	f := d.code.Field
+	t := d.code.T
 	lambda, L := berlekampMasseyInto(f, syn, &sc.bm)
 	if L > t || len(lambda)-1 != L {
 		return 0, ErrUncorrectable
@@ -141,27 +192,13 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 }
 
 // recheckOK reports whether the odd syndromes, updated algebraically with
-// the corrected bit positions, all vanish: each corrected error's
-// contribution alpha^(j·deg) is accumulated per odd j into delta (scratch,
-// >= t entries), stepping j -> j+2 with one MulAlphaN by alpha^(2·deg),
-// and the correction is sound iff delta_j == S_j for every odd j.
+// the corrected bit positions, all vanish: the corrections' contribution
+// to each odd S_j is accumulated into delta (scratch, >= t entries), and
+// the correction is sound iff delta_j == S_j for every odd j.
 func (d *Decoder) recheckOK(syn []uint32, positions []int, nbits int, delta []uint32) bool {
-	f := d.code.Field
-	N := f.N()
 	t := d.code.T
 	dl := delta[:t] // dl[i] accumulates the flips' contribution to S_{2i+1}
-	for i := range dl {
-		dl[i] = 0
-	}
-	for _, p := range positions {
-		deg := nbits - 1 - p
-		cur := f.Alpha(deg)     // alpha^(1·deg)
-		step := (deg + deg) % N // j advances by 2 between odd syndromes
-		for i := 0; i < t; i++ {
-			dl[i] ^= cur
-			cur = f.MulAlphaN(cur, step)
-		}
-	}
+	oddSyndromesOf(d.code.Field, dl, positions, nbits)
 	for i := 0; i < t; i++ {
 		if syn[2*i] != dl[i] {
 			return false

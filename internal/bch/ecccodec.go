@@ -74,6 +74,11 @@ func (h *HWCodec) Decode(level int, codeword []byte) (int, error) {
 	return h.C.Decode(level, codeword)
 }
 
+// DecodeSensed implements ecc.SensedDecoder.
+func (h *HWCodec) DecodeSensed(level int, codeword []byte, flips []int) (int, error) {
+	return h.C.DecodeSensed(level, codeword, flips)
+}
+
 // DecodeSoft implements ecc.Codec: the algebraic decoder is hard-input
 // only (a Chase-style soft wrapper is possible but not modelled).
 func (h *HWCodec) DecodeSoft(level int, codeword []byte, llr []int8) (int, error) {
@@ -121,4 +126,7 @@ func (h *HWCodec) DecodeLatency(level int, clean bool) time.Duration {
 // SoftDecodeLatency implements ecc.Codec (no soft path).
 func (h *HWCodec) SoftDecodeLatency(level int) time.Duration { return 0 }
 
-var _ ecc.Codec = (*HWCodec)(nil)
+var (
+	_ ecc.Codec         = (*HWCodec)(nil)
+	_ ecc.SensedDecoder = (*HWCodec)(nil)
+)

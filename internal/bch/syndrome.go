@@ -146,11 +146,18 @@ func (s *SyndromeCalc) SyndromesInto(dst []uint32, codeword []byte, t int) []uin
 			acc[i] = a ^ uint32(rv)
 		}
 	}
-	// Fan the compact accumulators out to their S_j slots (descending so
-	// acc, which aliases syn[:t], is never clobbered before being read),
-	// then derive even syndromes by squaring.
+	expandOdd(syn, t, log, exp)
+	return syn
+}
+
+// expandOdd turns the compact odd syndromes in syn[:t] (syn[i] holding
+// S_{2i+1}) into the full vector S_1..S_2t in syn[:2t]: it fans them out
+// to their S_j slots (descending, so no compact entry is clobbered
+// before it is read), then derives every even syndrome by squaring,
+// S_2j = S_j^2 for a binary word. log and exp are the field's tables.
+func expandOdd(syn []uint32, t int, log, exp []uint16) {
 	for i := t - 1; i >= 0; i-- {
-		syn[2*i] = acc[i]
+		syn[2*i] = syn[i]
 	}
 	for j := 2; j <= 2*t; j += 2 {
 		sj := syn[j/2-1]
@@ -160,7 +167,34 @@ func (s *SyndromeCalc) SyndromesInto(dst []uint32, codeword []byte, t int) []uin
 		}
 		syn[j-1] = sj
 	}
-	return syn
+}
+
+// oddSyndromesOf sets acc[i], for every i < len(acc), to the
+// contribution of errors at the given codeword bit positions to
+// S_{2i+1}: an error at position p sits at polynomial degree
+// deg = nbits-1-p and adds alpha^((2i+1)·deg). Syndromes are linear in
+// the word, so for positions that are a word's whole error pattern this
+// is that word's odd syndrome vector. The exponent is stepped by 2·deg
+// between odd syndromes and reduced mod N, so no log lookup is needed.
+// Positions must lie in [0, nbits) with nbits <= N; a repeated position
+// cancels, as a bit flipped twice does.
+func oddSyndromesOf(f *gf.Field, acc []uint32, positions []int, nbits int) {
+	N := f.N()
+	_, exp := f.Tables()
+	for i := range acc {
+		acc[i] = 0
+	}
+	for _, p := range positions {
+		deg := nbits - 1 - p
+		step := (deg + deg) % N
+		e := deg
+		for i := range acc {
+			acc[i] ^= uint32(exp[e])
+			if e += step; e >= N {
+				e -= N
+			}
+		}
+	}
 }
 
 // SyndromesPoly is the reference implementation evaluating the codeword

@@ -6,7 +6,10 @@
 // level geometry (monotone parity, exact spare-to-level inversion),
 // encode/decode round trips across the error-count matrix
 // {0, 1, cap/2, cap, cap+1}, rollback on failure, steady-state
-// allocation freedom and descriptor sanity.
+// allocation freedom and descriptor sanity. A codec that implements
+// ecc.SensedDecoder runs the round trips, the rollback and the
+// allocation check through DecodeSensed as well, fed the positions the
+// suite flipped.
 package codectest
 
 import (
@@ -39,20 +42,42 @@ func Run(t *testing.T, c ecc.Codec, opt Options) {
 		levels = []int{c.MinLevel(), (c.MinLevel() + c.MaxLevel()) / 2, c.MaxLevel()}
 	}
 	t.Run("geometry", func(t *testing.T) { geometry(t, c) })
+	paths := decodePaths(c)
 	for _, lvl := range levels {
 		lvl := lvl
 		t.Run(levelName(c, lvl), func(t *testing.T) {
-			matrix(t, c, lvl, opt)
-			rollback(t, c, lvl)
+			for _, dp := range paths {
+				matrix(t, c, dp, lvl, opt)
+				rollback(t, c, dp, lvl)
+			}
 			descriptors(t, c, lvl)
 		})
 	}
-	t.Run("allocs", func(t *testing.T) { allocs(t, c) })
+	t.Run("allocs", func(t *testing.T) { allocs(t, c, paths) })
 	t.Run("required-level", func(t *testing.T) { requiredLevel(t, c) })
 }
 
 func levelName(c ecc.Codec, lvl int) string {
 	return fmt.Sprintf("%s-level-%d", c.Family(), lvl)
+}
+
+// decodePath is one hard-decode entry point. flips lists the bit
+// positions the suite inverted in a codeword the codec encoded.
+type decodePath struct {
+	name   string
+	decode func(lvl int, cw []byte, flips []int) (int, error)
+}
+
+// decodePaths lists Decode and, when the codec implements it,
+// ecc.SensedDecoder's DecodeSensed.
+func decodePaths(c ecc.Codec) []decodePath {
+	paths := []decodePath{{"Decode", func(lvl int, cw []byte, _ []int) (int, error) {
+		return c.Decode(lvl, cw)
+	}}}
+	if sd, ok := c.(ecc.SensedDecoder); ok {
+		paths = append(paths, decodePath{"DecodeSensed", sd.DecodeSensed})
+	}
+	return paths
 }
 
 // geometry pins the spare-footprint contract: ParityBytes strictly
@@ -113,30 +138,32 @@ func codeword(t *testing.T, c ecc.Codec, lvl int, seed uint64) (cw []byte) {
 	return cw
 }
 
-// matrix drives the error-count grid {0, 1, cap/2, cap, cap+1}.
-func matrix(t *testing.T, c ecc.Codec, lvl int, opt Options) {
+// matrix drives the error-count grid {0, 1, cap/2, cap, cap+1} through
+// one decode path.
+func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 	t.Helper()
 	cap := c.CorrectionCap(lvl)
 	for _, nerr := range []int{0, 1, cap / 2, cap, cap + 1} {
 		rng := stats.NewRNG(uint64(5000 + lvl*977 + nerr))
 		cw := codeword(t, c, lvl, uint64(5000+lvl*977+nerr))
 		clean := append([]byte(nil), cw...)
-		for _, p := range rng.SampleK(len(cw)*8, nerr) {
+		flips := rng.SampleK(len(cw)*8, nerr)
+		for _, p := range flips {
 			cw[p/8] ^= 1 << uint(7-p%8)
 		}
 		dirty := append([]byte(nil), cw...)
-		n, err := c.Decode(lvl, cw)
+		n, err := dp.decode(lvl, cw, flips)
 		switch {
 		case nerr <= cap:
 			if err != nil {
-				t.Fatalf("level %d: decode failed at %d <= cap %d: %v", lvl, nerr, cap, err)
+				t.Fatalf("level %d: %s failed at %d <= cap %d: %v", lvl, dp.name, nerr, cap, err)
 			}
 			if n != nerr || !bytes.Equal(cw, clean) {
-				t.Fatalf("level %d nerr %d: corrected %d, restored=%v", lvl, nerr, n, bytes.Equal(cw, clean))
+				t.Fatalf("level %d nerr %d: %s corrected %d, restored=%v", lvl, nerr, dp.name, n, bytes.Equal(cw, clean))
 			}
 		case err != nil:
 			if !bytes.Equal(cw, dirty) {
-				t.Fatalf("level %d nerr %d: failed decode modified the codeword", lvl, nerr)
+				t.Fatalf("level %d nerr %d: failed %s modified the codeword", lvl, nerr, dp.name)
 			}
 		default:
 			if opt.StrictCapPlusOne {
@@ -145,7 +172,7 @@ func matrix(t *testing.T, c ecc.Codec, lvl int, opt Options) {
 			// Iterative family repairing past its conservative cap: must
 			// be the exact original, never a miscorrection.
 			if !bytes.Equal(cw, clean) {
-				t.Fatalf("level %d nerr %d: decode succeeded with wrong data", lvl, nerr)
+				t.Fatalf("level %d nerr %d: %s succeeded with wrong data", lvl, nerr, dp.name)
 			}
 		}
 	}
@@ -153,22 +180,23 @@ func matrix(t *testing.T, c ecc.Codec, lvl int, opt Options) {
 
 // rollback floods the decoder far past any capability and checks the
 // input is untouched on failure.
-func rollback(t *testing.T, c ecc.Codec, lvl int) {
+func rollback(t *testing.T, c ecc.Codec, dp decodePath, lvl int) {
 	t.Helper()
 	cap := c.CorrectionCap(lvl)
 	rng := stats.NewRNG(uint64(31000 + lvl))
 	cw := codeword(t, c, lvl, uint64(31000+lvl))
-	for _, p := range rng.SampleK(len(cw)*8, 6*cap) {
+	flips := rng.SampleK(len(cw)*8, 6*cap)
+	for _, p := range flips {
 		cw[p/8] ^= 1 << uint(7-p%8)
 	}
 	dirty := append([]byte(nil), cw...)
-	if _, err := c.Decode(lvl, cw); err == nil {
+	if _, err := dp.decode(lvl, cw, flips); err == nil {
 		// Astronomically unlikely for either family at 6x cap — and if
 		// it does decode, it must be exact, which 6x cap cannot be.
-		t.Fatalf("level %d: decode of %d errors claimed success", lvl, 6*cap)
+		t.Fatalf("level %d: %s of %d errors claimed success", lvl, dp.name, 6*cap)
 	}
 	if !bytes.Equal(cw, dirty) {
-		t.Fatalf("level %d: failed decode modified the codeword", lvl)
+		t.Fatalf("level %d: failed %s modified the codeword", lvl, dp.name)
 	}
 }
 
@@ -204,8 +232,8 @@ func descriptors(t *testing.T, c ecc.Codec, lvl int) {
 }
 
 // allocs pins the steady-state allocation freedom of the hot paths on
-// the strongest level.
-func allocs(t *testing.T, c ecc.Codec) {
+// the strongest level: every decode path, and EncodeInto.
+func allocs(t *testing.T, c ecc.Codec, paths []decodePath) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -217,20 +245,24 @@ func allocs(t *testing.T, c ecc.Codec) {
 	msg := append([]byte(nil), cw[:c.DataBits()/8]...)
 	pb, _ := c.ParityBytes(lvl)
 	parity := make([]byte, pb)
-	for _, p := range rng.SampleK(len(cw)*8, cap/2) {
+	flips := rng.SampleK(len(cw)*8, cap/2)
+	for _, p := range flips {
 		cw[p/8] ^= 1 << uint(7-p%8)
 	}
 	dirty := append([]byte(nil), cw...)
-	if _, err := c.Decode(lvl, cw); err != nil {
-		t.Fatal(err) // warm tables and scratch pools outside the pin
-	}
-	if a := testing.AllocsPerRun(10, func() {
+	for _, dp := range paths {
 		copy(cw, dirty)
-		if _, err := c.Decode(lvl, cw); err != nil {
-			t.Fatal(err)
+		if _, err := dp.decode(lvl, cw, flips); err != nil {
+			t.Fatal(err) // warm tables and scratch pools outside the pin
 		}
-	}); a > 0 {
-		t.Fatalf("steady-state decode allocates %.1f objects/op, want 0", a)
+		if a := testing.AllocsPerRun(10, func() {
+			copy(cw, dirty)
+			if _, err := dp.decode(lvl, cw, flips); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 0 {
+			t.Fatalf("steady-state %s allocates %.1f objects/op, want 0", dp.name, a)
+		}
 	}
 	if a := testing.AllocsPerRun(10, func() {
 		if err := c.EncodeInto(lvl, parity, msg); err != nil {

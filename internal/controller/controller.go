@@ -24,7 +24,11 @@ type Controller struct {
 	// ml is non-nil when the codec calibrates decode cost per error
 	// weight (ecc.MeasuredLatency); successful decodes then book the
 	// measured duration instead of the flat estimate.
-	ml   ecc.MeasuredLatency
+	ml ecc.MeasuredLatency
+	// sd is non-nil when the codec can decode from the sense's flip
+	// positions (ecc.SensedDecoder); stamped pages then skip the
+	// codec's page-wide syndrome computation.
+	sd   ecc.SensedDecoder
 	bus  nand.FlashBus
 	regs RegisterFile
 	mgr  *ReliabilityManager
@@ -35,12 +39,17 @@ type Controller struct {
 
 	// cleanSeq records, per physical page, the device content stamp of
 	// the last codeword this controller encoded and programmed there.
-	// When a sense comes back with zero injected bit errors AND the
-	// stored content still carries that stamp, the decode verdict is
-	// fully determined — a valid codeword decodes to itself with zero
-	// corrections — so the read path skips the syndrome walk outright
-	// (the FEMU-style emulation fast path). Any reprogram, through this
-	// controller or not, bumps the device stamp and voids the mark.
+	// A sense whose stamp matches came back as exactly that codeword
+	// with the device's reported flips inverted, which gives the read
+	// path two fast paths, each bit-identical to the full decode:
+	//   - zero flips: a valid codeword decodes to itself with zero
+	//     corrections, so the decode is skipped outright (the
+	//     FEMU-style emulation fast path);
+	//   - any flips, with a codec that implements ecc.SensedDecoder:
+	//     the syndromes are those of the flips alone, so the codec
+	//     decodes from the positions instead of dividing the page.
+	// Any reprogram, through this controller or not, bumps the device
+	// stamp and voids the mark.
 	cleanSeq []uint64
 	// cleanHits counts reads resolved by the clean-read short-circuit —
 	// the observability layer surfaces it per drive so fleet reports
@@ -122,6 +131,7 @@ func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 		cleanSeq:   make([]uint64, dev.Blocks()*dev.PagesPerBlock()),
 	}
 	c.ml, _ = codec.(ecc.MeasuredLatency)
+	c.sd, _ = codec.(ecc.SensedDecoder)
 	if codec.SupportsSoft() {
 		c.llrBuffer = make([]int8, bufBytes*8)
 	}
@@ -164,7 +174,8 @@ func (c *Controller) Manager() *ReliabilityManager { return c.mgr }
 func (c *Controller) Device() *nand.Device { return c.dev }
 
 // CleanHits reports how many reads the clean-read short-circuit
-// resolved without a decoder walk. Like the rest of the controller it
+// resolved without a decoder walk (zero-flip reads only; sensed-syndrome
+// decodes are not counted). Like the rest of the controller it
 // must be read with the die quiescent (or via the dispatcher's
 // control-plane hop).
 func (c *Controller) CleanHits() uint64 { return c.cleanHits }
@@ -500,9 +511,10 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		codeword := c.readBuffer[:nData+nSpare]
 		var nErr int
 		var decErr error
-		if seq, flips := c.dev.LastSense(); flips == 0 && seq != 0 &&
-			c.cleanSeq[blockIdx*c.dev.PagesPerBlock()+pageIdx] == seq &&
-			c.decodeWarm&(1<<(uint(level)&63)) != 0 {
+		seq, flips := c.dev.LastSense()
+		stamped := seq != 0 && c.cleanSeq[blockIdx*c.dev.PagesPerBlock()+pageIdx] == seq
+		switch {
+		case stamped && flips == 0 && c.decodeWarm&(1<<(uint(level)&63)) != 0:
 			// Clean-read short-circuit: the sense injected no errors and
 			// the stored bytes are the codeword this controller encoded,
 			// so the decoder would compute an all-zero syndrome and
@@ -511,10 +523,16 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 			// result fields, same latency booking, no RNG involved.
 			nErr, decErr = 0, nil
 			c.cleanHits++
-		} else {
+		case stamped && c.sd != nil:
+			// Sensed-syndrome decode: the buffer is this controller's
+			// codeword with exactly the device's reported flips inverted,
+			// so the codec takes its syndromes from the positions; the
+			// count, error and corrected bytes are Decode's.
+			nErr, decErr = c.sd.DecodeSensed(level, codeword, c.dev.LastSenseFlips())
+		default:
 			nErr, decErr = c.codec.Decode(level, codeword)
-			c.decodeWarm |= 1 << (uint(level) & 63)
 		}
+		c.decodeWarm |= 1 << (uint(level) & 63) // set already on a clean hit
 
 		// A successful decode's cost is booked at the observed error
 		// weight when the codec calibrates it (measured min-sum

@@ -129,3 +129,17 @@ type Codec interface {
 type MeasuredLatency interface {
 	MeasuredDecodeLatency(level, nErr int) time.Duration
 }
+
+// SensedDecoder is an optional Codec extension for algebraic decoders
+// whose syndromes are linear in the received word. When the controller
+// knows a sensed page holds the codeword this codec encoded at level,
+// with exactly the listed bit positions inverted (the device reports
+// the positions it injected), the syndromes follow from those positions
+// alone and the page need not be read. flips holds distinct codeword
+// bit positions: bit i is the MSB-first bit i%8 of byte i/8 of
+// msg ++ parity. For such a codeword DecodeSensed returns what Decode
+// returns and leaves the buffer exactly as Decode leaves it, rollback
+// included; for any other word its result is unspecified.
+type SensedDecoder interface {
+	DecodeSensed(level int, codeword []byte, flips []int) (int, error)
+}

@@ -31,8 +31,8 @@ type Device struct {
 	// busy/ready modelling)
 	lastOpDuration time.Duration
 
-	// errPos is the error-position scratch for corruptInto, reused read
-	// over read (Device is single-goroutine by contract).
+	// errPos is the soft read's error-position scratch, reused read over
+	// read (Device is single-goroutine by contract).
 	errPos []int
 
 	// programSeq stamps stored page contents: it increments on every
@@ -42,11 +42,13 @@ type Device struct {
 	// verified (the clean-read decode short-circuit).
 	programSeq uint64
 
-	// lastSenseFlips / lastSenseSeq describe the most recent ReadInto:
-	// how many bit errors the fault-injection path flipped (data and
-	// spare combined) and the content stamp of the page it sensed.
-	lastSenseFlips int
-	lastSenseSeq   uint64
+	// senseFlips and lastSenseSeq describe the most recent ReadInto: the
+	// bit positions the fault-injection path flipped, in codeword bit
+	// numbering (data bits first, spare bits offset by 8·nData), and the
+	// content stamp of the page it sensed. senseFlips is reused read
+	// over read.
+	senseFlips   []int
+	lastSenseSeq uint64
 
 	// freeData and freeSpare hold the page stores Erase released, each
 	// list bounded by freeStores, for Program to fill again. They are
@@ -279,9 +281,10 @@ func (d *Device) ReadInto(blockIdx, pageIdx, step int, buf []byte) (nData, nSpar
 	b.reads++
 	rber := d.cal.RecoveredRBER(d.stress, p.alg, b.cycles, b.reads,
 		d.clockHours-p.writtenAtHours, step)
-	flips := d.corruptInto(buf[:nData], p.data, rber)
-	flips += d.corruptInto(buf[nData:nData+nSpare], p.spare, rber)
-	d.lastSenseFlips, d.lastSenseSeq = flips, p.seq
+	d.senseFlips = d.senseFlips[:0]
+	d.corruptInto(buf[:nData], p.data, rber, 0)
+	d.corruptInto(buf[nData:nData+nSpare], p.spare, rber, 8*nData)
+	d.lastSenseSeq = p.seq
 	d.lastOpDuration = PageReadTime
 	return nData, nSpare, nil
 }
@@ -295,27 +298,38 @@ func (d *Device) LastProgramSeq() uint64 { return d.programSeq }
 // stored content — the observation behind the controller's clean-read
 // decode short-circuit.
 func (d *Device) LastSense() (seq uint64, flips int) {
-	return d.lastSenseSeq, d.lastSenseFlips
+	return d.lastSenseSeq, len(d.senseFlips)
 }
+
+// LastSenseFlips returns the bit positions the most recent ReadInto
+// inverted, in the codeword bit numbering of the buffer it filled: bit
+// i is the MSB-first bit i%8 of byte i/8, so data bits are
+// 0 … 8·nData−1 and spare bits follow from 8·nData. The positions are
+// distinct; together with a LastSense stamp that matches a page's
+// program, they are exactly how the buffer differs from the stored
+// codeword. The slice is the device's scratch, valid until the next
+// ReadInto, and must not be modified.
+func (d *Device) LastSenseFlips() []int { return d.senseFlips }
 
 // corruptInto copies src into dst (equal length) and flips each bit
 // independently with probability rber: the binomial error count is
-// sampled, then positions drawn uniformly into the device's reusable
-// scratch — the draw consumes the same RNG stream as a fresh SampleK,
-// so injected error patterns are reproducible across both paths. It
-// returns the number of bits flipped.
-func (d *Device) corruptInto(dst, src []byte, rber float64) int {
+// sampled, then positions drawn uniformly and appended to senseFlips,
+// offset by base. SampleKAppend only consults the values it appends
+// itself, so the draw consumes the same RNG stream as a fresh SampleK
+// and injected error patterns do not depend on what precedes them.
+func (d *Device) corruptInto(dst, src []byte, rber float64, base int) {
 	copy(dst, src)
 	nbits := len(src) * 8
 	if nbits == 0 {
-		return 0
+		return
 	}
 	nerr := d.rng.Binomial(nbits, rber)
-	d.errPos = d.rng.SampleKAppend(d.errPos[:0], nbits, nerr)
-	for _, pos := range d.errPos {
+	start := len(d.senseFlips)
+	d.senseFlips = d.rng.SampleKAppend(d.senseFlips, nbits, nerr)
+	for i, pos := range d.senseFlips[start:] {
 		dst[pos/8] ^= 1 << uint(7-pos%8)
+		d.senseFlips[start+i] = base + pos
 	}
-	return nerr
 }
 
 // EstimateProgram returns the expected program-operation statistics for

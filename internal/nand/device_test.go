@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -215,7 +216,7 @@ func TestCorruptStatistics(t *testing.T) {
 	const reps = 50
 	for i := 0; i < reps; i++ {
 		dst := make([]byte, len(src))
-		d.corruptInto(dst, src, rber)
+		d.corruptInto(dst, src, rber, 0)
 		total += bitDiff(dst, src)
 	}
 	mean := float64(total) / reps
@@ -227,7 +228,7 @@ func TestCorruptStatistics(t *testing.T) {
 
 func TestCorruptEmpty(t *testing.T) {
 	d := &Device{rng: stats.NewRNG(8)}
-	d.corruptInto(nil, nil, 0.5) // must not panic or draw from the RNG
+	d.corruptInto(nil, nil, 0.5, 0) // must not panic or draw from the RNG
 }
 
 // TestRecycledStoreReadsNewLengths re-programs a page whose stores were
@@ -294,5 +295,62 @@ func TestRecycledStoreReadsNewLengths(t *testing.T) {
 	// Each old byte differs from its new one in at least one bit.
 	if diff := bitDiff(buf[:len(want)], want); diff > 3 {
 		t.Fatalf("soft read differs from the new content in %d bits", diff)
+	}
+}
+
+// TestLastSenseFlipsLocateTheErrors pins the flip report the
+// controller's sensed-syndrome decode relies on: after every hard
+// sense, inverting exactly the reported positions (data bits first,
+// spare bits offset by 8·nData) restores the stored data ++ spare, the
+// positions are distinct and in range, and LastSense counts them.
+func TestLastSenseFlipsLocateTheErrors(t *testing.T) {
+	d := testDevice(t)
+	cal := d.cal
+	if err := d.SetCycles(0, 1e5); err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(5)
+	data := make([]byte, cal.PageDataBytes)
+	spare := make([]byte, cal.PageSpareBytes)
+	for i := range data {
+		data[i] = byte(r.Intn(256))
+	}
+	for i := range spare {
+		spare[i] = byte(r.Intn(256))
+	}
+	if _, err := d.Program(0, 0, data, spare, ISPPSV); err != nil {
+		t.Fatal(err)
+	}
+	d.AdvanceTime(5000)
+	want := append(append([]byte(nil), data...), spare...)
+	buf := make([]byte, len(want))
+	total, inSpare := 0, 0
+	for read := 0; read < 20; read++ {
+		nData, nSpare, err := d.ReadInto(0, 0, 0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flips := d.LastSenseFlips()
+		if _, n := d.LastSense(); n != len(flips) {
+			t.Fatalf("read %d: LastSense counts %d flips, LastSenseFlips lists %d", read, n, len(flips))
+		}
+		seen := map[int]bool{}
+		for _, p := range flips {
+			if p < 0 || p >= 8*(nData+nSpare) || seen[p] {
+				t.Fatalf("read %d: flip position %d repeated or outside the %d-bit codeword", read, p, 8*(nData+nSpare))
+			}
+			seen[p] = true
+			if p >= 8*nData {
+				inSpare++
+			}
+			buf[p/8] ^= 1 << uint(7-p%8)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("read %d: inverting the %d reported flips does not restore the stored page", read, len(flips))
+		}
+		total += len(flips)
+	}
+	if total == 0 || inSpare == 0 {
+		t.Fatalf("aged page sensed %d flips (%d in the spare); the check saw no spare errors", total, inSpare)
 	}
 }
