@@ -108,7 +108,6 @@ func tradeoffCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 	defer s.Close()
 
-	fmt.Fprintf(stdout, "Cross-layer operating points at %.0f P/E cycles (target UBER 1e-11)\n\n", *cycles)
 	header := fmt.Sprintf("%-8s %4s  %10s  %10s  %9s  %9s  %8s  %8s  %8s",
 		"alg", "t", "RBER", "UBER", "read MB/s", "write MB/s", "power W", "wr pJ/b", "rd pJ/b")
 	line := func(p xlnand.OperatingPoint, tag string) string {
@@ -121,6 +120,7 @@ func tradeoffCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(stdout, "Cross-layer operating points at %.0f P/E cycles (target UBER 1e-11)\n\n", *cycles)
 	fmt.Fprintln(stdout, "Full grid:")
 	fmt.Fprintln(stdout, header)
 	for _, p := range pts {

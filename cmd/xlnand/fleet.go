@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"time"
@@ -16,11 +17,10 @@ import (
 type fleetRun struct {
 	array, soak                      bool
 	opsScale                         float64
-	drives, workers                  int
+	drives                           int
 	seed                             uint64
 	json                             string
 	dies, blocks, stripe, cachePages int
-	policy                           string
 	ops                              int
 	redundancy                       string
 	spares, killDrive, killRound     int
@@ -53,13 +53,11 @@ func fleetCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	fs.Float64Var(&f.opsScale, "ops-scale", 1, "scale every biography phase's host ops by this factor (lifetime mode; <1 = reduced rounds for smokes)")
 	fs.IntVar(&f.drives, "drives", 0, "number of drives in the fleet (0 keeps the scenario's count; smoke default 16)")
 	fs.Uint64Var(&f.seed, "seed", 0, "override the master seed (0 keeps the default)")
-	fs.IntVar(&f.workers, "workers", 0, "cap on concurrently running drives (0 = min(drives, 16); lifetime mode only)")
 	fs.StringVar(&f.json, "json", "", "write the merged report JSON to this file (- for stdout, tables to stderr)")
 	fs.IntVar(&f.dies, "dies", 2, "dies per drive (array mode)")
 	fs.IntVar(&f.blocks, "blocks", 8, "blocks per die (array mode)")
 	fs.IntVar(&f.stripe, "stripe", 1, "stripe unit in volume pages (array mode)")
 	fs.IntVar(&f.cachePages, "cache-pages", 128, "host cache capacity in volume pages, 0 disables (array mode)")
-	fs.StringVar(&f.policy, "policy", "lru", "cache eviction policy: lru or clock (array mode)")
 	fs.IntVar(&f.ops, "ops", 2000, "workload operations to run (array mode)")
 	fs.StringVar(&f.redundancy, "redundancy", "none", "array redundancy: none, parity or mirror (array mode)")
 	fs.IntVar(&f.spares, "spares", 0, "hot spares for rebuild after a drive death (array mode)")
@@ -76,8 +74,17 @@ func fleetCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	if f.metrics != "" && !f.array {
 		return usageErrorf("-metrics requires -array (lifetime mode publishes no registry)")
 	}
-	if f.opsScale <= 0 {
-		return usageErrorf("-ops-scale must be positive, got %g", f.opsScale)
+	if !(f.opsScale > 0) || math.IsInf(f.opsScale, 1) {
+		return usageErrorf("-ops-scale must be positive and finite, got %g", f.opsScale)
+	}
+	if f.drives < 0 {
+		return usageErrorf("-drives must not be negative, got %d", f.drives)
+	}
+	if f.ops < 0 {
+		return usageErrorf("-ops must not be negative, got %d", f.ops)
+	}
+	if f.array && f.killDrive >= 0 && f.killRound < 1 {
+		return usageErrorf("-kill-round must be at least 1 (round 0 never fires), got %d", f.killRound)
 	}
 
 	out := stdout
@@ -132,13 +139,16 @@ func (f *fleetRun) runLifetime(out io.Writer) ([]byte, error) {
 		fs.Drives = f.drives
 		fs.FailStops = slices.DeleteFunc(fs.FailStops, func(k lifetime.FleetFailStop) bool { return k.Drive >= f.drives })
 	}
-	fs.Workers = f.workers
 	if f.seed != 0 {
 		fs.Seed = f.seed
 	}
 	if f.opsScale != 1 {
 		for i := range fs.Base.Phases {
-			fs.Base.Phases[i].Ops = max(1, int(float64(fs.Base.Phases[i].Ops)*f.opsScale))
+			ops := float64(fs.Base.Phases[i].Ops) * f.opsScale
+			if ops >= math.MaxInt {
+				return nil, usageErrorf("-ops-scale %g overflows phase %d's %d ops", f.opsScale, i, fs.Base.Phases[i].Ops)
+			}
+			fs.Base.Phases[i].Ops = max(1, int(ops))
 		}
 	}
 	if f.killDrive >= 0 {
@@ -178,7 +188,7 @@ func (f *fleetRun) runArray(out io.Writer) ([]byte, error) {
 		Redundancy:   f.redundancy,
 		Spares:       f.spares,
 		Faults:       plan,
-		Cache:        array.CacheConfig{Pages: f.cachePages, Policy: f.policy},
+		Cache:        array.CacheConfig{Pages: f.cachePages},
 		Trace:        f.tracer,
 		Tenants: []array.TenantConfig{
 			{Name: "oltp", SLOTarget: f.slo},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,6 +42,15 @@ func TestRun(t *testing.T) {
 		{args: []string{"bch", "corrupt", "-errors", "40000"}, code: 2},
 		{args: []string{"bch", "roundtrip", "-t", "8", "-errors", "40000"}, code: 2},
 		{args: []string{"fleet", "-metrics", filepath.Join(dir, "m.prom")}, code: 2},
+		{args: []string{"fleet", "-array", "-kill-drive", "1", "-kill-round", "0"}, code: 2},
+		{args: []string{"fleet", "-drives", "-3"}, code: 2},
+		{args: []string{"fleet", "-ops-scale", "NaN"}, code: 2},
+		{args: []string{"fleet", "-ops-scale", "Inf"}, code: 2},
+		{args: []string{"fleet", "-ops-scale", "1e300"}, code: 2},
+		{args: []string{"fleet", "-array", "-ops", "-5"}, code: 2},
+		{args: []string{"tradeoff", "-cycles", "NaN"}, code: 1},
+		{args: []string{"tradeoff", "-cycles", "-5"}, code: 1},
+		{args: []string{"tradeoff", "-cycles", "Inf"}, code: 1},
 		{args: []string{"figures", "-fig", "nope"}, code: 1},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -58,6 +68,44 @@ func TestRun(t *testing.T) {
 		}
 		if stderr.Len() == 0 {
 			t.Errorf("xlnand %s: no table on stderr", strings.Join(tc.args, " "))
+		}
+	}
+}
+
+// TestDocumentedCommandsParse runs every "go run ./cmd/xlnand" command
+// line of the README and the CI workflow in-process with -h appended: a
+// command line naming a removed subcommand or flag exits 2, so a stale
+// document fails here. Continuation lines are joined, and comments and
+// shell redirections are dropped.
+func TestDocumentedCommandsParse(t *testing.T) {
+	const prefix = "go run ./cmd/xlnand"
+	var lines []string
+	for _, doc := range []string{"../../README.md", "../../.github/workflows/ci.yml"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, line := range strings.Split(joined, "\n") {
+			if _, cmd, ok := strings.Cut(line, prefix); ok {
+				lines = append(lines, cmd)
+			}
+		}
+	}
+	if len(lines) < 20 {
+		t.Fatalf("found %d documented command lines, want at least 20", len(lines))
+	}
+	for _, line := range lines {
+		var args []string
+		for _, field := range strings.Fields(line) {
+			if strings.ContainsAny(field[:1], "#<>|;&") {
+				break
+			}
+			args = append(args, field)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-h"), strings.NewReader(""), &stdout, &stderr); code != 0 {
+			t.Errorf("%s%s: exit %d with -h; stderr:\n%s", prefix, line, code, stderr.String())
 		}
 	}
 }

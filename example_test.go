@@ -594,7 +594,7 @@ func ExampleOpenArray() {
 		DiesPerDrive: 1,
 		BlocksPerDie: 4,
 		Seed:         42,
-		Cache:        xlnand.ArrayCacheConfig{Pages: 96, Policy: "lru"},
+		Cache:        xlnand.ArrayCacheConfig{Pages: 96},
 		Tenants: []xlnand.ArrayTenant{
 			{Name: "latency"},                     // unthrottled
 			{Name: "scan", Rate: 2000, Burst: 16}, // 2000 ops/modelled-second

@@ -23,8 +23,9 @@ type ArrayOp = array.Op
 // order.
 type ArrayResult = array.Result
 
-// ArrayCacheConfig shapes the host-side read cache / write-back buffer
-// (capacity in volume pages, eviction policy name, flush watermarks).
+// ArrayCacheConfig shapes the host-side LRU read cache / write-back
+// buffer by its capacity in volume pages. A round that leaves the buffer
+// three quarters full writes every dirty page back.
 type ArrayCacheConfig = array.CacheConfig
 
 // ArrayCacheStats is the cache telemetry block of a fleet report.
@@ -77,7 +78,7 @@ var ErrArrayDriveDead = array.ErrDriveDead
 //	a, err := xlnand.OpenArray(xlnand.ArrayConfig{
 //		Drives: 16,
 //		Seed:   42,
-//		Cache:  xlnand.ArrayCacheConfig{Pages: 256, Policy: "lru"},
+//		Cache:  xlnand.ArrayCacheConfig{Pages: 256},
 //		Tenants: []xlnand.ArrayTenant{
 //			{Name: "oltp"},
 //			{Name: "scan", Rate: 2000, Burst: 64},

@@ -203,7 +203,7 @@ func TestParityRoundZeroAlloc(t *testing.T) {
 			if a.sched.pending() != 0 || tc.degraded && degraded == 0 {
 				t.Fatalf("rounds did not run as planned: %d ops pending, %d degraded reads", a.sched.pending(), degraded)
 			}
-			if high, _ := a.watermarks(); tc.cache > 0 && (!dirtyEvicted || a.cache.stats.DirtyHighWaterMark < high) {
+			if high := a.cache.highWater(); tc.cache > 0 && (!dirtyEvicted || a.cache.stats.DirtyHighWaterMark < high) {
 				t.Fatalf("cached rounds did not run as planned: dirty eviction %v, dirty high-water mark %d (flush at %d)",
 					dirtyEvicted, a.cache.stats.DirtyHighWaterMark, high)
 			}

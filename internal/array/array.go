@@ -1,9 +1,10 @@
 // Package array is the fleet-scale front end over the single-drive
 // stack: an Array stripes a volume address space across N independent
 // drives (each the dispatcher + FTL pair ftl.Open builds, with its own
-// seeded RNG streams from ftl.DriveSeed), serves reads through a host-side cache with pluggable
-// eviction, buffers writes in a write-back buffer with deterministic
-// flush ordering, and schedules tenants through token-bucket QoS.
+// seeded RNG streams from ftl.DriveSeed), serves reads through a
+// host-side LRU cache, buffers writes in a write-back buffer that a
+// round drains whole, in first-dirtied order, once it is three quarters
+// full, and schedules tenants through token-bucket QoS.
 // Cross-drive redundancy (rotating parity or mirroring), deterministic
 // fault injection, degraded-mode operation, and background rebuild onto
 // hot spares layer on top without giving up reproducibility.
@@ -93,6 +94,9 @@ const (
 	hostTidTenant0 = 10
 )
 
+// hitLatency is the modelled host-side service time of a cache hit.
+const hitLatency = time.Microsecond
+
 // Config shapes an Array.
 type Config struct {
 	// Drives is the number of array slots (>= 1; parity needs >= 3,
@@ -130,13 +134,8 @@ type Config struct {
 	// RoundOps bounds how many tenant ops one scheduling round admits
 	// (default 8 per drive).
 	RoundOps int
-	// HitLatency is the modelled host-side service time of a cache hit
-	// (default 1µs).
-	HitLatency time.Duration
 	// Family selects the drives' ECC codec family (zero = adaptive BCH).
 	Family ecc.Family
-	// Env overrides the model environment (nil = sim.DefaultEnv()).
-	Env *sim.Env
 	// Controller overrides the per-die controller config (nil = defaults).
 	Controller *controller.Config
 	// Trace, when non-nil, collects virtual-time spans from every layer:
@@ -259,9 +258,6 @@ func New(cfg Config) (*Array, error) {
 	if cfg.RoundOps == 0 {
 		cfg.RoundOps = 8 * cfg.Drives
 	}
-	if cfg.HitLatency == 0 {
-		cfg.HitLatency = time.Microsecond
-	}
 	lay, err := newLayout(cfg.Redundancy, cfg.Drives, cfg.StripePages)
 	if err != nil {
 		return nil, err
@@ -277,9 +273,6 @@ func New(cfg Config) (*Array, error) {
 		return nil, err
 	}
 	env := sim.DefaultEnv()
-	if cfg.Env != nil {
-		env = *cfg.Env
-	}
 	ctrlCfg := controller.DefaultConfig()
 	if cfg.Controller != nil {
 		ctrlCfg = *cfg.Controller
@@ -517,8 +510,8 @@ func (a *Array) round() ([]Result, error) {
 				// Write-back: ack into the buffer; the drive write
 				// happens on eviction or flush.
 				r.CacheHit = true
-				r.Latency = a.cfg.HitLatency
-				hostTime += a.cfg.HitLatency
+				r.Latency = hitLatency
+				hostTime += hitLatency
 				if wb, ok := a.cache.put(op.Page, op.Data, true); ok {
 					acts = append(acts, action{write: true, page: wb.page, data: wb.data})
 				}
@@ -534,8 +527,8 @@ func (a *Array) round() ([]Result, error) {
 			a.trace.Instant1(hostTidCache, "cache_hit", a.clock, "page", int64(op.Page))
 			r.CacheHit = true
 			r.Data = copyInto(op.Buf, data)
-			r.Latency = a.cfg.HitLatency
-			hostTime += a.cfg.HitLatency
+			r.Latency = hitLatency
+			hostTime += hitLatency
 			continue
 		}
 		acts = append(acts, action{page: op.Page, res: r, buf: op.Buf})
@@ -545,11 +538,10 @@ func (a *Array) round() ([]Result, error) {
 		}
 	}
 
-	// Watermark flush: drain the write-back buffer down to the low
-	// water once it crosses the high water, in first-dirtied order.
-	high, low := a.watermarks()
-	if a.cache.enabled() && a.cache.dirtyCount() >= high {
-		a.scr.flushed = a.cache.flush(a.scr.flushed[:0], a.cache.dirtyCount()-low)
+	// Watermark flush: once the write-back buffer reaches its high
+	// water, write all of it back, in first-dirtied order.
+	if a.cache.dirty.Len() >= a.cache.highWater() {
+		a.scr.flushed = a.cache.flush(a.scr.flushed[:0])
 		acts = appendWriteBacks(acts, a.scr.flushed)
 	}
 	a.scr.acts, a.scr.fills = acts, fills
@@ -620,25 +612,6 @@ func (a *Array) stall(wait time.Duration) {
 	a.advance(wait)
 }
 
-// watermarks resolves the configured dirty watermarks against their
-// defaults (3/4 and 1/4 of capacity).
-func (a *Array) watermarks() (high, low int) {
-	high, low = a.cfg.Cache.DirtyHighWater, a.cfg.Cache.DirtyLowWater
-	if high <= 0 {
-		high = a.cache.cap * 3 / 4
-		if high < 1 {
-			high = 1
-		}
-	}
-	if low < 0 || low >= high {
-		low = a.cache.cap / 4
-		if low >= high {
-			low = high - 1
-		}
-	}
-	return high, low
-}
-
 // advance moves the fleet clock and refills every token bucket.
 func (a *Array) advance(dt time.Duration) {
 	if dt <= 0 {
@@ -654,7 +627,7 @@ func (a *Array) Flush() error {
 	if a.closed {
 		return ErrClosed
 	}
-	a.pendingWB = a.cache.flush(a.pendingWB, 0)
+	a.pendingWB = a.cache.flush(a.pendingWB)
 	a.writeBackPending()
 	return nil
 }

@@ -311,7 +311,7 @@ func fleetWorkload(t *testing.T, drives int) ([]byte, string) {
 	t.Helper()
 	cfg := testConfig(drives)
 	cfg.Seed = 900913
-	cfg.Cache = CacheConfig{Pages: 48, Policy: "clock"}
+	cfg.Cache = CacheConfig{Pages: 48}
 	cfg.Tenants = []TenantConfig{
 		{Name: "scan", Rate: 4000, Burst: 16},
 		{Name: "oltp"},

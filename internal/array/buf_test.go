@@ -73,7 +73,7 @@ func TestOpBufHonoured(t *testing.T) {
 							t.Fatalf("page %d: wrong content in the caller's buffer", r.Page)
 						}
 						served++
-						if !r.CacheHit && r.Latency == a.cfg.HitLatency {
+						if !r.CacheHit && r.Latency == hitLatency {
 							forwarded++
 						}
 					}
@@ -146,14 +146,14 @@ func TestSubmitCopySurvivesRecycling(t *testing.T) {
 		// in the same round is forwarded from p's write-back.
 		write(p, v)
 		write(8+v, v)
-		if r := read(p, v, "forwarded"); r.CacheHit || r.Latency != a.cfg.HitLatency {
+		if r := read(p, v, "forwarded"); r.CacheHit || r.Latency != hitLatency {
 			t.Fatalf("version %d: read of page %d not forwarded (cache hit %v, latency %v)", v, p, r.CacheHit, r.Latency)
 		}
 		if r := read(p, v, "cached"); !r.CacheHit {
 			t.Fatalf("version %d: read of page %d missed the cache", v, p)
 		}
 		read(z, 0, "evicting")
-		if r := read(p, v, "drive"); r.CacheHit || r.Latency == a.cfg.HitLatency {
+		if r := read(p, v, "drive"); r.CacheHit || r.Latency == hitLatency {
 			t.Fatalf("version %d: read of page %d not served by a drive", v, p)
 		}
 	}

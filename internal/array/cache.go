@@ -2,160 +2,18 @@ package array
 
 import "fmt"
 
-// Policy is a pluggable eviction policy for the host cache: it tracks
-// residency order, nothing else. The cache calls Admit when a page
-// becomes resident, Touch on every reference to a resident page and
-// Victim when it must evict (the policy removes and returns its
-// choice); a resident page leaves the cache only as a victim. Policies are
-// strictly deterministic: the same call sequence always yields the same
-// victims, which is what keeps fleet reports byte-identical per seed.
-type Policy interface {
-	Name() string
-	Admit(page int)
-	Touch(page int)
-	Victim() int
-	Len() int
-}
-
-// NewPolicy builds a named eviction policy: "lru" (default for the
-// empty string) or "clock".
-func NewPolicy(name string) (Policy, error) {
-	switch name {
-	case "", "lru":
-		return NewLRU(), nil
-	case "clock":
-		return NewClock(), nil
-	default:
-		return nil, fmt.Errorf("array: unknown eviction policy %q", name)
-	}
-}
-
-// LRU evicts the least-recently-used page: a doubly linked list in
-// recency order with a map from page to list node.
-type LRU struct {
-	order pageList // front = most recent
-	elem  map[int]*pageNode
-}
-
-// NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{elem: make(map[int]*pageNode)}
-}
-
-// Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
-
-// Admit implements Policy.
-func (l *LRU) Admit(page int) { l.elem[page] = l.order.pushFront(page) }
-
-// Touch implements Policy.
-func (l *LRU) Touch(page int) {
-	if nd, ok := l.elem[page]; ok {
-		l.order.moveToFront(nd)
-	}
-}
-
-// Victim implements Policy.
-func (l *LRU) Victim() int {
-	nd := l.order.back()
-	if nd == nil {
-		panic("array: LRU victim of empty cache")
-	}
-	page := nd.page
-	l.order.remove(nd)
-	delete(l.elem, page)
-	return page
-}
-
-// Len implements Policy.
-func (l *LRU) Len() int { return l.order.Len() }
-
-// Clock is the classic second-chance approximation of LRU: resident
-// pages sit on a circular list with one reference bit each; the hand
-// sweeps, clearing set bits, and evicts the first page it finds clear.
-// O(1) per touch, no reordering on hit — the policy hardware caches use.
-type Clock struct {
-	ring pageList  // circular order (hand wraps via front)
-	hand *pageNode // next candidate; nil when empty
-	elem map[int]*pageNode
-}
-
-// NewClock returns an empty clock policy.
-func NewClock() *Clock {
-	return &Clock{elem: make(map[int]*pageNode)}
-}
-
-// Name implements Policy.
-func (c *Clock) Name() string { return "clock" }
-
-// Admit implements Policy. New pages enter behind the hand with their
-// reference bit set, so they survive the hand's current lap.
-func (c *Clock) Admit(page int) {
-	var nd *pageNode
-	if c.hand == nil {
-		nd = c.ring.pushBack(page)
-		c.hand = nd
-	} else {
-		nd = c.ring.insertBefore(page, c.hand)
-	}
-	nd.ref = true
-	c.elem[page] = nd
-}
-
-// Touch implements Policy.
-func (c *Clock) Touch(page int) {
-	if nd, ok := c.elem[page]; ok {
-		nd.ref = true
-	}
-}
-
-// advance moves the hand one slot, wrapping at the ring's end.
-func (c *Clock) advance() {
-	c.hand = c.ring.next(c.hand)
-	if c.hand == nil {
-		c.hand = c.ring.front()
-	}
-}
-
-// Victim implements Policy.
-func (c *Clock) Victim() int {
-	if c.hand == nil {
-		panic("array: clock victim of empty cache")
-	}
-	for {
-		if c.hand.ref {
-			c.hand.ref = false
-			c.advance()
-			continue
-		}
-		victim := c.hand
-		c.advance()
-		if victim == c.hand { // last element
-			c.hand = nil
-		}
-		page := victim.page
-		c.ring.remove(victim)
-		delete(c.elem, page)
-		return page
-	}
-}
-
-// Len implements Policy.
-func (c *Clock) Len() int { return c.ring.Len() }
-
-// CacheConfig parametrises the host-side cache.
+// CacheConfig parametrises the host-side cache: a least-recently-used
+// read cache and a write-back buffer. Once a round leaves
+// max(3·Pages/4, 1) dirty pages in the buffer, it writes every dirty
+// page back, in first-dirtied order.
 type CacheConfig struct {
 	// Pages is the cache capacity in volume pages (0 disables caching:
 	// every read misses to a drive and every write dispatches
 	// immediately).
 	Pages int
-	// Policy names the eviction policy: "lru" (the default) or "clock".
+	// Policy names the eviction policy. Least-recently-used is the only
+	// one: "lru" or the empty string.
 	Policy string
-	// DirtyHighWater triggers a background flush once this many dirty
-	// pages accumulate in the write-back buffer; the flush drains down
-	// to DirtyLowWater. Defaults: 3/4 and 1/4 of Pages.
-	DirtyHighWater int
-	DirtyLowWater  int
 }
 
 // CacheStats is the cache's observable climate, merged into the fleet
@@ -193,6 +51,8 @@ func (s CacheStats) HitRate() float64 {
 type cacheEntry struct {
 	data  []byte
 	dirty bool
+	// lru is the entry's position in the recency list.
+	lru *pageNode
 	// fifo is the entry's position in the dirty FIFO (nil when clean):
 	// write-back order is strictly first-dirtied-first-flushed, so the
 	// drives below observe host writes in a stable, reproducible order.
@@ -206,8 +66,8 @@ type cacheEntry struct {
 // them; the package comment follows a store from hop to hop.
 type hostCache struct {
 	cap     int
-	pol     Policy
 	entries map[int]*cacheEntry
+	recent  pageList // page numbers, most recently used first
 	dirty   pageList // page numbers in first-dirtied order
 	spare   [][]byte // empty page stores nobody holds
 	stats   CacheStats
@@ -245,16 +105,14 @@ func newHostCache(cfg CacheConfig) (*hostCache, error) {
 	if cfg.Pages < 0 {
 		return nil, fmt.Errorf("array: negative cache capacity %d", cfg.Pages)
 	}
-	pol, err := NewPolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != "" && cfg.Policy != "lru" {
+		return nil, fmt.Errorf("array: unknown eviction policy %q", cfg.Policy)
 	}
 	c := &hostCache{
 		cap:     cfg.Pages,
-		pol:     pol,
 		entries: make(map[int]*cacheEntry),
 	}
-	c.stats.PolicyName = pol.Name()
+	c.stats.PolicyName = "lru"
 	c.stats.Capacity = cfg.Pages
 	return c, nil
 }
@@ -274,7 +132,7 @@ func (c *hostCache) lookup(page int) ([]byte, bool) {
 		return nil, false
 	}
 	c.stats.Hits++
-	c.pol.Touch(page)
+	c.recent.moveToFront(e.lru)
 	return e.data, true
 }
 
@@ -294,13 +152,12 @@ func (c *hostCache) put(page int, data []byte, dirty bool) (wb writeback, ok boo
 		} else {
 			e = new(cacheEntry)
 		}
-		*e = cacheEntry{data: data}
+		*e = cacheEntry{data: data, lru: c.recent.pushFront(page)}
 		c.entries[page] = e
-		c.pol.Admit(page)
 	} else {
 		c.recycle(e.data)
 		e.data = data
-		c.pol.Touch(page)
+		c.recent.moveToFront(e.lru)
 	}
 	if dirty && e.fifo == nil {
 		e.fifo = c.dirty.pushBack(page)
@@ -323,11 +180,13 @@ func (c *hostCache) fill(page int, data []byte) (writeback, bool) {
 	return c.put(page, append(c.take(), data...), false)
 }
 
-// evict removes the policy's victim, surfacing a writeback if it was
-// dirty; a clean victim's store goes straight to the spare list. The
-// victim's entry is returned for the caller to reuse.
+// evict removes the least recently used page, surfacing a writeback if
+// it was dirty; a clean victim's store goes straight to the spare list.
+// The victim's entry is returned for the caller to reuse.
 func (c *hostCache) evict() (e *cacheEntry, wb writeback, ok bool) {
-	page := c.pol.Victim()
+	victim := c.recent.back()
+	page := victim.page
+	c.recent.remove(victim)
 	e = c.entries[page]
 	delete(c.entries, page)
 	c.stats.Evictions++
@@ -340,14 +199,17 @@ func (c *hostCache) evict() (e *cacheEntry, wb writeback, ok bool) {
 	return e, writeback{page: page, data: e.data}, true
 }
 
-// flush appends up to max dirty pages (all of them when max <= 0) to wbs
-// in first-dirtied order. The pages stay resident and become clean; the
-// caller owns writing the appended copies to the drives.
-func (c *hostCache) flush(wbs []writeback, max int) []writeback {
-	if max <= 0 || max > c.dirty.Len() {
-		max = c.dirty.Len()
-	}
-	for i := 0; i < max; i++ {
+// highWater is the dirty count at which a round writes the whole
+// write-back buffer back: three quarters of the capacity, at least one
+// page (so a disabled cache, which never holds a dirty page, never
+// flushes).
+func (c *hostCache) highWater() int { return max(c.cap*3/4, 1) }
+
+// flush appends every dirty page to wbs in first-dirtied order. The
+// pages stay resident and become clean; the caller owns writing the
+// appended copies to the drives.
+func (c *hostCache) flush(wbs []writeback) []writeback {
+	for c.dirty.Len() > 0 {
 		front := c.dirty.front()
 		page := front.page
 		c.dirty.remove(front)
@@ -359,6 +221,3 @@ func (c *hostCache) flush(wbs []writeback, max int) []writeback {
 	}
 	return wbs
 }
-
-// dirtyCount returns the write-back buffer's current depth.
-func (c *hostCache) dirtyCount() int { return c.dirty.Len() }

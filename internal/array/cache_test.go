@@ -1,133 +1,10 @@
 package array
 
-import "testing"
-
-// policyMakers enumerates every eviction policy for the conformance
-// suite; new policies join here and inherit the whole suite.
-var policyMakers = []struct {
-	name string
-	make func() Policy
-}{
-	{"lru", func() Policy { return NewLRU() }},
-	{"clock", func() Policy { return NewClock() }},
-}
-
-// TestPolicyConformance runs the policy-agnostic contract every
-// eviction policy must satisfy: victims are always resident, each
-// admitted page is evicted exactly once, and Len tracks residency.
-func TestPolicyConformance(t *testing.T) {
-	for _, pm := range policyMakers {
-		t.Run(pm.name, func(t *testing.T) {
-			p := pm.make()
-			if p.Name() != pm.name {
-				t.Fatalf("Name() = %q, want %q", p.Name(), pm.name)
-			}
-			if p.Len() != 0 {
-				t.Fatalf("fresh policy Len = %d", p.Len())
-			}
-			// Touch of a non-resident page is a no-op.
-			p.Touch(99)
-			if p.Len() != 0 {
-				t.Fatalf("no-op Touch changed Len to %d", p.Len())
-			}
-
-			const k = 17
-			for i := 0; i < k; i++ {
-				p.Admit(i)
-			}
-			if p.Len() != k {
-				t.Fatalf("Len = %d after %d admits", p.Len(), k)
-			}
-			seen := make(map[int]bool)
-			for p.Len() > 0 {
-				v := p.Victim()
-				if v < 0 || v >= k {
-					t.Fatalf("victim %d never admitted", v)
-				}
-				if seen[v] {
-					t.Fatalf("page %d evicted twice", v)
-				}
-				seen[v] = true
-			}
-			if len(seen) != k {
-				t.Fatalf("evicted %d distinct pages, want %d", len(seen), k)
-			}
-		})
-	}
-}
-
-// TestPolicyConformanceInterleaved drives each policy through a fixed
-// admit/touch/victim script twice and requires the identical
-// victim sequence — the determinism the fleet report depends on.
-func TestPolicyConformanceInterleaved(t *testing.T) {
-	script := func(p Policy) []int {
-		var victims []int
-		for i := 0; i < 8; i++ {
-			p.Admit(i)
-		}
-		p.Touch(0)
-		p.Touch(3)
-		victims = append(victims, p.Victim(), p.Victim())
-		p.Admit(8)
-		p.Touch(8)
-		for p.Len() > 0 {
-			victims = append(victims, p.Victim())
-		}
-		return victims
-	}
-	for _, pm := range policyMakers {
-		t.Run(pm.name, func(t *testing.T) {
-			a, b := script(pm.make()), script(pm.make())
-			if len(a) != len(b) {
-				t.Fatalf("victim counts differ: %d vs %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("victim %d differs: %d vs %d (full: %v vs %v)", i, a[i], b[i], a, b)
-				}
-			}
-		})
-	}
-}
-
-// TestLRUOrder pins exact LRU semantics: the least recently used page
-// goes first, and Touch refreshes recency.
-func TestLRUOrder(t *testing.T) {
-	p := NewLRU()
-	p.Admit(1)
-	p.Admit(2)
-	p.Admit(3)
-	p.Touch(1) // order (most→least recent): 1, 3, 2
-	if v := p.Victim(); v != 2 {
-		t.Fatalf("victim = %d, want 2", v)
-	}
-	if v := p.Victim(); v != 3 {
-		t.Fatalf("victim = %d, want 3", v)
-	}
-	if v := p.Victim(); v != 1 {
-		t.Fatalf("victim = %d, want 1", v)
-	}
-}
-
-// TestClockSecondChance pins the second-chance property: a page whose
-// reference bit is set when the hand arrives survives that sweep.
-func TestClockSecondChance(t *testing.T) {
-	p := NewClock()
-	p.Admit(1)
-	p.Admit(2)
-	p.Admit(3)
-	// All reference bits set: the first victim is the oldest (FIFO).
-	if v := p.Victim(); v != 1 {
-		t.Fatalf("first victim = %d, want 1", v)
-	}
-	p.Touch(2) // re-referenced: must survive the next sweep
-	if v := p.Victim(); v != 3 {
-		t.Fatalf("second victim = %d, want 3 (2 had its second chance)", v)
-	}
-	if v := p.Victim(); v != 2 {
-		t.Fatalf("third victim = %d, want 2", v)
-	}
-}
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 func mustCache(t *testing.T, cfg CacheConfig) *hostCache {
 	t.Helper()
@@ -136,6 +13,35 @@ func mustCache(t *testing.T, cfg CacheConfig) *hostCache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestLRUOrder pins exact LRU semantics: the least recently used page
+// goes first, and a hit refreshes recency.
+func TestLRUOrder(t *testing.T) {
+	c := mustCache(t, CacheConfig{Pages: 3})
+	for p := 1; p <= 3; p++ {
+		c.put(p, []byte{byte(p)}, false)
+	}
+	c.lookup(1) // order (most→least recent): 1, 3, 2
+	for i, want := range []int{2, 3, 1} {
+		c.put(10+i, []byte{0}, false)
+		if _, ok := c.entries[want]; ok {
+			t.Fatalf("eviction %d kept page %d, want it evicted", i, want)
+		}
+	}
+}
+
+// TestCacheRejectsUnknownPolicy: "lru" and the empty string are the only
+// eviction policies.
+func TestCacheRejectsUnknownPolicy(t *testing.T) {
+	for _, name := range []string{"", "lru"} {
+		if c := mustCache(t, CacheConfig{Pages: 4, Policy: name}); c.stats.PolicyName != "lru" {
+			t.Fatalf("policy %q reports %q", name, c.stats.PolicyName)
+		}
+	}
+	if _, err := newHostCache(CacheConfig{Pages: 4, Policy: "clock"}); err == nil {
+		t.Fatal(`policy "clock" accepted`)
+	}
 }
 
 // TestCacheCounters pins hit/miss/evict/writeback accounting.
@@ -155,8 +61,7 @@ func TestCacheCounters(t *testing.T) {
 	if wb, ok := c.put(3, []byte{3}, false); ok {
 		t.Fatalf("clean eviction surfaced writeback for page %d", wb.page)
 	}
-	// Page 2 is dirty; filling 4 evicts it (2 was touched after 3? no:
-	// order most→least recent is 3, 2) — victim is 2, dirty.
+	// Order most→least recent is 3, 2: filling 4 evicts page 2, dirty.
 	wb, ok := c.put(4, []byte{4}, false)
 	if !ok || wb.page != 2 || wb.data[0] != 2 {
 		t.Fatalf("dirty eviction: got %+v, want page 2", wb)
@@ -180,27 +85,22 @@ func TestCacheFlushOrder(t *testing.T) {
 	c.put(3, []byte{30}, true)
 	c.put(9, []byte{90}, true)
 	c.put(3, []byte{31}, true) // overwrite: newest data, original order slot
-	if c.dirtyCount() != 3 {
-		t.Fatalf("dirty count %d, want 3", c.dirtyCount())
+	if c.dirty.Len() != 3 {
+		t.Fatalf("dirty count %d, want 3", c.dirty.Len())
 	}
 	if c.stats.DirtyHighWaterMark != 3 {
 		t.Fatalf("dirty high-water mark %d, want 3", c.stats.DirtyHighWaterMark)
 	}
 
-	// Partial flush takes the oldest first.
-	part := c.flush(nil, 1)
-	if len(part) != 1 || part[0].page != 5 || part[0].data[0] != 50 {
-		t.Fatalf("partial flush = %+v, want page 5", part)
+	wbs := c.flush(nil)
+	if len(wbs) != 3 || wbs[0].page != 5 || wbs[1].page != 3 || wbs[2].page != 9 {
+		t.Fatalf("flush order = %+v, want [5 3 9]", wbs)
 	}
-	rest := c.flush(nil, 0)
-	if len(rest) != 2 || rest[0].page != 3 || rest[1].page != 9 {
-		t.Fatalf("flush order = %+v, want [3 9]", rest)
+	if wbs[1].data[0] != 31 {
+		t.Fatalf("flush of overwritten page carried stale data %d", wbs[1].data[0])
 	}
-	if rest[0].data[0] != 31 {
-		t.Fatalf("flush of overwritten page carried stale data %d", rest[0].data[0])
-	}
-	if c.dirtyCount() != 0 {
-		t.Fatalf("dirty count %d after full flush", c.dirtyCount())
+	if c.dirty.Len() != 0 {
+		t.Fatalf("dirty count %d after flush", c.dirty.Len())
 	}
 	// Flushed pages remain resident (clean): their next eviction must
 	// not write back again.
@@ -225,7 +125,174 @@ func TestCacheFillDoesNotClobberDirty(t *testing.T) {
 	if !ok || data[0] != 2 {
 		t.Fatalf("stale fill clobbered dirty page: got %v", data)
 	}
-	if c.dirtyCount() != 1 {
+	if c.dirty.Len() != 1 {
 		t.Fatal("fill cleaned a dirty page")
+	}
+}
+
+// refLRU is the naive reference the host cache is checked against: a
+// slice in recency order (most recent first) and a slice of dirty pages
+// in first-dirtied order.
+type refLRU struct {
+	cap   int
+	order []refEntry
+	dirty []int
+	stats CacheStats
+}
+
+type refEntry struct {
+	page  int
+	data  byte
+	dirty bool
+}
+
+func (r *refLRU) find(page int) int {
+	return slices.IndexFunc(r.order, func(e refEntry) bool { return e.page == page })
+}
+
+// touch moves order[i] to the front and returns it.
+func (r *refLRU) touch(i int) *refEntry {
+	e := r.order[i]
+	r.order = slices.Insert(slices.Delete(r.order, i, i+1), 0, e)
+	return &r.order[0]
+}
+
+func (r *refLRU) lookup(page int) (byte, bool) {
+	if r.cap == 0 {
+		return 0, false
+	}
+	i := r.find(page)
+	if i < 0 {
+		r.stats.Misses++
+		return 0, false
+	}
+	r.stats.Hits++
+	return r.touch(i).data, true
+}
+
+func (r *refLRU) put(page int, data byte, dirty bool) (victim refEntry, ok bool) {
+	var e *refEntry
+	if i := r.find(page); i >= 0 {
+		e = r.touch(i)
+		e.data = data
+	} else {
+		if len(r.order) == r.cap {
+			victim = r.order[len(r.order)-1]
+			r.order = r.order[:len(r.order)-1]
+			r.stats.Evictions++
+			if victim.dirty {
+				r.dirty = slices.DeleteFunc(r.dirty, func(p int) bool { return p == victim.page })
+				r.stats.Writebacks++
+				ok = true
+			}
+		}
+		r.order = slices.Insert(r.order, 0, refEntry{page: page, data: data})
+		e = &r.order[0]
+	}
+	if dirty && !e.dirty {
+		e.dirty = true
+		r.dirty = append(r.dirty, page)
+	}
+	r.stats.DirtyHighWaterMark = max(r.stats.DirtyHighWaterMark, len(r.dirty))
+	return victim, ok
+}
+
+func (r *refLRU) fill(page int, data byte) (refEntry, bool) {
+	if r.find(page) >= 0 {
+		return refEntry{}, false
+	}
+	return r.put(page, data, false)
+}
+
+func (r *refLRU) flush() []int {
+	out := r.dirty
+	r.dirty = nil
+	for i := range r.order {
+		r.order[i].dirty = false
+	}
+	r.stats.Writebacks += int64(len(out))
+	return out
+}
+
+// TestHostCacheMatchesReferenceLRU drives the host cache and the naive
+// reference through one seeded stream of puts, fills, lookups and
+// flushes. After every call the two must agree on the residents (in
+// recency order, with their bytes and dirty bits), the eviction victim,
+// the order in which dirty pages are written back, and every counter.
+// Write-back stores go back to the spare list once compared, so a store
+// reused too early shows up as wrong bytes.
+func TestHostCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{0, 1, 2, 5, 16} {
+		t.Run(fmt.Sprintf("pages=%d", capacity), func(t *testing.T) {
+			c := mustCache(t, CacheConfig{Pages: capacity})
+			ref := &refLRU{cap: capacity}
+			state := uint64(capacity)*0x9e3779b97f4a7c15 + 1
+			next := func(n int) int {
+				state = state*6364136223846793005 + 1442695040888963407
+				return int((state >> 33) % uint64(n))
+			}
+			universe := 2*capacity + 3
+			checkVictim := func(step int, wb writeback, ok bool, want refEntry, wantOK bool) {
+				t.Helper()
+				if ok != wantOK || ok && (wb.page != want.page || wb.data[0] != want.data) {
+					t.Fatalf("step %d: write-back victim %v/%v, want page %d byte %d/%v",
+						step, wb, ok, want.page, want.data, wantOK)
+				}
+				if ok {
+					c.recycle(wb.data)
+				}
+			}
+			for step := 0; step < 4000; step++ {
+				page, data := next(universe), byte(step)
+				switch op := next(10); {
+				case op < 4:
+					got, hit := c.lookup(page)
+					want, wantHit := ref.lookup(page)
+					if hit != wantHit || hit && got[0] != want {
+						t.Fatalf("step %d: lookup(%d) = %v/%v, want %d/%v", step, page, got, hit, want, wantHit)
+					}
+				case op < 8 && capacity > 0:
+					dirty := op < 6
+					wb, ok := c.put(page, append(c.take(), data), dirty)
+					victim, wantOK := ref.put(page, data, dirty)
+					checkVictim(step, wb, ok, victim, wantOK)
+				case op < 9 && capacity > 0:
+					wb, ok := c.fill(page, []byte{data})
+					victim, wantOK := ref.fill(page, data)
+					checkVictim(step, wb, ok, victim, wantOK)
+				default:
+					wbs := c.flush(nil)
+					want := ref.flush()
+					if len(wbs) != len(want) {
+						t.Fatalf("step %d: flushed %d pages, want %v", step, len(wbs), want)
+					}
+					for i, wb := range wbs {
+						if wb.page != want[i] {
+							t.Fatalf("step %d: flush order %v, want %v", step, wbs, want)
+						}
+						c.recycle(wb.data)
+					}
+				}
+				var got []refEntry
+				for nd := c.recent.front(); nd != nil && len(got) < c.recent.Len(); nd = nd.next {
+					e := c.entries[nd.page]
+					got = append(got, refEntry{page: nd.page, data: e.data[0], dirty: e.dirty})
+				}
+				if len(c.entries) != len(ref.order) || !slices.Equal(got, ref.order) {
+					t.Fatalf("step %d: residents %v (%d entries), want %v", step, got, len(c.entries), ref.order)
+				}
+				var dirty []int
+				for nd := c.dirty.front(); nd != nil && len(dirty) < c.dirty.Len(); nd = nd.next {
+					dirty = append(dirty, nd.page)
+				}
+				if !slices.Equal(dirty, ref.dirty) {
+					t.Fatalf("step %d: dirty order %v, want %v", step, dirty, ref.dirty)
+				}
+				ref.stats.PolicyName, ref.stats.Capacity = "lru", capacity
+				if c.stats != ref.stats {
+					t.Fatalf("step %d: stats %+v, want %+v", step, c.stats, ref.stats)
+				}
+			}
+		})
 	}
 }

@@ -548,7 +548,7 @@ func faultFleetWorkload(t *testing.T) ([]byte, string) {
 	cfg.Seed = 424243
 	cfg.Redundancy = RedundancyParity
 	cfg.Spares = 1
-	cfg.Cache = CacheConfig{Pages: 48, Policy: "clock"}
+	cfg.Cache = CacheConfig{Pages: 48}
 	cfg.Tenants = []TenantConfig{
 		{Name: "scan", Rate: 4000, Burst: 16},
 		{Name: "oltp"},

@@ -185,7 +185,7 @@ func newModelPlan(seed uint64) modelPlan {
 	cfg.RoundOps = 8
 	cfg.StripePages = 1 + 3*rnd(2)
 	if rnd(2) == 0 {
-		cfg.Cache = CacheConfig{Pages: 8 + 8*rnd(2), Policy: []string{"lru", "clock"}[rnd(2)]}
+		cfg.Cache = CacheConfig{Pages: 8 + 8*rnd(2)}
 	}
 	cfg.Faults.Seed = seed ^ 0xfa17
 	victim := rnd(drives)

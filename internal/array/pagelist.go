@@ -4,14 +4,13 @@ package array
 type pageNode struct {
 	prev, next *pageNode
 	page       int
-	ref        bool // Clock's reference bit
 }
 
-// pageList is a doubly linked list of page numbers — LRU's recency
-// order, Clock's ring, the write-back buffer's dirty FIFO — that keeps
-// the nodes it unlinks for its next insert, so pages joining and leaving
-// it allocate nothing once it has held that many at a time. The zero
-// value is an empty list; a list must not be copied.
+// pageList is a doubly linked list of page numbers — the cache's
+// recency order, the write-back buffer's dirty FIFO — that keeps the
+// nodes it unlinks for its next insert, so pages joining and leaving it
+// allocate nothing once it has held that many at a time. The zero value
+// is an empty list; a list must not be copied.
 type pageList struct {
 	root pageNode  // sentinel: root.next is the front, root.prev the back
 	free *pageNode // unlinked nodes, chained through next
@@ -37,21 +36,9 @@ func (l *pageList) back() *pageNode {
 	return l.root.prev
 }
 
-// next returns the node after nd, nil at the back.
-func (l *pageList) next(nd *pageNode) *pageNode {
-	if nd.next == &l.root {
-		return nil
-	}
-	return nd.next
-}
-
 func (l *pageList) pushFront(page int) *pageNode { return l.insertAfter(page, l.sentinel()) }
 
 func (l *pageList) pushBack(page int) *pageNode { return l.insertAfter(page, l.sentinel().prev) }
-
-func (l *pageList) insertBefore(page int, mark *pageNode) *pageNode {
-	return l.insertAfter(page, mark.prev)
-}
 
 // remove unlinks nd and keeps it for a later insert.
 func (l *pageList) remove(nd *pageNode) {

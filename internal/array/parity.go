@@ -158,7 +158,7 @@ func (a *Array) execRound(acts []action, allowRebuild bool) time.Duration {
 			// version: forward it host-side.
 			act.res.Drive, _ = a.lay.locate(act.page)
 			act.res.Data = copyInto(act.buf, sc.pw[wi-1].act.data)
-			act.res.Latency = a.cfg.HitLatency
+			act.res.Latency = hitLatency
 		} else if err := a.stageRead(act.res, act.page, act.buf, -1); err != nil {
 			act.res.Drive, _ = a.lay.locate(act.page)
 			act.res.Err = err
@@ -313,9 +313,9 @@ func (a *Array) runReads(from int) time.Duration {
 // the round ends), so it nests inside the round's span even when the
 // read is the round's entire critical path.
 func (a *Array) recordDegraded(res *Result, page, drv int, lat time.Duration) {
-	res.Latency += a.cfg.HitLatency
+	res.Latency += hitLatency
 	a.slots[drv].reconBytes += int64(a.pageBytes)
-	a.latDegraded.Record(lat + a.cfg.HitLatency)
+	a.latDegraded.Record(lat + hitLatency)
 	a.trace.Span2(hostTidRecov, "reconstruct", a.clock, lat,
 		"page", int64(page), "slot", int64(drv))
 }

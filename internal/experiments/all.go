@@ -55,7 +55,7 @@ func All() []Runner {
 		{"ext-validate", "extension: trace replay vs analytic model",
 			func(e sim.Env, s uint64) (Figure, error) { return ExtWorkloadValidation(e, s) }},
 		{"ext-lifetime", "extension: measured lifetime trajectory of the scenario engine",
-			func(e sim.Env, s uint64) (Figure, error) { return ExtLifetime(e, s) }},
+			func(e sim.Env, s uint64) (Figure, error) { return ExtLifetime(s) }},
 		{"ext-readretry", "extension: recovered UBER vs read-retry ladder depth across lifetime",
 			func(e sim.Env, s uint64) (Figure, error) { return ExtReadRetry(e), nil }},
 		{"ext-ldpc", "extension: codec families at the recovery endgame (BCH ladder vs LDPC hard vs LDPC soft)",

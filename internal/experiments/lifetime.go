@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"xlnand/internal/lifetime"
-	"xlnand/internal/sim"
-)
+import "xlnand/internal/lifetime"
 
 // ExtLifetime extends the evaluation from operating-point snapshots to a
 // measured device biography: it plays a short deterministic lifetime
@@ -11,11 +8,11 @@ import (
 // adaptive BCH, aging NAND) and plots the corrected-error density and
 // read throughput the engine actually observed per phase against the
 // wear reached — the paper's Fig. 8/11 story as a trajectory of one
-// simulated device rather than a family of analytic curves.
-func ExtLifetime(env sim.Env, seed uint64) (Figure, error) {
+// simulated device rather than a family of analytic curves. Like every
+// biography, it runs in sim.DefaultEnv().
+func ExtLifetime(seed uint64) (Figure, error) {
 	sc := lifetime.GoldenShort()[0]
 	sc.Seed = seed
-	sc.Env = &env
 	rep, err := lifetime.Run(sc)
 	if err != nil {
 		return Figure{}, err

@@ -1,16 +1,12 @@
 package experiments
 
-import (
-	"testing"
-
-	"xlnand/internal/sim"
-)
+import "testing"
 
 func TestExtLifetime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end scenario run skipped in -short mode")
 	}
-	f, err := ExtLifetime(sim.DefaultEnv(), 2024)
+	f, err := ExtLifetime(2024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,10 +88,6 @@ func Run(sc Scenario) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	env := sim.DefaultEnv()
-	if sc.Env != nil {
-		env = *sc.Env
-	}
 	ctrlCfg := controller.DefaultConfig()
 	switch {
 	case sc.ReadRetry > 0:
@@ -107,7 +103,7 @@ func Run(sc Scenario) (*Report, error) {
 		Dies:         sc.Dies,
 		BlocksPerDie: sc.BlocksPerDie,
 		Seed:         sc.Seed,
-		Env:          env,
+		Env:          sim.DefaultEnv(),
 		Controller:   ctrlCfg,
 		Family:       sc.Codec,
 		Trace:        sc.Trace,
@@ -136,13 +132,11 @@ func Run(sc Scenario) (*Report, error) {
 	e.scratch = make([]byte, e.pageBytes)
 	sc.Trace.Thread(phaseTraceTid, "phase") // nil-safe, like Stream
 	e.trace = sc.Trace.Stream()
-	if sc.SafetyMargin > 0 {
-		for die := 0; die < sc.Dies; die++ {
-			if err := disp.WithController(die, func(c *controller.Controller) {
-				c.Manager().SafetyMargin = sc.SafetyMargin
-			}); err != nil {
-				return nil, err
-			}
+	for die := 0; die < sc.Dies; die++ {
+		if err := disp.WithController(die, func(c *controller.Controller) {
+			c.Manager().SafetyMargin = safetyMargin
+		}); err != nil {
+			return nil, err
 		}
 	}
 	for i, pc := range sc.Partitions {

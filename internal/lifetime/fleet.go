@@ -22,9 +22,7 @@ type FleetScenario struct {
 	// ftl.DriveSeed(Seed, i) (Base.Seed is ignored).
 	Seed   uint64
 	Drives int
-	// Workers caps concurrently running drive engines (0 = min(Drives, 16)).
-	Workers int
-	Base    Scenario
+	Base   Scenario
 	// FailStops kills drives mid-biography: each entry truncates one
 	// drive's run after the named phase, modelling a fail-stop fault.
 	// The dead drive contributes nothing to later phases and is marked
@@ -37,6 +35,10 @@ type FleetScenario struct {
 	// by pid; each drive appends only to its own streams).
 	Trace *obs.Tracer
 }
+
+// fleetWorkers caps the drive engines RunFleet runs at once. The merge
+// is byte-identical for any cap.
+const fleetWorkers = 16
 
 // FleetFailStop is one scheduled mid-biography drive death.
 type FleetFailStop struct {
@@ -54,9 +56,6 @@ func (fs FleetScenario) Validate() error {
 	}
 	if fs.Drives < 1 {
 		return fmt.Errorf("lifetime: fleet %s: need >= 1 drive, got %d", fs.Name, fs.Drives)
-	}
-	if fs.Workers < 0 {
-		return fmt.Errorf("lifetime: fleet %s: negative worker cap", fs.Name)
 	}
 	killed := make(map[int]bool, len(fs.FailStops))
 	for _, k := range fs.FailStops {
@@ -148,7 +147,7 @@ func (r *FleetResult) WriteTable(w io.Writer) {
 	}
 }
 
-// RunFleet plays a fleet scenario: up to Workers drive engines run
+// RunFleet plays a fleet scenario: up to fleetWorkers drive engines run
 // concurrently, each a fully independent stack, and the merge happens
 // only after every drive finishes — strictly in drive-index order, so
 // the result is byte-identical per seed regardless of scheduling.
@@ -156,20 +155,13 @@ func RunFleet(fs FleetScenario) (*FleetResult, error) {
 	if err := fs.Validate(); err != nil {
 		return nil, err
 	}
-	workers := fs.Workers
-	if workers == 0 {
-		workers = fs.Drives
-		if workers > 16 {
-			workers = 16
-		}
-	}
 	killAfter := make(map[int]int, len(fs.FailStops))
 	for _, k := range fs.FailStops {
 		killAfter[k.Drive] = k.AfterPhase
 	}
 	reports := make([]*Report, fs.Drives)
 	errs := make([]error, fs.Drives)
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(fs.Drives, fleetWorkers))
 	var wg sync.WaitGroup
 	for i := 0; i < fs.Drives; i++ {
 		wg.Add(1)
@@ -343,11 +335,10 @@ func soakBase() Scenario {
 		Name:        "soak-base",
 		Description: "compressed soak biography: fill, mid-life churn, end-of-life audit",
 		Dies:        1, BlocksPerDie: 3,
-		Partitions:   []PartitionConfig{{Name: "p0", Blocks: 3, Mode: sim.ModeNominal, WorkingSet: 64}},
-		Scrub:        ftl.ScrubPolicy{FractionOfT: 0.3},
-		ScrubEvery:   60,
-		MaxUBER:      1e-8,
-		SafetyMargin: 1.7,
+		Partitions: []PartitionConfig{{Name: "p0", Blocks: 3, Mode: sim.ModeNominal, WorkingSet: 64}},
+		Scrub:      ftl.ScrubPolicy{FractionOfT: 0.3},
+		ScrubEvery: 60,
+		MaxUBER:    1e-8,
 		Phases: []Phase{
 			{Name: "fill", Ops: 70, ReadFraction: 0.2},
 			{Name: "mid-life", AgeCycles: 2e5, BakeHours: 300, Ops: 80, ReadFraction: 0.6},
@@ -364,11 +355,10 @@ func fleetBase() Scenario {
 		Name:        "fleet-base",
 		Description: "per-drive fleet biography: fill, then aged streaming reads",
 		Dies:        1, BlocksPerDie: 3,
-		Partitions:   []PartitionConfig{{Name: "p0", Blocks: 3, Mode: sim.ModeNominal, WorkingSet: 64}},
-		Scrub:        ftl.ScrubPolicy{FractionOfT: 0.3},
-		ScrubEvery:   60,
-		MaxUBER:      1e-8,
-		SafetyMargin: 1.7,
+		Partitions: []PartitionConfig{{Name: "p0", Blocks: 3, Mode: sim.ModeNominal, WorkingSet: 64}},
+		Scrub:      ftl.ScrubPolicy{FractionOfT: 0.3},
+		ScrubEvery: 60,
+		MaxUBER:    1e-8,
 		Phases: []Phase{
 			{Name: "fill", Ops: 90, ReadFraction: 0.2},
 			{Name: "aged-stream", AgeCycles: 2e5, BakeHours: 300, Ops: 110, ReadFraction: 0.9},

@@ -108,14 +108,6 @@ type Scenario struct {
 	// shifted read references per failing read.
 	ReadRetry int
 
-	// SafetyMargin overrides the reliability manager's RBER
-	// over-provisioning factor on every die (0 keeps the controller
-	// default of 1.3). Lifetime scenarios use a larger margin than an
-	// interactive controller would: a fast-forwarded biography compresses
-	// months of gradual aging into a handful of steps, so the capability
-	// chosen at a step must still cover the RBER at the next one.
-	SafetyMargin float64
-
 	// Policy, when non-nil, retunes each partition's service level at
 	// the end of every phase from the measured error climate.
 	Policy Policy
@@ -126,9 +118,6 @@ type Scenario struct {
 	// ReadRetry extends past the device's hard reference ladder).
 	Codec ecc.Family
 
-	// Env overrides the analytic environment (nil uses sim.DefaultEnv).
-	Env *sim.Env
-
 	// Trace, when non-nil, is the trace process this drive's engine
 	// annotates: the dispatcher registers its bus/codec/die threads on
 	// it, the FTL its maintenance thread, and the phase loop emits one
@@ -136,6 +125,13 @@ type Scenario struct {
 	// report schema is unaffected — tracing is a parallel export.
 	Trace *obs.Proc
 }
+
+// safetyMargin is the reliability manager's RBER over-provisioning
+// factor on every die of a biography, larger than the controller's
+// default of 1.3: a fast-forwarded biography compresses months of
+// gradual aging into a handful of steps, so the capability chosen at a
+// step must still cover the RBER at the next one.
+const safetyMargin = 1.7
 
 // Scenario.ReadRetry sentinels. The field's zero value keeps the
 // controller's default ladder so existing scenario literals are
@@ -268,12 +264,11 @@ func ReadIntensiveArchive() Scenario {
 		Description: "multimedia archive: fill once, stream under retention and read disturb",
 		Seed:        42,
 		Dies:        2, BlocksPerDie: 4,
-		Partitions:   []PartitionConfig{{Name: "archive", Blocks: 8, Mode: sim.ModeNominal}},
-		Scrub:        ftl.DefaultScrubPolicy(),
-		ScrubEvery:   150,
-		MaxUBER:      1e-9,
-		SafetyMargin: 1.7,
-		Policy:       DefaultWearLadder(),
+		Partitions: []PartitionConfig{{Name: "archive", Blocks: 8, Mode: sim.ModeNominal}},
+		Scrub:      ftl.DefaultScrubPolicy(),
+		ScrubEvery: 150,
+		MaxUBER:    1e-9,
+		Policy:     DefaultWearLadder(),
 		Phases: []Phase{
 			{Name: "fill", Ops: 220, ReadFraction: 0.1},
 			{Name: "young-stream", AgeCycles: 1e3, BakeHours: 200, Ops: 240, ReadFraction: 0.95},
@@ -300,10 +295,9 @@ func WriteHeavyLogging() Scenario {
 		ScrubEvery: 200,
 		// All blocks fast-forward uniformly, so the ceiling engages in
 		// the last phase and the spare-block guard sheds a few blocks.
-		WearCeiling:  9e5,
-		MaxUBER:      1e-9,
-		SafetyMargin: 1.7,
-		Policy:       DefaultWearLadder(),
+		WearCeiling: 9e5,
+		MaxUBER:     1e-9,
+		Policy:      DefaultWearLadder(),
 		Phases: []Phase{
 			{Name: "burn-in", Ops: 240, ReadFraction: 0.2},
 			{Name: "steady-logging", AgeCycles: 1e4, Ops: 280, ReadFraction: 0.2},
@@ -326,10 +320,9 @@ func MixedMultiTenant() Scenario {
 			{Name: "stream", Blocks: 4, Mode: sim.ModeMaxRead},
 			{Name: "vault", Blocks: 4, Mode: sim.ModeMinUBER},
 		},
-		Scrub:        ftl.DefaultScrubPolicy(),
-		ScrubEvery:   180,
-		MaxUBER:      1e-9,
-		SafetyMargin: 1.7,
+		Scrub:      ftl.DefaultScrubPolicy(),
+		ScrubEvery: 180,
+		MaxUBER:    1e-9,
 		Phases: []Phase{
 			{Name: "provision", Ops: 260, ReadFraction: 0.3},
 			{Name: "mid-life", AgeCycles: 5e4, BakeHours: 300, DisturbReads: 25, Ops: 300, ReadFraction: 0.5},
@@ -347,11 +340,10 @@ func MissionCriticalMinUBER() Scenario {
 		Description: "min-UBER service end to end: DV programming with SV-sized capability",
 		Seed:        99,
 		Dies:        2, BlocksPerDie: 3,
-		Partitions:   []PartitionConfig{{Name: "txn", Blocks: 6, Mode: sim.ModeMinUBER, WorkingSet: 160}},
-		Scrub:        ftl.ScrubPolicy{FractionOfT: 0.5},
-		ScrubEvery:   100,
-		MaxUBER:      0, // any lost bit fails the run
-		SafetyMargin: 1.7,
+		Partitions: []PartitionConfig{{Name: "txn", Blocks: 6, Mode: sim.ModeMinUBER, WorkingSet: 160}},
+		Scrub:      ftl.ScrubPolicy{FractionOfT: 0.5},
+		ScrubEvery: 100,
+		MaxUBER:    0, // any lost bit fails the run
 		Phases: []Phase{
 			{Name: "deploy", Ops: 200, ReadFraction: 0.4},
 			{Name: "service", AgeCycles: 1e5, BakeHours: 250, Ops: 240, ReadFraction: 0.6},
@@ -375,12 +367,11 @@ func ColdStorageDeepBake() Scenario {
 		Description: "write-once cold archive: deep retention bakes between sparse audits, reads live on the retry ladder at EOL",
 		Seed:        77,
 		Dies:        2, BlocksPerDie: 3,
-		Partitions:   []PartitionConfig{{Name: "vault", Blocks: 6, Mode: sim.ModeNominal, WorkingSet: 128}},
-		Scrub:        ftl.DefaultScrubPolicy(),
-		ScrubEvery:   90,
-		MaxUBER:      1e-9,
-		SafetyMargin: 1.7,
-		Policy:       DefaultWearLadder(),
+		Partitions: []PartitionConfig{{Name: "vault", Blocks: 6, Mode: sim.ModeNominal, WorkingSet: 128}},
+		Scrub:      ftl.DefaultScrubPolicy(),
+		ScrubEvery: 90,
+		MaxUBER:    1e-9,
+		Policy:     DefaultWearLadder(),
 		Phases: []Phase{
 			{Name: "ingest", Ops: 180, ReadFraction: 0.1},
 			{Name: "shelf-audit", AgeCycles: 1e4, BakeHours: 3000, Ops: 160, ReadFraction: 0.9},
@@ -408,13 +399,12 @@ func SoftDecisionLDPCArchive() Scenario {
 		Description: "soft-decision LDPC cold archive: aged past the BCH cliff, audits survive on multi-sense soft reads",
 		Seed:        271,
 		Dies:        1, BlocksPerDie: 4,
-		Codec:        ecc.FamilyLDPC,
-		Partitions:   []PartitionConfig{{Name: "vault", Blocks: 4, Mode: sim.ModeNominal, WorkingSet: 48}},
-		Scrub:        ftl.ScrubPolicy{FractionOfT: 0.7, RetryAlarm: 3},
-		ScrubEvery:   80,
-		MaxUBER:      1e-9,
-		SafetyMargin: 1.7,
-		ReadRetry:    steps + 1, // one rung past the hard ladder: soft unlocked
+		Codec:      ecc.FamilyLDPC,
+		Partitions: []PartitionConfig{{Name: "vault", Blocks: 4, Mode: sim.ModeNominal, WorkingSet: 48}},
+		Scrub:      ftl.ScrubPolicy{FractionOfT: 0.7, RetryAlarm: 3},
+		ScrubEvery: 80,
+		MaxUBER:    1e-9,
+		ReadRetry:  steps + 1, // one rung past the hard ladder: soft unlocked
 		Phases: []Phase{
 			{Name: "ingest", Ops: 120, ReadFraction: 0.15},
 			{Name: "shelf-audit", AgeCycles: 1e4, BakeHours: 2500, Ops: 100, ReadFraction: 0.9},
@@ -444,12 +434,11 @@ func AsymmetricDieWear() Scenario {
 		// by pigeonhole: the wear-levelling victim choice would otherwise
 		// drain it entirely (low-wear blocks are preferred frontiers) and
 		// the audit would never touch the climate this fixture pins.
-		Partitions:   []PartitionConfig{{Name: "p0", Blocks: 4, Mode: sim.ModeNominal, WorkingSet: 150}},
-		Scrub:        ftl.ScrubPolicy{FractionOfT: 0.5, RetryAlarm: 2},
-		ScrubEvery:   90,
-		MaxUBER:      1e-8,
-		SafetyMargin: 1.7,
-		Policy:       DefaultWearLadder(),
+		Partitions: []PartitionConfig{{Name: "p0", Blocks: 4, Mode: sim.ModeNominal, WorkingSet: 150}},
+		Scrub:      ftl.ScrubPolicy{FractionOfT: 0.5, RetryAlarm: 2},
+		ScrubEvery: 90,
+		MaxUBER:    1e-8,
+		Policy:     DefaultWearLadder(),
 		Phases: []Phase{
 			{Name: "fill", Ops: 420, ReadFraction: 0.05},
 			// Die 0 takes three decades more wear than die 1; the bake
@@ -477,11 +466,10 @@ func GoldenShort() []Scenario {
 			Partitions: []PartitionConfig{{Name: "p0", Blocks: 3, Mode: sim.ModeNominal, WorkingSet: 64}},
 			// Alarm well below the default 0.7·t so the fixture also pins
 			// scrub marking/refresh behaviour on a short run.
-			Scrub:        ftl.ScrubPolicy{FractionOfT: 0.3},
-			ScrubEvery:   60,
-			MaxUBER:      1e-8,
-			SafetyMargin: 1.7,
-			Policy:       DefaultWearLadder(),
+			Scrub:      ftl.ScrubPolicy{FractionOfT: 0.3},
+			ScrubEvery: 60,
+			MaxUBER:    1e-8,
+			Policy:     DefaultWearLadder(),
 			Phases: []Phase{
 				{Name: "fill", Ops: 90, ReadFraction: 0.2},
 				{Name: "aged-stream", AgeCycles: 2e5, BakeHours: 300, DisturbReads: 20, Ops: 110, ReadFraction: 0.9},
@@ -492,11 +480,10 @@ func GoldenShort() []Scenario {
 			Description: "golden fixture: overwrite churn across an aging step",
 			Seed:        4096,
 			Dies:        2, BlocksPerDie: 2,
-			Partitions:   []PartitionConfig{{Name: "p0", Blocks: 4, Mode: sim.ModeMinUBER, WorkingSet: 96}},
-			Scrub:        ftl.ScrubPolicy{FractionOfT: 0.25},
-			ScrubEvery:   70,
-			MaxUBER:      1e-8,
-			SafetyMargin: 1.7,
+			Partitions: []PartitionConfig{{Name: "p0", Blocks: 4, Mode: sim.ModeMinUBER, WorkingSet: 96}},
+			Scrub:      ftl.ScrubPolicy{FractionOfT: 0.25},
+			ScrubEvery: 70,
+			MaxUBER:    1e-8,
 			Phases: []Phase{
 				{Name: "churn", Ops: 120, ReadFraction: 0.35},
 				{Name: "aged-churn", AgeCycles: 3e5, BakeHours: 150, Ops: 100, ReadFraction: 0.5},

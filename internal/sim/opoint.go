@@ -95,10 +95,13 @@ func ECCPowerW(t int) float64 {
 }
 
 // Evaluate computes every metric of a cross-layer configuration at the
-// given wear.
+// given wear, a finite, non-negative P/E cycle count.
 func (e Env) Evaluate(alg nand.Algorithm, t int, cycles float64) (OperatingPoint, error) {
 	if t < e.TMin || t > e.TMax {
 		return OperatingPoint{}, fmt.Errorf("sim: t=%d outside [%d, %d]", t, e.TMin, e.TMax)
+	}
+	if !(cycles >= 0) || math.IsInf(cycles, 1) {
+		return OperatingPoint{}, fmt.Errorf("sim: invalid cycle count %g", cycles)
 	}
 	op := OperatingPoint{Alg: alg, T: t, Cycles: cycles}
 	op.RBER = e.Cal.RBER(alg, cycles)

@@ -34,6 +34,30 @@ func TestEvaluateRejectsBadT(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsBadCycles: wear must be a cycle count. Every
+// analytic entry point passes through Evaluate, so each rejects it.
+func TestEvaluateRejectsBadCycles(t *testing.T) {
+	e := DefaultEnv()
+	for _, cycles := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, call := range map[string]func() error{
+			"Evaluate": func() error { _, err := e.Evaluate(nand.ISPPSV, 30, cycles); return err },
+			"EvaluateMode": func() error {
+				_, err := e.EvaluateMode(ModeMaxRead, cycles)
+				return err
+			},
+			"ExplorePoints": func() error { _, err := e.ExplorePoints(cycles, 16); return err },
+			"ScaleDies":     func() error { _, err := e.ScaleDies(ModeNominal, cycles, 4); return err },
+		} {
+			if call() == nil {
+				t.Errorf("%s accepted %g cycles", name, cycles)
+			}
+		}
+	}
+	if _, err := e.Evaluate(nand.ISPPSV, 30, 0); err != nil {
+		t.Fatalf("fresh silicon rejected: %v", err)
+	}
+}
+
 func TestOperatingPointSanity(t *testing.T) {
 	e := DefaultEnv()
 	op, err := e.Evaluate(nand.ISPPSV, 30, 1e4)
