@@ -6,8 +6,10 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -144,4 +146,146 @@ func receiverType(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// testOnlyFile allowlists the internal exports that only tests name,
+// one "<import path> <Name> — <reason>" line each.
+const testOnlyFile = "testdata/test_only.txt"
+
+// TestNoTestOnlyExports keeps production code that only tests reach from
+// creeping back: it lists every exported top-level func, type, const and
+// var of internal/... that no non-test file of the tree names — files
+// in cmd/ and bench/ count as users — and requires that list to equal
+// the allowlist, so a new test-only export and a stale allowlist entry
+// both fail. Methods and fields are out of scope.
+func TestNoTestOnlyExports(t *testing.T) {
+	got := testOnlyExports(t)
+	raw, err := os.ReadFile(testOnlyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, l := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		entry, reason, ok := strings.Cut(l, " — ")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("%s: %q gives no reason", testOnlyFile, l)
+		}
+		want = append(want, entry)
+	}
+	for _, e := range got {
+		if !slices.Contains(want, e) {
+			t.Errorf("%s is exported but only tests name it: delete it, unexport it, or allowlist it in %s with a reason", e, testOnlyFile)
+		}
+	}
+	for _, e := range want {
+		if !slices.Contains(got, e) {
+			t.Errorf("%s: %s is no longer a test-only export; drop its line", testOnlyFile, e)
+		}
+	}
+}
+
+// testOnlyExports returns the sorted "<import path> <Name>" entries of
+// internal exports that no non-test file names.
+func testOnlyExports(t *testing.T) []string {
+	t.Helper()
+	declared := map[string]bool{}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := path.Join("xlnand", filepath.ToSlash(filepath.Dir(p)))
+		if strings.HasPrefix(pkg, "xlnand/internal/") {
+			for _, name := range topLevelExports(f) {
+				declared[pkg+" "+name] = true
+			}
+		}
+		for _, u := range namesUsed(f, pkg) {
+			used[u] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for e := range declared {
+		if !used[e] {
+			out = append(out, e)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// topLevelExports lists a file's exported package-level funcs, types,
+// consts and vars (no methods).
+func topLevelExports(f *ast.File) []string {
+	var names []string
+	for _, name := range exportedNames(f) {
+		if !strings.Contains(name, ".") {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// namesUsed lists, as "<import path> <Name>", every package-level name a
+// file refers to: qualified identifiers through its imports, and bare
+// identifiers of its own package. Declared names, selected members and
+// struct field names are not references.
+func namesUsed(f *ast.File, pkg string) []string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := path.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	skip := map[*ast.Ident]bool{}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			skip[x.Sel] = true
+			if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+				skip[id] = true
+				out = append(out, imports[id.Name]+" "+x.Sel.Name)
+			}
+		case *ast.FuncDecl:
+			skip[x.Name] = true
+		case *ast.TypeSpec:
+			skip[x.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range x.Names {
+				skip[id] = true
+			}
+		case *ast.Field:
+			for _, id := range x.Names {
+				skip[id] = true
+			}
+		case *ast.Ident:
+			if !skip[x] {
+				out = append(out, pkg+" "+x.Name)
+			}
+		}
+		return true
+	})
+	return out
 }

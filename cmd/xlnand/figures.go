@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"xlnand"
 	"xlnand/internal/experiments"
 	"xlnand/internal/sim"
 )
@@ -102,21 +101,16 @@ func tradeoffCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	s, err := xlnand.Open()
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-
+	env := sim.DefaultEnv()
 	header := fmt.Sprintf("%-8s %4s  %10s  %10s  %9s  %9s  %8s  %8s  %8s",
 		"alg", "t", "RBER", "UBER", "read MB/s", "write MB/s", "power W", "wr pJ/b", "rd pJ/b")
-	line := func(p xlnand.OperatingPoint, tag string) string {
+	line := func(p sim.OperatingPoint, tag string) string {
 		return fmt.Sprintf("%-8s %4d  %10.2e  %10.2e  %9.2f  %9.2f  %8.4f  %8.0f  %8.0f %s",
 			p.Alg, p.T, p.RBER, p.UBER, p.ReadMBps, p.WriteMBps,
 			p.ProgramPowerW+p.ECCPowerW, p.WriteEnergyPJPerBit, p.ReadEnergyPJPerBit, tag)
 	}
 
-	pts, err := s.ExploreOperatingPoints(*cycles, *stride)
+	pts, err := env.ExplorePoints(*cycles, *stride)
 	if err != nil {
 		return err
 	}
@@ -133,14 +127,14 @@ func tradeoffCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 
 	fmt.Fprintln(stdout, "\nPareto front (UBER / read / write / power):")
 	fmt.Fprintln(stdout, header)
-	for _, p := range xlnand.ParetoFront(pts) {
+	for _, p := range sim.ParetoFront(pts) {
 		fmt.Fprintln(stdout, line(p, ""))
 	}
 
 	fmt.Fprintln(stdout, "\nPaper service levels:")
 	fmt.Fprintln(stdout, header)
-	for _, m := range []xlnand.Mode{xlnand.ModeNominal, xlnand.ModeMinUBER, xlnand.ModeMaxRead} {
-		p, err := s.EvaluateMode(m, *cycles)
+	for _, m := range []sim.Mode{sim.ModeNominal, sim.ModeMinUBER, sim.ModeMaxRead} {
+		p, err := env.EvaluateMode(m, *cycles)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"xlnand/internal/ecc"
@@ -183,11 +184,7 @@ func (c *Controller) CleanHits() uint64 { return c.cleanHits }
 // targetUBER decodes RegTargetUBERExp.
 func (c *Controller) targetUBER() float64 {
 	exp, _ := c.regs.Read(RegTargetUBERExp)
-	u := 1.0
-	for i := uint32(0); i < exp; i++ {
-		u /= 10
-	}
-	return u
+	return math.Pow10(-int(exp))
 }
 
 // algorithm decodes RegAlgorithm.

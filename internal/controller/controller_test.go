@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"xlnand/internal/bch"
@@ -34,6 +35,19 @@ func randPage(seed uint64) []byte {
 		data[i] = byte(r.Intn(256))
 	}
 	return data
+}
+
+// TestTargetUBERExact: the default register exponent decodes to the
+// paper's 1e-11 to the last bit, the target the manager sizes
+// capability against.
+func TestTargetUBERExact(t *testing.T) {
+	c := newRig(t, true)
+	if got := c.targetUBER(); math.Float64bits(got) != math.Float64bits(1e-11) {
+		t.Fatalf("target UBER = %v, want exactly 1e-11", got)
+	}
+	if got := c.mgr.targetUBER; got != 1e-11 {
+		t.Fatalf("manager target = %v, want 1e-11", got)
+	}
 }
 
 func TestNewRejectsMismatchedCodec(t *testing.T) {

@@ -236,15 +236,6 @@ func (p Poly2) DivMod(q Poly2) (quo, rem Poly2) {
 	return Poly2{w: quoWords}.trim(), r.trim()
 }
 
-// GCD returns the greatest common divisor of p and q.
-func (p Poly2) GCD(q Poly2) Poly2 {
-	a, b := p.Clone(), q.Clone()
-	for !b.IsZero() {
-		a, b = b, a.Mod(b)
-	}
-	return a
-}
-
 // Eval evaluates p at the element x of the field f using Horner's rule.
 func (p Poly2) Eval(f *Field, x uint32) uint32 {
 	d := p.Degree()

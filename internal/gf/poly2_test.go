@@ -179,16 +179,6 @@ func TestPoly2DivByZeroPanics(t *testing.T) {
 	NewPoly2FromCoeffs(1).DivMod(Poly2{})
 }
 
-func TestPoly2GCD(t *testing.T) {
-	// gcd((x+1)(x^2+x+1), (x+1)(x^3+x+1)) = x+1
-	xp1 := NewPoly2FromCoeffs(0, 1)
-	a := xp1.Mul(NewPoly2FromCoeffs(0, 1, 2))
-	b := xp1.Mul(NewPoly2FromCoeffs(0, 1, 3))
-	if got := a.GCD(b); !got.Equal(xp1) {
-		t.Fatalf("gcd = %v, want x + 1", got)
-	}
-}
-
 func TestPoly2EvalInField(t *testing.T) {
 	// The primitive polynomial must vanish at alpha.
 	for _, m := range []int{4, 8, 16} {

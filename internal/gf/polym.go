@@ -100,19 +100,6 @@ func (p PolyM) Eval(x uint32) uint32 {
 	return acc
 }
 
-// Derivative returns the formal derivative of p. In characteristic 2 the
-// even-power terms vanish and odd powers x^(2k+1) map to x^(2k).
-func (p PolyM) Derivative() PolyM {
-	if len(p.Coeffs) <= 1 {
-		return PolyM{F: p.F}
-	}
-	out := make([]uint32, len(p.Coeffs)-1)
-	for i := 1; i < len(p.Coeffs); i += 2 {
-		out[i-1] = p.Coeffs[i]
-	}
-	return PolyM{F: p.F, Coeffs: out}.trim()
-}
-
 // ToPoly2 converts a polynomial whose coefficients are all in {0,1} to a
 // Poly2. It panics if any coefficient lies outside the prime subfield,
 // which would indicate a bug in minimal-polynomial construction.

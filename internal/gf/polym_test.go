@@ -86,32 +86,6 @@ func TestPolyMMulXPlusConst(t *testing.T) {
 	}
 }
 
-func TestPolyMDerivative(t *testing.T) {
-	f := NewField(8)
-	// d/dx (a + bx + cx^2 + dx^3) = b + dx^2 in char 2.
-	p := NewPolyM(f, 5, 7, 9, 11)
-	d := p.Derivative()
-	want := NewPolyM(f, 7, 0, 11)
-	if !d.Equal(want) {
-		t.Fatalf("derivative = %v, want %v", d.Coeffs, want.Coeffs)
-	}
-	if !NewPolyM(f, 3).Derivative().IsZero() {
-		t.Fatal("derivative of constant not zero")
-	}
-}
-
-func TestPolyMDerivativeLeibnizOnSquare(t *testing.T) {
-	// (p^2)' = 2 p p' = 0 in characteristic 2.
-	f := NewField(8)
-	r := stats.NewRNG(13)
-	for i := 0; i < 100; i++ {
-		p := randPolyM(r, f, 8)
-		if !p.Mul(p).Derivative().IsZero() {
-			t.Fatal("(p^2)' != 0 in char 2")
-		}
-	}
-}
-
 func TestPolyMToPoly2(t *testing.T) {
 	f := NewField(4)
 	p := NewPolyM(f, 1, 0, 1, 1)

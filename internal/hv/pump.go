@@ -9,10 +9,7 @@
 // program-pump energy).
 package hv
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DicksonPump is a behavioural model of an N-stage Dickson charge pump
 // with a hysteretic shunt regulator (paper §5.1: "a conventional 12-stages
@@ -71,21 +68,6 @@ func (p DicksonPump) InputPower(targetV, loadAmps float64) (float64, error) {
 	}
 	raw := float64(p.Stages+1) * loadAmps * p.VDD
 	return raw / p.Efficiency, nil
-}
-
-// RiseTime estimates the time to charge an output capacitance coutF from
-// 0 to targetV with no DC load — used to sanity-check that pumps settle
-// well within a program pulse.
-func (p DicksonPump) RiseTime(targetV, coutF float64) float64 {
-	if targetV >= p.IdealOutput() {
-		return math.Inf(1)
-	}
-	perCycle := p.StageCapF * (p.IdealOutput() - targetV) / coutF
-	if perCycle <= 0 {
-		return math.Inf(1)
-	}
-	cycles := targetV / (perCycle * p.IdealOutput() / float64(p.Stages+1))
-	return cycles / p.ClockHz
 }
 
 // Paper §5.1 pump complement.

@@ -101,18 +101,3 @@ func TestHigherStageCountCostsMorePower(t *testing.T) {
 		t.Fatalf("12-stage pump (%v W) not costlier than 4-stage (%v W)", pp, vp)
 	}
 }
-
-func TestRiseTimeFiniteAndShort(t *testing.T) {
-	p := ProgramPump()
-	rt := p.RiseTime(19.0, 5e-9)
-	if math.IsInf(rt, 1) || rt <= 0 {
-		t.Fatalf("rise time %v not finite/positive", rt)
-	}
-	// Pumps must settle well within one 25 µs program pulse.
-	if rt > 25e-6 {
-		t.Fatalf("program pump rise time %v s exceeds a pulse width", rt)
-	}
-	if !math.IsInf(p.RiseTime(p.IdealOutput()+1, 5e-9), 1) {
-		t.Fatal("unreachable target should have infinite rise time")
-	}
-}

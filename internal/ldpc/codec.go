@@ -54,8 +54,9 @@ func DefaultHWConfig() HWConfig {
 // lazily and published through atomic slots so dies hammering the
 // shared codec never serialise on a mutex — the same concurrency
 // contract as the BCH codec, and the same sharing: a level's code
-// structure (~530 KB) and calibration table are immutable and common to
-// every live Codec of the geometry; decoders and their scratch are not.
+// structure (~530 KB) is immutable and common to every live Codec of
+// the geometry; decoders and their scratch are not. The measured
+// latency tables are committed data, read-only from construction on.
 type Codec struct {
 	p  Params
 	hw HWConfig
@@ -63,9 +64,10 @@ type Codec struct {
 	mu       sync.Mutex // serialises slot construction only
 	codes    []atomic.Pointer[code]
 	decoders []atomic.Pointer[Decoder]
-	// measured holds the per-level iterations-to-converge calibration
-	// tables backing MeasuredDecodeLatency, built lazily like the codes.
-	measured []atomic.Pointer[measuredTable]
+	// iters is the per-level iterations-to-converge table backing
+	// MeasuredDecodeLatency: the committed page tables, or nil for a
+	// geometry that has none.
+	iters [][]float64
 }
 
 // NewCodec builds a codec from the parameter set.
@@ -82,7 +84,7 @@ func NewCodec(p Params, hw HWConfig) (*Codec, error) {
 		hw:       hw,
 		codes:    make([]atomic.Pointer[code], len(p.ParityBits)),
 		decoders: make([]atomic.Pointer[Decoder], len(p.ParityBits)),
-		measured: make([]atomic.Pointer[measuredTable], len(p.ParityBits)),
+		iters:    measuredIters(p),
 	}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"xlnand/internal/controller"
 )
@@ -193,93 +192,4 @@ func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %8d %8d %10d %9d %7d %7d %7d %7d %7d %8.0f %9s %9.2e\n",
 		"TOTAL", t.HostReads, t.HostWrites, t.CorrectedBits, t.UncorrectableReads,
 		t.Retries, t.RecoveredReads, t.SoftRecovered, t.PagesScrubbed, t.RetiredBlocks, t.FinalWearMax, "", t.UBER)
-}
-
-// PhaseSummary is the golden-fixture slice of a phase: exact counters
-// plus floats rounded to 3 significant digits, so fixtures survive
-// platform-level floating-point library differences while still pinning
-// the reliability trajectory.
-type PhaseSummary struct {
-	Name          string `json:"name"`
-	HostReads     int    `json:"host_reads"`
-	HostWrites    int    `json:"host_writes"`
-	CorrectedBits int    `json:"corrected_bits"`
-	Uncorrectable int    `json:"uncorrectable"`
-	Retries       int    `json:"retries"`
-	Recovered     int    `json:"recovered"`
-	SoftSenses    int    `json:"soft_senses"`
-	SoftRecovered int    `json:"soft_recovered"`
-	PagesScrubbed int    `json:"pages_scrubbed"`
-	Retired       int    `json:"retired"`
-	UBER          string `json:"uber"`
-	WearMax       string `json:"wear_max"`
-	Modes         string `json:"modes"`
-	// CalibSteps renders the per-die calibration-cache state, e.g.
-	// "5,0" for a worn die predicting step 5 next to a young one at
-	// nominal references.
-	CalibSteps string `json:"calib_steps"`
-}
-
-// Summary projects the report onto its golden-fixture form.
-type Summary struct {
-	Scenario string         `json:"scenario"`
-	Seed     uint64         `json:"seed"`
-	Phases   []PhaseSummary `json:"phases"`
-	Totals   struct {
-		CorrectedBits int    `json:"corrected_bits"`
-		Uncorrectable int    `json:"uncorrectable"`
-		Retries       int    `json:"retries"`
-		Recovered     int    `json:"recovered"`
-		SoftRecovered int    `json:"soft_recovered"`
-		LostBits      int64  `json:"lost_bits"`
-		Retired       int    `json:"retired"`
-		UBER          string `json:"uber"`
-	} `json:"totals"`
-}
-
-// Summarize builds the golden-fixture summary of the report.
-func (r *Report) Summarize() Summary {
-	s := Summary{Scenario: r.Scenario, Seed: r.Seed}
-	for _, ph := range r.Phases {
-		modes := ""
-		for i, pp := range ph.Partitions {
-			if i > 0 {
-				modes += ","
-			}
-			modes += pp.Name + "=" + pp.Mode
-		}
-		calib := ""
-		for i, st := range ph.CalibSteps {
-			if i > 0 {
-				calib += ","
-			}
-			calib += strconv.Itoa(st)
-		}
-		s.Phases = append(s.Phases, PhaseSummary{
-			Name:          ph.Name,
-			HostReads:     ph.HostReads,
-			HostWrites:    ph.HostWrites,
-			CorrectedBits: ph.CorrectedBits,
-			Uncorrectable: ph.UncorrectableReads,
-			Retries:       ph.Retries,
-			Recovered:     ph.RecoveredReads,
-			SoftSenses:    ph.SoftSenses,
-			SoftRecovered: ph.SoftRecovered,
-			PagesScrubbed: ph.PagesScrubbed,
-			Retired:       ph.RetiredBlocks,
-			UBER:          fmt.Sprintf("%.3g", ph.UBER),
-			WearMax:       fmt.Sprintf("%.3g", ph.WearMax),
-			Modes:         modes,
-			CalibSteps:    calib,
-		})
-	}
-	s.Totals.CorrectedBits = r.Totals.CorrectedBits
-	s.Totals.Uncorrectable = r.Totals.UncorrectableReads
-	s.Totals.Retries = r.Totals.Retries
-	s.Totals.Recovered = r.Totals.RecoveredReads
-	s.Totals.SoftRecovered = r.Totals.SoftRecovered
-	s.Totals.LostBits = r.Totals.LostBits
-	s.Totals.Retired = r.Totals.RetiredBlocks
-	s.Totals.UBER = fmt.Sprintf("%.3g", r.Totals.UBER)
-	return s
 }

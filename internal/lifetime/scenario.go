@@ -101,11 +101,11 @@ type Scenario struct {
 	// CAUTION: the zero value means "controller default" (so scenario
 	// literals need not spell it), NOT "no retries" — unlike
 	// xlnand.WithReadRetry(0)/Request.Retries=&0, where 0 is the
-	// single-shot path. Use the named sentinels: ReadRetryDefault keeps
-	// the controller default, ReadRetrySingleShot (-1) disables staged
-	// recovery entirely (the pre-recovery single-shot read at nominal
-	// references), and a positive value allows that many re-senses at
-	// shifted read references per failing read.
+	// single-shot path. Leave it zero for the controller default;
+	// ReadRetrySingleShot (-1) disables staged recovery entirely (the
+	// pre-recovery single-shot read at nominal references), and a
+	// positive value allows that many re-senses at shifted read
+	// references per failing read.
 	ReadRetry int
 
 	// Policy, when non-nil, retunes each partition's service level at
@@ -133,16 +133,11 @@ type Scenario struct {
 // step must still cover the RBER at the next one.
 const safetyMargin = 1.7
 
-// Scenario.ReadRetry sentinels. The field's zero value keeps the
-// controller's default ladder so existing scenario literals are
-// unaffected; disabling recovery must be asked for by name.
-const (
-	// ReadRetryDefault keeps the controller's default retry budget.
-	ReadRetryDefault = 0
-	// ReadRetrySingleShot disables staged recovery: every read is the
-	// pre-recovery single sense at nominal references.
-	ReadRetrySingleShot = -1
-)
+// ReadRetrySingleShot is the Scenario.ReadRetry value that disables
+// staged recovery: every read is the pre-recovery single sense at
+// nominal references. The field's zero value keeps the controller's
+// default ladder, so disabling recovery must be asked for by name.
+const ReadRetrySingleShot = -1
 
 // TotalOps returns the scenario's host-operation count across phases —
 // the catalog's notion of "shortest".

@@ -117,11 +117,6 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	h.sum += o.sum
 }
 
-// Reset clears the histogram in place.
-func (h *LatencyHist) Reset() {
-	*h = LatencyHist{}
-}
-
 // HistSnapshot is a serializable summary of a LatencyHist. Latencies
 // are reported in microseconds, matching the virtual-time units used
 // throughout the fleet reports. Percentiles come from

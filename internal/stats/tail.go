@@ -9,32 +9,6 @@ func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
-// QInv returns the inverse of Q: the x such that Q(x) = p, for p in (0, 1).
-// It uses a bisection refined by Newton steps on log Q, which is robust for
-// the deep-tail probabilities (1e-30) used in UBER targeting.
-func QInv(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("stats: QInv domain is (0,1)")
-	}
-	if p == 0.5 {
-		return 0
-	}
-	// Q is monotone decreasing; bracket the root.
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-13 {
-			break
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // LogBinomCoef returns ln C(n, k) using Lgamma, valid for n up to millions
 // without overflow.
 func LogBinomCoef(n, k int) float64 {
@@ -105,18 +79,4 @@ func LogBinomTail(n, k int, p float64) float64 {
 		return v
 	}
 	return 0
-}
-
-// LogSumExp returns ln(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }

@@ -79,9 +79,9 @@
 // Mode overrides it for one write; a capability pinned with
 // SetCapability survives both SelectMode and the min-UBER write path.
 //
-// Evaluate operating points analytically with EvaluateMode,
-// ExploreOperatingPoints and LifetimeSweep; the figures subcommand of
-// cmd/xlnand regenerates every figure of the paper.
+// Evaluate operating points analytically with EvaluateMode, RequiredT
+// and ParetoFront; the figures and tradeoff subcommands of cmd/xlnand
+// regenerate every figure of the paper and its operating-point grid.
 package xlnand
 
 import (
@@ -285,11 +285,7 @@ func Open(opts ...Option) (*Subsystem, error) {
 		env.HW.ChienParallelismH = cfg.hw.chienH
 		env.HW.ClockHz = cfg.hw.clockHz
 	}
-	target := 1.0
-	for i := uint32(0); i < cfg.targetUBERExp; i++ {
-		target /= 10
-	}
-	env.TargetUBER = target
+	env.TargetUBER = math.Pow10(-int(cfg.targetUBERExp))
 
 	ctrlCfg := controller.DefaultConfig()
 	ctrlCfg.TargetUBERExp = cfg.targetUBERExp

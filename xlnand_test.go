@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"xlnand/internal/sim"
 	"xlnand/internal/stats"
 )
 
@@ -302,22 +303,41 @@ func TestEvaluateModeMetrics(t *testing.T) {
 	}
 }
 
+// TestLifetimeSweep walks the service levels across the wear grid: the
+// relaxed max-read code never needs more capability than nominal, and
+// the nominal schedule grows with wear.
 func TestLifetimeSweep(t *testing.T) {
 	s := openTest(t)
-	pts, err := s.LifetimeSweep([]float64{1, 1e3, 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("sweep has %d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.MaxRead.T > p.Nominal.T {
-			t.Fatal("max-read t above nominal in sweep")
+	var nominalT []int
+	for _, cycles := range []float64{1, 1e3, 1e6} {
+		nom, err := s.EvaluateMode(ModeNominal, cycles)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fast, err := s.EvaluateMode(ModeMaxRead, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.T > nom.T {
+			t.Fatalf("max-read t=%d above nominal t=%d at %g cycles", fast.T, nom.T, cycles)
+		}
+		nominalT = append(nominalT, nom.T)
 	}
-	if pts[2].Nominal.T <= pts[0].Nominal.T {
-		t.Fatal("nominal t did not grow with wear")
+	if nominalT[2] <= nominalT[0] {
+		t.Fatalf("nominal t did not grow with wear: %v", nominalT)
+	}
+}
+
+// TestTargetUBERExact: the default target is the paper's 1e-11 to the
+// last bit, the same value the analytic environment carries, so the
+// sub-system and sim.DefaultEnv() size capability against one number.
+func TestTargetUBERExact(t *testing.T) {
+	s := openTest(t)
+	if got := s.env.TargetUBER; math.Float64bits(got) != math.Float64bits(1e-11) {
+		t.Fatalf("target UBER = %v, want exactly 1e-11", got)
+	}
+	if got, want := s.env.TargetUBER, sim.DefaultEnv().TargetUBER; got != want {
+		t.Fatalf("target UBER = %v, analytic environment has %v", got, want)
 	}
 }
 
@@ -332,8 +352,7 @@ func TestRequiredTSchedulePublic(t *testing.T) {
 }
 
 func TestParetoAndFilters(t *testing.T) {
-	s := openTest(t)
-	pts, err := s.ExploreOperatingPoints(1e5, 8)
+	pts, err := sim.DefaultEnv().ExplorePoints(1e5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
