@@ -37,6 +37,9 @@ func bchCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *t < codec.MinLevel() || *t > codec.MaxLevel() {
+		return usageErrorf("-t %d: want %d to %d", *t, codec.MinLevel(), codec.MaxLevel())
+	}
 	in, err := io.ReadAll(stdin)
 	if err != nil {
 		return err

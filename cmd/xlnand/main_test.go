@@ -41,6 +41,8 @@ func TestRun(t *testing.T) {
 		{args: []string{"bch", "roundtrip", "-errors", "-3"}, code: 2},
 		{args: []string{"bch", "corrupt", "-errors", "40000"}, code: 2},
 		{args: []string{"bch", "roundtrip", "-t", "8", "-errors", "40000"}, code: 2},
+		{args: []string{"bch", "encode", "-t", "2"}, code: 2},
+		{args: []string{"bch", "roundtrip", "-t", "66"}, code: 2},
 		{args: []string{"fleet", "-metrics", filepath.Join(dir, "m.prom")}, code: 2},
 		{args: []string{"fleet", "-array", "-kill-drive", "1", "-kill-round", "0"}, code: 2},
 		{args: []string{"fleet", "-drives", "-3"}, code: 2},

@@ -6,9 +6,11 @@ import (
 )
 
 // Codec is the adaptive BCH codec (paper §4): one hardware block whose
-// correction capability is selectable at runtime. It is exposed directly
-// because it is useful standalone — the bch subcommand of cmd/xlnand
-// drives real data through it.
+// correction capability is selectable at runtime, carrying its own
+// latency model — the same type the controller programs against through
+// the family-generic codec contract. It is exposed directly because it
+// is useful standalone — the bch subcommand of cmd/xlnand drives real
+// data through it.
 type Codec = bch.Codec
 
 // NewPageCodec builds the paper's 4 KB-page codec: GF(2^16), k = 32768

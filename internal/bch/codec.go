@@ -2,51 +2,64 @@ package bch
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"xlnand/internal/ecc"
 	"xlnand/internal/gf"
 )
 
 // Codec is the adaptive BCH codec of paper §4: a single hardware block
 // whose correction capability t is selectable at runtime through a
-// dedicated input port, in the range [TMin, TMax]. Codes for every t share
-// one Galois field, one minimal-polynomial table and one syndrome
-// calculator; per-t state (generator polynomial, division tables) is built
-// lazily on first use — the software analogue of the characteristic-
-// polynomial ROM feeding the programmable LFSR. Everything immutable and
-// large — the field, the syndrome tables, each capability's division
-// tables — is shared with every other live Codec of the same geometry
-// (a fleet's drives); only the scratch free lists are per Codec.
+// dedicated input port, in the range [TMin, TMax], priced by its
+// micro-architectural timing model. It implements ecc.Codec directly:
+// the capability level IS the correction capability t. Codes for every
+// t share one Galois field, one minimal-polynomial table and one
+// syndrome calculator; per-t state (generator polynomial, division
+// tables) is built lazily on first use — the software analogue of the
+// characteristic-polynomial ROM feeding the programmable LFSR.
+// Everything immutable and large — the field, the syndrome tables, each
+// capability's division tables — is shared with every other live Codec
+// of the same geometry (a fleet's drives); only the scratch free lists
+// are per Codec.
 //
 // Codec is safe for concurrent use and, past first use of a capability,
-// lock-free: per-t codes, encoders and decoders are published through
-// atomic slots indexed by t, so dies hammering the shared codec never
-// serialise on a codec-level mutex. The construction mutex is only taken
-// the first time a capability is touched (or during Warm).
+// lock-free: each t's code, encoder and decoder are built together into
+// one atomic slot, so dies hammering the shared codec never serialise on
+// a codec-level mutex. The construction mutex is only taken the first
+// time a capability is touched; it also guards the shared
+// minimal-polynomial table, which code construction extends.
 type Codec struct {
 	M    int // field degree
 	K    int // protected message bits per codeword
 	TMin int
 	TMax int
 
+	hw    HWConfig
 	field *gf.Field
 	mpt   *gf.MinPolyTable
 	syn   *SyndromeCalc
 
-	mu       sync.Mutex // serialises slot construction only
-	codes    []atomic.Pointer[Code]
-	encoders []atomic.Pointer[Encoder]
-	decoders []atomic.Pointer[Decoder]
+	mu   sync.Mutex // serialises slot construction only
+	caps []atomic.Pointer[capability]
+}
+
+// capability is one t's machinery, published whole.
+type capability struct {
+	code *Code
+	enc  *Encoder
+	dec  *Decoder
 }
 
 // PageCodecParams returns the paper's instantiation: GF(2^16), k = 4 KB
 // page = 32768 bits, t programmable in [3, 65].
 func PageCodecParams() (m, k, tmin, tmax int) { return 16, 32768, 3, 65 }
 
-// NewCodec constructs an adaptive codec. It validates that the largest
-// capability still fits the field: k + m·tmax <= 2^m - 1.
-func NewCodec(m, k, tmin, tmax int) (*Codec, error) {
+// NewCodec constructs an adaptive codec timed by hw. It validates that
+// the largest capability still fits the field: k + m·tmax <= 2^m - 1.
+func NewCodec(m, k, tmin, tmax int, hw HWConfig) (*Codec, error) {
 	if tmin < 1 || tmin > tmax {
 		return nil, fmt.Errorf("bch: invalid capability range [%d, %d]", tmin, tmax)
 	}
@@ -56,111 +69,73 @@ func NewCodec(m, k, tmin, tmax int) (*Codec, error) {
 	f := gf.NewField(m)
 	return &Codec{
 		M: m, K: k, TMin: tmin, TMax: tmax,
-		field:    f,
-		mpt:      gf.MinPolyCache(f),
-		syn:      NewSyndromeCalc(f),
-		codes:    make([]atomic.Pointer[Code], tmax-tmin+1),
-		encoders: make([]atomic.Pointer[Encoder], tmax-tmin+1),
-		decoders: make([]atomic.Pointer[Decoder], tmax-tmin+1),
+		hw:    hw,
+		field: f,
+		mpt:   gf.MinPolyCache(f),
+		syn:   NewSyndromeCalc(f),
+		caps:  make([]atomic.Pointer[capability], tmax-tmin+1),
 	}, nil
 }
 
-// NewPageCodec builds the paper's 4 KB-page codec (t in [3, 65]).
+// NewPageCodec builds the paper's 4 KB-page codec (t in [3, 65]) with
+// the default hardware model.
 func NewPageCodec() (*Codec, error) {
 	m, k, tmin, tmax := PageCodecParams()
-	return NewCodec(m, k, tmin, tmax)
+	return NewCodec(m, k, tmin, tmax, DefaultHWConfig())
 }
 
-// Field exposes the codec's Galois field (shared across capabilities).
-func (c *Codec) Field() *gf.Field { return c.field }
-
-// ClampT clips a requested capability into the codec's supported range,
-// mirroring the controller behaviour of instantiating the worst-case
-// architecture and refusing configurations outside it.
-func (c *Codec) ClampT(t int) int {
-	if t < c.TMin {
-		return c.TMin
-	}
-	if t > c.TMax {
-		return c.TMax
-	}
-	return t
-}
-
-func (c *Codec) slot(t int) (int, error) {
+// at returns (building if needed) the machinery of capability t.
+func (c *Codec) at(t int) (*capability, error) {
 	if t < c.TMin || t > c.TMax {
-		return 0, fmt.Errorf("bch: t=%d outside supported range [%d, %d]", t, c.TMin, c.TMax)
+		return nil, fmt.Errorf("bch: t=%d outside supported range [%d, %d]", t, c.TMin, c.TMax)
 	}
-	return t - c.TMin, nil
-}
-
-// Code returns (building if needed) the code instance for capability t.
-func (c *Codec) Code(t int) (*Code, error) {
-	i, err := c.slot(t)
-	if err != nil {
-		return nil, err
-	}
-	if code := c.codes[i].Load(); code != nil {
-		return code, nil
+	slot := &c.caps[t-c.TMin]
+	if cp := slot.Load(); cp != nil {
+		return cp, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if code := c.codes[i].Load(); code != nil {
-		return code, nil
+	if cp := slot.Load(); cp != nil {
+		return cp, nil
 	}
 	code, err := newCodeWith(Params{M: c.M, K: c.K, T: t}, c.field, c.mpt)
 	if err != nil {
 		return nil, err
 	}
-	c.codes[i].Store(code)
-	return code, nil
+	cp := &capability{code: code, enc: NewEncoder(code), dec: NewDecoder(code, c.syn)}
+	slot.Store(cp)
+	return cp, nil
 }
 
-func (c *Codec) encoder(t int) (*Encoder, error) {
-	i, err := c.slot(t)
+// Code returns (building if needed) the code instance for capability t.
+func (c *Codec) Code(t int) (*Code, error) {
+	cp, err := c.at(t)
 	if err != nil {
 		return nil, err
 	}
-	if e := c.encoders[i].Load(); e != nil {
-		return e, nil
-	}
-	code, err := c.Code(t)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.encoders[i].Load(); e != nil {
-		return e, nil
-	}
-	e := NewEncoder(code)
-	c.encoders[i].Store(e)
-	return e, nil
+	return cp.code, nil
 }
 
-func (c *Codec) decoder(t int) (*Decoder, error) {
-	i, err := c.slot(t)
-	if err != nil {
-		return nil, err
-	}
-	if d := c.decoders[i].Load(); d != nil {
-		return d, nil
-	}
-	code, err := c.Code(t)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d := c.decoders[i].Load(); d != nil {
-		return d, nil
-	}
-	d := NewDecoder(code, c.syn)
-	c.decoders[i].Store(d)
-	return d, nil
-}
+// Family implements ecc.Codec.
+func (c *Codec) Family() ecc.Family { return ecc.FamilyBCH }
 
-// ParityBytes returns the spare-area bytes consumed at capability t.
+// DataBits implements ecc.Codec.
+func (c *Codec) DataBits() int { return c.K }
+
+// MinLevel implements ecc.Codec.
+func (c *Codec) MinLevel() int { return c.TMin }
+
+// MaxLevel implements ecc.Codec.
+func (c *Codec) MaxLevel() int { return c.TMax }
+
+// ClampLevel implements ecc.Codec: it clips a requested capability into
+// the supported range, mirroring the controller behaviour of
+// instantiating the worst-case architecture and refusing configurations
+// outside it.
+func (c *Codec) ClampLevel(t int) int { return min(max(t, c.TMin), c.TMax) }
+
+// ParityBytes implements ecc.Codec: the spare-area bytes consumed at
+// capability t. The BCH geometry r = m·t makes it strictly monotone.
 func (c *Codec) ParityBytes(t int) (int, error) {
 	code, err := c.Code(t)
 	if err != nil {
@@ -169,54 +144,120 @@ func (c *Codec) ParityBytes(t int) (int, error) {
 	return (code.GenDegree + 7) / 8, nil
 }
 
-// EncodeInto computes the parity block for msg at capability t into
-// parity (exactly ParityBytes(t) bytes). It is the allocation-free
-// steady-state write path.
+// LevelForSpare implements ecc.Codec: t = spare·8 / m, cross-checked
+// against the exact parity footprint so a corrupt geometry is rejected
+// rather than guessed at.
+func (c *Codec) LevelForSpare(spareBytes int) (int, error) {
+	t := spareBytes * 8 / c.M
+	pb, err := c.ParityBytes(t)
+	if err != nil || pb != spareBytes {
+		return 0, fmt.Errorf("bch: spare %d bytes maps to no capability", spareBytes)
+	}
+	return t, nil
+}
+
+// CodewordBits implements ecc.Codec.
+func (c *Codec) CodewordBits(t int) (int, error) {
+	code, err := c.Code(t)
+	if err != nil {
+		return 0, err
+	}
+	return code.CodewordBits(), nil
+}
+
+// CorrectionCap implements ecc.Codec: bounded-distance decoding corrects
+// exactly t errors.
+func (c *Codec) CorrectionCap(t int) int { return c.ClampLevel(t) }
+
+// EncodeInto implements ecc.Codec: it computes the parity block for msg
+// at capability t into parity (exactly ParityBytes(t) bytes). It is the
+// allocation-free steady-state write path.
 func (c *Codec) EncodeInto(t int, parity, msg []byte) error {
-	e, err := c.encoder(t)
+	cp, err := c.at(t)
 	if err != nil {
 		return err
 	}
-	return e.EncodeInto(parity, msg)
+	return cp.enc.EncodeInto(parity, msg)
 }
 
 // EncodeCodeword returns msg ++ parity at capability t.
 func (c *Codec) EncodeCodeword(t int, msg []byte) ([]byte, error) {
-	e, err := c.encoder(t)
+	cp, err := c.at(t)
 	if err != nil {
 		return nil, err
 	}
-	return e.EncodeCodeword(msg)
+	return cp.enc.EncodeCodeword(msg)
 }
 
-// Decode corrects codeword in place at capability t, returning the number
-// of corrected bit errors or ErrUncorrectable.
+// Decode implements ecc.Codec: it corrects codeword in place at
+// capability t, returning the number of corrected bit errors or
+// ErrUncorrectable.
 func (c *Codec) Decode(t int, codeword []byte) (int, error) {
-	d, err := c.decoder(t)
+	cp, err := c.at(t)
 	if err != nil {
 		return 0, err
 	}
-	return d.Decode(codeword)
+	return cp.dec.Decode(codeword)
 }
 
-// DecodeSensed is Decode at capability t for a codeword this codec
-// encoded at t with exactly the bit positions in flips inverted; see
-// Decoder.DecodeSensed. It implements ecc.SensedDecoder.
+// DecodeSensed implements ecc.Codec: Decode at capability t for a
+// codeword this codec encoded at t with exactly the bit positions in
+// flips inverted, taking the syndromes from the positions alone; see
+// Decoder.DecodeSensed.
 func (c *Codec) DecodeSensed(t int, codeword []byte, flips []int) (int, error) {
-	d, err := c.decoder(t)
+	cp, err := c.at(t)
 	if err != nil {
 		return 0, err
 	}
-	return d.DecodeSensed(codeword, flips)
+	return cp.dec.DecodeSensed(codeword, flips)
 }
 
-// Warm pre-builds the code, encoder and decoder for capability t — plus
-// the shared syndrome lookup tables — so that first use in a
-// latency-sensitive path needs no construction work and takes no lock.
-func (c *Codec) Warm(t int) error {
-	if _, err := c.encoder(t); err != nil {
-		return err
-	}
-	_, err := c.decoder(t)
-	return err
+// DecodeSoft implements ecc.Codec: the algebraic decoder is hard-input
+// only (a Chase-style soft wrapper is possible but not modelled).
+func (c *Codec) DecodeSoft(t int, codeword []byte, llr []int8) (int, error) {
+	return 0, ecc.ErrNoSoftPath
 }
+
+// SupportsSoft implements ecc.Codec.
+func (c *Codec) SupportsSoft() bool { return false }
+
+// RequiredLevel implements ecc.Codec, mirroring the nominal-schedule
+// solver (§6.2): the minimal t whose full uncorrectable tail meets the
+// target, clamped up to TMin.
+func (c *Codec) RequiredLevel(rber, targetUBER float64) (int, error) {
+	t, err := RequiredT(c.M, c.K, rber, targetUBER, c.TMax)
+	if err != nil {
+		return 0, err
+	}
+	return max(t, c.TMin), nil
+}
+
+// ProjectedUBER implements ecc.Codec (Eq. 1's tail-accumulated form).
+func (c *Codec) ProjectedUBER(t int, rber float64) float64 {
+	return math.Exp(LogUBERTail(c.K+c.M*t, t, rber))
+}
+
+// EncodeLatency implements ecc.Codec; BCH encoding is independent of t
+// (paper §4).
+func (c *Codec) EncodeLatency(t int) time.Duration { return c.hw.EncodeLatency(c.K) }
+
+// DecodeLatency implements ecc.Codec.
+func (c *Codec) DecodeLatency(t int, clean bool) time.Duration {
+	n := c.K + c.M*t
+	if clean {
+		return c.hw.DecodeCleanLatency(n, t)
+	}
+	return c.hw.DecodeLatency(n, t)
+}
+
+// MeasuredDecodeLatency implements ecc.Codec. The hardware block's
+// decode cost does not depend on the error weight beyond whether the
+// syndromes are all zero, so it is the flat DecodeLatency.
+func (c *Codec) MeasuredDecodeLatency(t, nErr int) time.Duration {
+	return c.DecodeLatency(t, nErr == 0)
+}
+
+// SoftDecodeLatency implements ecc.Codec (no soft path).
+func (c *Codec) SoftDecodeLatency(t int) time.Duration { return 0 }
+
+var _ ecc.Codec = (*Codec)(nil)

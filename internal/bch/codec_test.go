@@ -15,7 +15,7 @@ import (
 // (128 bytes), t in [1, 12] so r = 16·t is always whole bytes.
 func smallCodec(t *testing.T) *Codec {
 	t.Helper()
-	c, err := NewCodec(16, 1024, 1, 12)
+	c, err := NewCodec(16, 1024, 1, 12, DefaultHWConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,21 +23,21 @@ func smallCodec(t *testing.T) *Codec {
 }
 
 func TestNewCodecValidation(t *testing.T) {
-	if _, err := NewCodec(16, 1024, 5, 3); err == nil {
+	if _, err := NewCodec(16, 1024, 5, 3, DefaultHWConfig()); err == nil {
 		t.Fatal("inverted range accepted")
 	}
-	if _, err := NewCodec(16, 1024, 0, 3); err == nil {
+	if _, err := NewCodec(16, 1024, 0, 3, DefaultHWConfig()); err == nil {
 		t.Fatal("tmin=0 accepted")
 	}
-	if _, err := NewCodec(8, 4096, 1, 10); err == nil {
+	if _, err := NewCodec(8, 4096, 1, 10, DefaultHWConfig()); err == nil {
 		t.Fatal("overfull field accepted") // 4096 > 255
 	}
 }
 
-func TestCodecClampT(t *testing.T) {
+func TestCodecClampLevel(t *testing.T) {
 	c := smallCodec(t)
-	if c.ClampT(0) != 1 || c.ClampT(13) != 12 || c.ClampT(7) != 7 {
-		t.Fatal("ClampT wrong")
+	if c.ClampLevel(0) != 1 || c.ClampLevel(13) != 12 || c.ClampLevel(7) != 7 {
+		t.Fatal("ClampLevel wrong")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestCodecSharedFieldIdentity(t *testing.T) {
 	c := smallCodec(t)
 	c4, _ := c.Code(4)
 	c9, _ := c.Code(9)
-	if c4.Field != c9.Field || c4.Field != c.Field() {
+	if c4.Field != c9.Field || c4.Field != c.field {
 		t.Fatal("codes do not share the codec's field instance")
 	}
 }
@@ -122,13 +122,16 @@ func TestCodecCaching(t *testing.T) {
 	}
 }
 
-func TestCodecWarm(t *testing.T) {
+// TestCodecSlotBuiltWhole: the first touch of a capability — here only
+// its parity footprint — builds its code, encoder and decoder together.
+func TestCodecSlotBuiltWhole(t *testing.T) {
 	c := smallCodec(t)
-	if err := c.Warm(6); err != nil {
+	if _, err := c.ParityBytes(6); err != nil {
 		t.Fatal(err)
 	}
-	if c.encoders[6-c.TMin].Load() == nil || c.decoders[6-c.TMin].Load() == nil {
-		t.Fatal("Warm did not populate caches")
+	cp := c.caps[6-c.TMin].Load()
+	if cp == nil || cp.code == nil || cp.enc == nil || cp.dec == nil {
+		t.Fatal("first use did not populate the whole slot")
 	}
 }
 
@@ -180,7 +183,7 @@ func driveSharedCodecs(t *testing.T, levels []int) (tables []weak.Pointer[divTab
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := NewCodec(16, k, 3, 65)
+			c, err := NewCodec(16, k, 3, 65, DefaultHWConfig())
 			if err != nil {
 				t.Error(err)
 				return
@@ -208,11 +211,11 @@ func driveSharedCodecs(t *testing.T, levels []int) (tables []weak.Pointer[divTab
 		return nil
 	}
 	for _, tc := range levels {
-		first := codecs[0].encoders[tc-3].Load().tab
+		first := codecs[0].caps[tc-3].Load().enc.tab
 		tables = append(tables, weak.Make(first))
 		for d, c := range codecs {
-			enc, dec := c.encoders[tc-3].Load(), c.decoders[tc-3].Load()
-			if enc.tab != first || dec.div != first {
+			cp := c.caps[tc-3].Load()
+			if cp.enc.tab != first || cp.dec.div != first {
 				t.Fatalf("drive %d t=%d: private division tables", d, tc)
 			}
 			if c.field != codecs[0].field || c.syn != codecs[0].syn {

@@ -15,7 +15,7 @@ func TestCodecConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codectest.Run(t, bch.NewHWCodec(codec, bch.DefaultHWConfig()), codectest.Options{
+	codectest.Run(t, codec, codectest.Options{
 		// Bounded-distance decoding: t+1 errors must never decode.
 		StrictCapPlusOne: true,
 		Levels:           []int{3, 16, 65},

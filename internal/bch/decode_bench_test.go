@@ -19,7 +19,7 @@ func benchCodec(b *testing.B, t int) *Codec {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := codec.Warm(t); err != nil {
+	if _, err := codec.at(t); err != nil {
 		b.Fatal(err)
 	}
 	return codec

@@ -21,7 +21,7 @@ func TestDecodeErrorCountMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tcap := range []int{3, 16, 65} {
-		if err := codec.Warm(tcap); err != nil {
+		if _, err := codec.at(tcap); err != nil {
 			t.Fatal(err)
 		}
 		code, err := codec.Code(tcap)
@@ -87,12 +87,12 @@ func TestDecodeErrorCountMatrix(t *testing.T) {
 // goroutines at mixed capabilities: the lock-free syndrome tables, codec
 // slots and pooled scratch must never cross-contaminate decodes.
 func TestDecodeConcurrentSharedDecoder(t *testing.T) {
-	codec, err := NewCodec(16, 1024, 1, 12)
+	codec, err := NewCodec(16, 1024, 1, 12, DefaultHWConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []int{3, 8, 12} {
-		if err := codec.Warm(tc); err != nil {
+		if _, err := codec.at(tc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -204,7 +204,7 @@ func TestAllZeroMessageCodeword(t *testing.T) {
 }
 
 func TestParityLengthMatchesGeneratorDegreeAcrossT(t *testing.T) {
-	codec, err := NewCodec(16, 1024, 1, 12)
+	codec, err := NewCodec(16, 1024, 1, 12, DefaultHWConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

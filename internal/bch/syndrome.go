@@ -24,7 +24,7 @@ import (
 // Tables depend only on the field, not on t, so one SyndromeCalc serves
 // every correction capability of an adaptive codec. The table set is
 // published through an atomic pointer: once Prepare(t) has run (eagerly
-// at decoder construction / Codec.Warm), Syndromes is lock-free — the
+// at decoder construction), Syndromes is lock-free — the
 // mutex is only ever taken to grow the set for a larger t.
 type SyndromeCalc struct {
 	f *gf.Field

@@ -6,9 +6,9 @@
 // level geometry (monotone parity, exact spare-to-level inversion),
 // encode/decode round trips across the error-count matrix
 // {0, 1, cap/2, cap, cap+1}, rollback on failure, steady-state
-// allocation freedom and descriptor sanity. A codec that implements
-// ecc.SensedDecoder runs the round trips, the rollback and the
-// allocation check through DecodeSensed as well, fed the positions the
+// allocation freedom and descriptor sanity. The round trips, the
+// rollback and the allocation check run through both hard-decode
+// paths, Decode and DecodeSensed, the latter fed the positions the
 // suite flipped.
 package codectest
 
@@ -68,16 +68,12 @@ type decodePath struct {
 	decode func(lvl int, cw []byte, flips []int) (int, error)
 }
 
-// decodePaths lists Decode and, when the codec implements it,
-// ecc.SensedDecoder's DecodeSensed.
+// decodePaths lists Decode and DecodeSensed.
 func decodePaths(c ecc.Codec) []decodePath {
-	paths := []decodePath{{"Decode", func(lvl int, cw []byte, _ []int) (int, error) {
-		return c.Decode(lvl, cw)
-	}}}
-	if sd, ok := c.(ecc.SensedDecoder); ok {
-		paths = append(paths, decodePath{"DecodeSensed", sd.DecodeSensed})
+	return []decodePath{
+		{"Decode", func(lvl int, cw []byte, _ []int) (int, error) { return c.Decode(lvl, cw) }},
+		{"DecodeSensed", c.DecodeSensed},
 	}
-	return paths
 }
 
 // geometry pins the spare-footprint contract: ParityBytes strictly
@@ -139,15 +135,32 @@ func codeword(t *testing.T, c ecc.Codec, lvl int, seed uint64) (cw []byte) {
 }
 
 // matrix drives the error-count grid {0, 1, cap/2, cap, cap+1} through
-// one decode path.
+// one decode path. A bounded-distance family also gets exactly cap
+// errors placed only in the parity bytes: the decoder must locate them
+// there and hand the message back untouched.
 func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 	t.Helper()
 	cap := c.CorrectionCap(lvl)
-	for _, nerr := range []int{0, 1, cap / 2, cap, cap + 1} {
-		rng := stats.NewRNG(uint64(5000 + lvl*977 + nerr))
-		cw := codeword(t, c, lvl, uint64(5000+lvl*977+nerr))
+	type input struct {
+		nerr       int
+		parityOnly bool
+	}
+	inputs := []input{{0, false}, {1, false}, {cap / 2, false}, {cap, false}, {cap + 1, false}}
+	if opt.StrictCapPlusOne {
+		inputs = append(inputs, input{cap, true})
+	}
+	for _, in := range inputs {
+		nerr, seed, base, where := in.nerr, uint64(5000+lvl*977+in.nerr), 0, ""
+		if in.parityOnly {
+			seed, base, where = seed+500, c.DataBits(), " in parity only"
+		}
+		rng := stats.NewRNG(seed)
+		cw := codeword(t, c, lvl, seed)
 		clean := append([]byte(nil), cw...)
-		flips := rng.SampleK(len(cw)*8, nerr)
+		flips := rng.SampleK(len(cw)*8-base, nerr)
+		for i := range flips {
+			flips[i] += base
+		}
 		for _, p := range flips {
 			cw[p/8] ^= 1 << uint(7-p%8)
 		}
@@ -156,10 +169,10 @@ func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 		switch {
 		case nerr <= cap:
 			if err != nil {
-				t.Fatalf("level %d: %s failed at %d <= cap %d: %v", lvl, dp.name, nerr, cap, err)
+				t.Fatalf("level %d: %s failed at %d <= cap %d%s: %v", lvl, dp.name, nerr, cap, where, err)
 			}
 			if n != nerr || !bytes.Equal(cw, clean) {
-				t.Fatalf("level %d nerr %d: %s corrected %d, restored=%v", lvl, nerr, dp.name, n, bytes.Equal(cw, clean))
+				t.Fatalf("level %d nerr %d%s: %s corrected %d, restored=%v", lvl, nerr, where, dp.name, n, bytes.Equal(cw, clean))
 			}
 		case err != nil:
 			if !bytes.Equal(cw, dirty) {

@@ -22,17 +22,9 @@ var ErrUncorrectable = errors.New("controller: uncorrectable page")
 type Controller struct {
 	dev   *nand.Device
 	codec ecc.Codec
-	// ml is non-nil when the codec calibrates decode cost per error
-	// weight (ecc.MeasuredLatency); successful decodes then book the
-	// measured duration instead of the flat estimate.
-	ml ecc.MeasuredLatency
-	// sd is non-nil when the codec can decode from the sense's flip
-	// positions (ecc.SensedDecoder); stamped pages then skip the
-	// codec's page-wide syndrome computation.
-	sd   ecc.SensedDecoder
-	bus  nand.FlashBus
-	regs RegisterFile
-	mgr  *ReliabilityManager
+	bus   nand.FlashBus
+	regs  RegisterFile
+	mgr   *ReliabilityManager
 
 	pageBuffer []byte // controller-side page RAM (Fig. 1), size of one codeword
 	readBuffer []byte // codeword staging RAM for the read path (pooled across reads)
@@ -46,9 +38,9 @@ type Controller struct {
 	//   - zero flips: a valid codeword decodes to itself with zero
 	//     corrections, so the decode is skipped outright (the
 	//     FEMU-style emulation fast path);
-	//   - any flips, with a codec that implements ecc.SensedDecoder:
-	//     the syndromes are those of the flips alone, so the codec
-	//     decodes from the positions instead of dividing the page.
+	//   - any flips: the codec decodes from the positions
+	//     (ecc.Codec.DecodeSensed); an algebraic codec takes the
+	//     syndromes of the flips alone instead of dividing the page.
 	// Any reprogram, through this controller or not, bumps the device
 	// stamp and voids the mark.
 	cleanSeq []uint64
@@ -71,9 +63,6 @@ type Config struct {
 	Bus nand.FlashBus
 	// TargetUBERExp initialises RegTargetUBERExp (e.g. 11 for 1e-11).
 	TargetUBERExp uint32
-	// InitialLevel initialises RegECCCapability (clamped to the codec's
-	// level range; 0 selects the codec's worst case).
-	InitialLevel uint32
 	// Adaptive enables the reliability manager from the start.
 	Adaptive bool
 	// MaxRetries initialises RegReadRetry: how many re-reads at shifted
@@ -100,7 +89,6 @@ func DefaultConfig() Config {
 	return Config{
 		Bus:           nand.DefaultFlashBus(),
 		TargetUBERExp: 11,
-		InitialLevel:  0,
 		Adaptive:      true,
 		MaxRetries:    4,
 		SoftRetries:   1,
@@ -131,19 +119,13 @@ func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 		readBuffer: make([]byte, bufBytes),
 		cleanSeq:   make([]uint64, dev.Blocks()*dev.PagesPerBlock()),
 	}
-	c.ml, _ = codec.(ecc.MeasuredLatency)
-	c.sd, _ = codec.(ecc.SensedDecoder)
 	if codec.SupportsSoft() {
 		c.llrBuffer = make([]int8, bufBytes*8)
 	}
 	if err := c.regs.Write(RegTargetUBERExp, cfg.TargetUBERExp); err != nil {
 		return nil, err
 	}
-	lvl := int(cfg.InitialLevel)
-	if lvl == 0 {
-		lvl = codec.MaxLevel()
-	}
-	if err := c.regs.Write(RegECCCapability, uint32(codec.ClampLevel(lvl))); err != nil {
+	if err := c.regs.Write(RegECCCapability, uint32(codec.MaxLevel())); err != nil {
 		return nil, err
 	}
 	if cfg.MaxRetries < 0 {
@@ -520,24 +502,23 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 			// result fields, same latency booking, no RNG involved.
 			nErr, decErr = 0, nil
 			c.cleanHits++
-		case stamped && c.sd != nil:
-			// Sensed-syndrome decode: the buffer is this controller's
-			// codeword with exactly the device's reported flips inverted,
-			// so the codec takes its syndromes from the positions; the
+		case stamped:
+			// Sensed decode: the buffer is this controller's codeword
+			// with exactly the device's reported flips inverted, so the
+			// codec may take its syndromes from the positions; the
 			// count, error and corrected bytes are Decode's.
-			nErr, decErr = c.sd.DecodeSensed(level, codeword, c.dev.LastSenseFlips())
+			nErr, decErr = c.codec.DecodeSensed(level, codeword, c.dev.LastSenseFlips())
 		default:
 			nErr, decErr = c.codec.Decode(level, codeword)
 		}
 		c.decodeWarm |= 1 << (uint(level) & 63) // set already on a clean hit
 
 		// A successful decode's cost is booked at the observed error
-		// weight when the codec calibrates it (measured min-sum
-		// iterations); failures and flat-latency codecs keep the
-		// worst-case estimate.
-		decLat := c.codec.DecodeLatency(level, nErr == 0 && decErr == nil)
-		if c.ml != nil && decErr == nil {
-			decLat = c.ml.MeasuredDecodeLatency(level, nErr)
+		// weight (measured min-sum iterations for LDPC); a failure pays
+		// the worst-case estimate.
+		decLat := c.codec.DecodeLatency(level, false)
+		if decErr == nil {
+			decLat = c.codec.MeasuredDecodeLatency(level, nErr)
 		}
 		stage := ReadLatency{
 			TR:       nand.PageReadTime,

@@ -21,7 +21,7 @@ func newRig(t *testing.T, adaptive bool) *Controller {
 	}
 	cfg := DefaultConfig()
 	cfg.Adaptive = adaptive
-	c, err := New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), cfg)
+	c, err := New(dev, codec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestTargetUBERExact(t *testing.T) {
 
 func TestNewRejectsMismatchedCodec(t *testing.T) {
 	dev := nand.NewDevice(nand.DefaultCalibration(), 1, 1)
-	codec, err := bch.NewCodec(16, 1024, 3, 10) // protects 1024 bits, page has 32768
+	codec, err := bch.NewCodec(16, 1024, 3, 10, bch.DefaultHWConfig()) // protects 1024 bits, page has 32768
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), DefaultConfig()); err == nil {
+	if _, err := New(dev, codec, DefaultConfig()); err == nil {
 		t.Fatal("mismatched codec accepted")
 	}
 }

@@ -30,7 +30,7 @@ func BenchmarkFamilyRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return bch.NewHWCodec(c, bch.DefaultHWConfig())
+			return c
 		}},
 		{"ldpc", func(b *testing.B) ecc.Codec {
 			c, err := ldpc.NewPageCodec()

@@ -249,14 +249,6 @@ func (m *ReliabilityManager) SelectLevel(alg nand.Algorithm, cycles float64) int
 	return lvl
 }
 
-// ProjectedUBER reports the post-correction error rate the manager
-// expects for a level/algorithm/wear triple, per the codec family's
-// reliability model.
-func (m *ReliabilityManager) ProjectedUBER(level int, alg nand.Algorithm, cycles float64) float64 {
-	rber := m.EstimateRBER(alg, cycles)
-	return m.codec.ProjectedUBER(level, rber)
-}
-
 // ObserveSoft feeds one soft-rung decode attempt into the telemetry.
 func (m *ReliabilityManager) ObserveSoft(success bool) {
 	m.mu.Lock()

@@ -18,7 +18,7 @@ func newManager(t *testing.T) *ReliabilityManager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewReliabilityManager(bch.NewHWCodec(codec, bch.DefaultHWConfig()), nand.DefaultCalibration(), 1e-11)
+	return NewReliabilityManager(codec, nand.DefaultCalibration(), 1e-11)
 }
 
 func TestSelectTMonotoneInWear(t *testing.T) {
@@ -103,7 +103,7 @@ func TestProjectedUBERMeetsTargetAtSelectedT(t *testing.T) {
 	for _, n := range []float64{0, 1e4, 1e6} {
 		for _, alg := range []nand.Algorithm{nand.ISPPSV, nand.ISPPDV} {
 			tc := m.SelectLevel(alg, n)
-			got := m.ProjectedUBER(tc, alg, n)
+			got := m.codec.ProjectedUBER(tc, m.EstimateRBER(alg, n))
 			if got <= m.targetUBER {
 				continue
 			}
@@ -151,7 +151,7 @@ func TestManagerUsesDeviceCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), DefaultConfig())
+	c, err := New(dev, codec, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func memoManagers(t *testing.T) []*ReliabilityManager {
 		t.Fatal(err)
 	}
 	var ms []*ReliabilityManager
-	for _, codec := range []ecc.Codec{bch.NewHWCodec(bc, bch.DefaultHWConfig()), lc} {
+	for _, codec := range []ecc.Codec{bc, lc} {
 		ms = append(ms, NewReliabilityManager(codec, nand.DefaultCalibration(), 1e-11))
 	}
 	return ms

@@ -17,13 +17,13 @@ func retryRig(t testing.TB, maxRetries int, seed uint64) *Controller {
 	t.Helper()
 	cal := nand.DefaultCalibration()
 	dev := nand.NewDevice(cal, 4, seed)
-	codec, err := bch.NewCodec(16, cal.PageDataBits(), 3, 65)
+	codec, err := bch.NewCodec(16, cal.PageDataBits(), 3, 65, bch.DefaultHWConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.MaxRetries = maxRetries
-	c, err := New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), cfg)
+	c, err := New(dev, codec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,11 +280,7 @@ const dieSeedStride = 0x9e3779b97f4a7c15
 func buildCodec(cfg Config) (ecc.Codec, error) {
 	switch cfg.Family {
 	case ecc.FamilyBCH:
-		c, err := bch.NewCodec(cfg.Env.M, cfg.Env.K, cfg.Env.TMin, cfg.Env.TMax)
-		if err != nil {
-			return nil, err
-		}
-		return bch.NewHWCodec(c, cfg.Env.HW), nil
+		return bch.NewCodec(cfg.Env.M, cfg.Env.K, cfg.Env.TMin, cfg.Env.TMax, cfg.Env.HW)
 	case ecc.FamilyLDPC:
 		c, err := ldpc.NewPageCodec()
 		if err != nil {

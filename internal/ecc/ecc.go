@@ -54,10 +54,11 @@ func (f Family) String() string {
 // soft-sense rung).
 var ErrNoSoftPath = errors.New("ecc: codec has no soft-decision decode path")
 
-// Codec is the family-generic adaptive codec. Implementations must be
-// safe for concurrent use (one hardware codec is shared by every die)
-// and allocation-free on the steady-state EncodeInto/Decode/DecodeSoft
-// paths.
+// Codec is the family-generic adaptive codec. Each family is one type
+// that implements all of it. Implementations must be safe for
+// concurrent use (one hardware codec is shared by every die) and
+// allocation-free on the steady-state EncodeInto, Decode, DecodeSensed
+// and DecodeSoft paths.
 type Codec interface {
 	// Family identifies the code family.
 	Family() Family
@@ -93,6 +94,18 @@ type Codec interface {
 	// the number of corrected bit errors. On failure the codeword is
 	// left unmodified (rollback contract).
 	Decode(level int, codeword []byte) (int, error)
+	// DecodeSensed is Decode for a sensed page the controller knows
+	// holds the codeword this codec encoded at level, with exactly the
+	// listed bit positions inverted (the device reports the positions
+	// it injected). flips holds distinct codeword bit positions: bit i
+	// is the MSB-first bit i%8 of byte i/8 of msg ++ parity. For such a
+	// codeword DecodeSensed returns what Decode returns and leaves the
+	// buffer exactly as Decode leaves it, rollback included; for any
+	// other word its result is unspecified. An algebraic decoder, whose
+	// syndromes are linear in the received word, takes them from the
+	// positions alone and need not read the page; a decoder that gains
+	// nothing from the positions simply decodes.
+	DecodeSensed(level int, codeword []byte, flips []int) (int, error)
 	// DecodeSoft decodes with per-bit confidence: llr holds one signed
 	// log-likelihood per codeword bit (positive = bit 0, magnitude =
 	// confidence; sign must agree with the hard decisions in codeword).
@@ -112,34 +125,22 @@ type Codec interface {
 	// Latency descriptors at the codec's modelled micro-architecture.
 	EncodeLatency(level int) time.Duration
 	DecodeLatency(level int, clean bool) time.Duration
+	MeasuredLatency
 	// SoftDecodeLatency is the soft-input decode cost (0 when
 	// unsupported).
 	SoftDecodeLatency(level int) time.Duration
 }
 
-// MeasuredLatency is an optional Codec extension for engines whose
-// decode cost depends on the observed error weight. Implementations
-// calibrate against the decoder itself (e.g. measured min-sum
-// iterations-to-converge per level × weight) and the controller books
-// the returned duration on the codec calendar instead of the flat
-// DecodeLatency estimate. nErr is the corrected bit count of a
-// successful decode; implementations must make nErr == 0 agree with
-// DecodeLatency(level, true) so clean reads price identically on both
-// paths.
+// MeasuredLatency prices a successful hard decode at the error weight
+// it corrected; the controller books the returned duration on the
+// codec calendar. An engine whose decode cost depends on the weight
+// calibrates it against the decoder itself (e.g. measured min-sum
+// iterations-to-converge per level × weight); one whose cost does not
+// returns DecodeLatency(level, nErr == 0). Either way nErr == 0 must
+// agree with DecodeLatency(level, true), so clean reads price
+// identically on every path. It is a named interface embedded in Codec,
+// rather than a plain Codec method, because the benchmark module
+// asserts the name.
 type MeasuredLatency interface {
 	MeasuredDecodeLatency(level, nErr int) time.Duration
-}
-
-// SensedDecoder is an optional Codec extension for algebraic decoders
-// whose syndromes are linear in the received word. When the controller
-// knows a sensed page holds the codeword this codec encoded at level,
-// with exactly the listed bit positions inverted (the device reports
-// the positions it injected), the syndromes follow from those positions
-// alone and the page need not be read. flips holds distinct codeword
-// bit positions: bit i is the MSB-first bit i%8 of byte i/8 of
-// msg ++ parity. For such a codeword DecodeSensed returns what Decode
-// returns and leaves the buffer exactly as Decode leaves it, rollback
-// included; for any other word its result is unspecified.
-type SensedDecoder interface {
-	DecodeSensed(level int, codeword []byte, flips []int) (int, error)
 }

@@ -113,10 +113,13 @@ func ExtLDPCFamilies(env sim.Env) (Figure, error) {
 	mbps := func(total time.Duration) float64 {
 		return payload / total.Seconds() / 1e6
 	}
-	hwBCH := bch.NewHWCodec(mustPageBCH(env), env.HW)
+	bc, err := bch.NewCodec(env.M, env.K, env.TMin, env.TMax, env.HW)
+	if err != nil {
+		return f, err
+	}
 	xferB := env.Bus.Transfer(bchN / 8)
 	xferL := env.Bus.Transfer(ldpcN / 8)
-	bchWalk := attempts * (nand.PageReadTime + xferB + hwBCH.DecodeLatency(bchT, false))
+	bchWalk := attempts * (nand.PageReadTime + xferB + bc.DecodeLatency(bchT, false))
 	hardWalk := attempts * (nand.PageReadTime + xferL + lc.DecodeLatency(lvl, false))
 	senses := time.Duration(s.SoftSenses)
 	softWalk := hardWalk + senses*(nand.PageReadTime+xferL) + lc.SoftDecodeLatency(lvl)
@@ -143,14 +146,4 @@ func logGrid(lo, hi float64, k int) []float64 {
 		v *= ratio
 	}
 	return out
-}
-
-// mustPageBCH builds the env-geometry BCH codec (construction cannot
-// fail for the default env; an invalid env panics loudly in tests).
-func mustPageBCH(env sim.Env) *bch.Codec {
-	c, err := bch.NewCodec(env.M, env.K, env.TMin, env.TMax)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }

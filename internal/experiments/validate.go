@@ -38,11 +38,11 @@ func ExtWorkloadValidation(env sim.Env, seed uint64) (Figure, error) {
 				return f, err
 			}
 		}
-		codec, err := bch.NewCodec(env.M, env.K, env.TMin, env.TMax)
+		codec, err := bch.NewCodec(env.M, env.K, env.TMin, env.TMax, env.HW)
 		if err != nil {
 			return f, err
 		}
-		ctrl, err := controller.New(dev, bch.NewHWCodec(codec, env.HW), controller.DefaultConfig())
+		ctrl, err := controller.New(dev, codec, controller.DefaultConfig())
 		if err != nil {
 			return f, err
 		}

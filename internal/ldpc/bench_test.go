@@ -28,7 +28,7 @@ func BenchmarkLDPCDecode(b *testing.B) {
 	}
 	for _, lvl := range []int{0, c.MaxLevel()} {
 		cap := c.CorrectionCap(lvl)
-		d, err := c.decoder(lvl)
+		d, err := c.at(lvl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkLDPCDecodeSoft(b *testing.B) {
 	llr := softLLR(cw, pos, rng)
 	dirty := append([]byte(nil), cw...)
 	work := append([]byte(nil), dirty...)
-	d, err := c.decoder(lvl)
+	d, err := c.at(lvl)
 	if err != nil {
 		b.Fatal(err)
 	}

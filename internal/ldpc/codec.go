@@ -50,19 +50,19 @@ func DefaultHWConfig() HWConfig {
 }
 
 // Codec is the adaptive rate-compatible LDPC codec: one engine whose
-// capability level (rate index) is selectable at runtime, levels built
-// lazily and published through atomic slots so dies hammering the
-// shared codec never serialise on a mutex — the same concurrency
-// contract as the BCH codec, and the same sharing: a level's code
-// structure (~530 KB) is immutable and common to every live Codec of
-// the geometry; decoders and their scratch are not. The measured
-// latency tables are committed data, read-only from construction on.
+// capability level (rate index) is selectable at runtime. Each level's
+// decoder, which holds the level's code, is built lazily into one
+// atomic slot, so dies hammering the shared codec never serialise on a
+// mutex — the same concurrency contract as the BCH codec, and the same
+// sharing: a level's code structure (~530 KB) is immutable and common
+// to every live Codec of the geometry; decoders and their scratch are
+// not. The measured latency tables are committed data, read-only from
+// construction on.
 type Codec struct {
 	p  Params
 	hw HWConfig
 
 	mu       sync.Mutex // serialises slot construction only
-	codes    []atomic.Pointer[code]
 	decoders []atomic.Pointer[Decoder]
 	// iters is the per-level iterations-to-converge table backing
 	// MeasuredDecodeLatency: the committed page tables, or nil for a
@@ -82,7 +82,6 @@ func NewCodec(p Params, hw HWConfig) (*Codec, error) {
 	return &Codec{
 		p:        p,
 		hw:       hw,
-		codes:    make([]atomic.Pointer[code], len(p.ParityBits)),
 		decoders: make([]atomic.Pointer[Decoder], len(p.ParityBits)),
 		iters:    measuredIters(p),
 	}, nil
@@ -123,23 +122,25 @@ func (c *Codec) slot(level int) (int, error) {
 	return level, nil
 }
 
-// codeAt returns (building if needed) the level's code structure.
-func (c *Codec) codeAt(level int) (*code, error) {
+// at returns (building if needed) the level's decoder; its code
+// structure is d.c.
+func (c *Codec) at(level int) (*Decoder, error) {
 	i, err := c.slot(level)
 	if err != nil {
 		return nil, err
 	}
-	if cd := c.codes[i].Load(); cd != nil {
-		return cd, nil
+	if d := c.decoders[i].Load(); d != nil {
+		return d, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cd := c.codes[i].Load(); cd != nil {
-		return cd, nil
+	if d := c.decoders[i].Load(); d != nil {
+		return d, nil
 	}
 	cd := sharedCodes.Get(codeKey{c.p.K, c.p.ParityBits[i], i}, func() *code { return buildCode(c.p, i) })
-	c.codes[i].Store(cd)
-	return cd, nil
+	d := newDecoder(cd)
+	c.decoders[i].Store(d)
+	return d, nil
 }
 
 // sharedCodes finds the live code structure of a level: everything
@@ -149,28 +150,6 @@ func (c *Codec) codeAt(level int) (*code, error) {
 var sharedCodes weakmap.Map[codeKey, code]
 
 type codeKey struct{ k, parityBits, level int }
-
-func (c *Codec) decoder(level int) (*Decoder, error) {
-	i, err := c.slot(level)
-	if err != nil {
-		return nil, err
-	}
-	if d := c.decoders[i].Load(); d != nil {
-		return d, nil
-	}
-	cd, err := c.codeAt(level)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d := c.decoders[i].Load(); d != nil {
-		return d, nil
-	}
-	d := newDecoder(cd)
-	c.decoders[i].Store(d)
-	return d, nil
-}
 
 // ParityBytes implements ecc.Codec.
 func (c *Codec) ParityBytes(level int) (int, error) {
@@ -216,16 +195,16 @@ func (c *Codec) SoftCorrectionCap(level int) int {
 
 // EncodeInto implements ecc.Codec.
 func (c *Codec) EncodeInto(level int, parity, msg []byte) error {
-	cd, err := c.codeAt(level)
+	d, err := c.at(level)
 	if err != nil {
 		return err
 	}
-	return cd.encodeInto(parity, msg)
+	return d.c.encodeInto(parity, msg)
 }
 
 // Decode implements ecc.Codec: hard-input normalized min-sum.
 func (c *Codec) Decode(level int, codeword []byte) (int, error) {
-	d, err := c.decoder(level)
+	d, err := c.at(level)
 	if err != nil {
 		return 0, err
 	}
@@ -233,6 +212,12 @@ func (c *Codec) Decode(level int, codeword []byte) (int, error) {
 		return 0, fmt.Errorf("ldpc: codeword %d bytes, level %d needs %d bits", len(codeword), level, d.c.n)
 	}
 	return d.decode(codeword, nil, maxIterHard, flipGuard(c.p.HardCap[d.c.level]))
+}
+
+// DecodeSensed implements ecc.Codec: min-sum gains nothing from the
+// known flip positions, so it is Decode.
+func (c *Codec) DecodeSensed(level int, codeword []byte, _ []int) (int, error) {
+	return c.Decode(level, codeword)
 }
 
 // flipGuard is the accepted repair bound: 1.5x the calibrated cap.
@@ -246,7 +231,7 @@ func flipGuard(cap int) int { return cap + cap/2 }
 // DecodeSoft implements ecc.Codec: soft-input min-sum over the
 // device-supplied per-bit confidence.
 func (c *Codec) DecodeSoft(level int, codeword []byte, llr []int8) (int, error) {
-	d, err := c.decoder(level)
+	d, err := c.at(level)
 	if err != nil {
 		return 0, err
 	}

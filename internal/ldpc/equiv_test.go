@@ -145,7 +145,7 @@ func scalarDecodeIter(d *Decoder, cw []byte, llr []int8, maxIter, flipGuard int)
 // flip counts, error verdicts and output bytes.
 func assertEquivalent(t testing.TB, c *Codec, lvl, nerr int, soft bool, cw []byte, llr []int8, maxIter, guard int) {
 	t.Helper()
-	d, err := c.decoder(lvl)
+	d, err := c.at(lvl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package ldpc
 import (
 	"slices"
 	"time"
-
-	"xlnand/internal/ecc"
 )
 
 // The flat DecodeLatency model prices every dirty decode at the mean
@@ -32,7 +30,7 @@ func measuredIters(p Params) [][]float64 {
 	return pageMeasuredIters
 }
 
-// MeasuredDecodeLatency implements ecc.MeasuredLatency: the decode cost
+// MeasuredDecodeLatency implements ecc.Codec: the decode cost
 // at the observed error weight, from the measured iteration tables run
 // through the same pipeline model as the flat estimate. Weight zero is
 // the early-termination syndrome pass; weights past the flip guard
@@ -59,5 +57,3 @@ func (c *Codec) MeasuredDecodeLatency(level, nErr int) time.Duration {
 	}
 	return c.toDuration(cycles)
 }
-
-var _ ecc.MeasuredLatency = (*Codec)(nil)

@@ -63,9 +63,9 @@ func TestMeasuredLatencyDeterministic(t *testing.T) {
 		if lvl >= len(a.iters) || !bitsEqual(a.iters[lvl], pageMeasuredIters[lvl]) {
 			t.Errorf("level %d: the page codec does not price from the committed table", lvl)
 		}
-		ca, _ := a.codeAt(lvl)
-		cb, _ := b.codeAt(lvl)
-		if ca != cb {
+		da, _ := a.at(lvl)
+		db, _ := b.at(lvl)
+		if da.c != db.c {
 			t.Errorf("level %d: second codec built a private code structure", lvl)
 		}
 	}
@@ -115,7 +115,7 @@ func calibrate(tb testing.TB, c *Codec, level int) []float64 {
 	tb.Helper()
 	maxW := flipGuard(c.p.HardCap[level])
 	iters := make([]float64, maxW+1)
-	d, err := c.decoder(level)
+	d, err := c.at(level)
 	if err != nil {
 		tb.Fatal(err)
 	}

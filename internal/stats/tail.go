@@ -2,13 +2,6 @@ package stats
 
 import "math"
 
-// Q returns the Gaussian tail probability Q(x) = P[N(0,1) > x],
-// computed via erfc for numerical stability deep into the tail
-// (Q(10) ≈ 7.6e-24 is still exact to machine precision).
-func Q(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
 // LogBinomCoef returns ln C(n, k) using Lgamma, valid for n up to millions
 // without overflow.
 func LogBinomCoef(n, k int) float64 {

@@ -15,30 +15,6 @@ func approxEq(a, b, rel float64) bool {
 	return d <= rel*m
 }
 
-func TestQKnownValues(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1, 0.158655253931457},
-		{2, 0.0227501319481792},
-		{3, 1.349898031630095e-03},
-		{6, 9.865876450377018e-10},
-		{10, 7.619853024160487e-24},
-	}
-	for _, c := range cases {
-		if got := Q(c.x); !approxEq(got, c.want, 1e-9) {
-			t.Errorf("Q(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestQSymmetry(t *testing.T) {
-	for _, x := range []float64{0.1, 0.5, 1, 2, 3.7} {
-		if got := Q(x) + Q(-x); !approxEq(got, 1, 1e-12) {
-			t.Errorf("Q(%v)+Q(-%v) = %v, want 1", x, x, got)
-		}
-	}
-}
-
 func TestLogBinomCoefSmall(t *testing.T) {
 	cases := []struct {
 		n, k int

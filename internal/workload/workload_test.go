@@ -15,7 +15,7 @@ func newController(t *testing.T) *controller.Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := controller.New(dev, bch.NewHWCodec(codec, bch.DefaultHWConfig()), controller.DefaultConfig())
+	c, err := controller.New(dev, codec, controller.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
