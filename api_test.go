@@ -159,8 +159,17 @@ const testOnlyFile = "testdata/test_only.txt"
 // the allowlist, so a new test-only export and a stale allowlist entry
 // both fail. Methods and fields are out of scope.
 func TestNoTestOnlyExports(t *testing.T) {
-	got := testOnlyExports(t)
-	raw, err := os.ReadFile(testOnlyFile)
+	checkAllowlist(t, testOnlyFile, testOnlyExports(t),
+		"is exported but only tests name it: delete it, unexport it")
+}
+
+// checkAllowlist requires the entries a check found in the tree to
+// equal the allowlist in file, one "<entry> — <reason>" line each; an
+// entry missing from the file and a stale line both fail. problem says
+// what is wrong with an unlisted entry and how to fix it.
+func checkAllowlist(t *testing.T, file string, got []string, problem string) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +177,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, l := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
 		entry, reason, ok := strings.Cut(l, " — ")
 		if !ok || strings.TrimSpace(reason) == "" {
-			t.Errorf("%s: %q gives no reason", testOnlyFile, l)
+			t.Errorf("%s: %q gives no reason", file, l)
 		}
 		want = append(want, entry)
 	}
 	for _, e := range got {
 		if !slices.Contains(want, e) {
-			t.Errorf("%s is exported but only tests name it: delete it, unexport it, or allowlist it in %s with a reason", e, testOnlyFile)
+			t.Errorf("%s %s, or allowlist it in %s with a reason", e, problem, file)
 		}
 	}
 	for _, e := range want {
 		if !slices.Contains(got, e) {
-			t.Errorf("%s: %s is no longer a test-only export; drop its line", testOnlyFile, e)
+			t.Errorf("%s: %s no longer fails the check; drop its line", file, e)
 		}
 	}
 }
@@ -190,6 +199,31 @@ func testOnlyExports(t *testing.T) []string {
 	t.Helper()
 	declared := map[string]bool{}
 	used := map[string]bool{}
+	forNonTestFiles(t, func(pkg string, f *ast.File) {
+		if strings.HasPrefix(pkg, "xlnand/internal/") {
+			for _, name := range topLevelExports(f) {
+				declared[pkg+" "+name] = true
+			}
+		}
+		for _, u := range namesUsed(f, pkg) {
+			used[u] = true
+		}
+	})
+	var out []string
+	for e := range declared {
+		if !used[e] {
+			out = append(out, e)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// forNonTestFiles parses every non-test Go file of the tree, bench/ and
+// cmd/ included, testdata and dot directories skipped, and calls fn
+// with the file and its import path.
+func forNonTestFiles(t *testing.T, fn func(pkg string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -209,27 +243,12 @@ func testOnlyExports(t *testing.T) []string {
 			return err
 		}
 		pkg := path.Join("xlnand", filepath.ToSlash(filepath.Dir(p)))
-		if strings.HasPrefix(pkg, "xlnand/internal/") {
-			for _, name := range topLevelExports(f) {
-				declared[pkg+" "+name] = true
-			}
-		}
-		for _, u := range namesUsed(f, pkg) {
-			used[u] = true
-		}
+		fn(pkg, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for e := range declared {
-		if !used[e] {
-			out = append(out, e)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // topLevelExports lists a file's exported package-level funcs, types,
@@ -283,6 +302,111 @@ func namesUsed(f *ast.File, pkg string) []string {
 		case *ast.Ident:
 			if !skip[x] {
 				out = append(out, pkg+" "+x.Name)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// writeOnlyFile allowlists the struct fields that non-test code assigns
+// but never reads, one "<import path> <Type>.<Field> — <reason>" line
+// each.
+const writeOnlyFile = "testdata/write_only.txt"
+
+// TestNoWriteOnlyFields keeps state that nothing reads from creeping
+// back. Every field of a struct type declared in a non-test file of the
+// root package or internal/ must be read by non-test code: in its own
+// package if the field is unexported, anywhere in the tree (cmd/ and
+// bench/ included) if it is exported. Without type information a read is
+// matched by name: a selector x.Field that is not the left side of an
+// assignment, op= or ++/--. Fields with a json tag are exempt, since
+// encoding/json reads them. The fields that fail must equal the
+// allowlist.
+func TestNoWriteOnlyFields(t *testing.T) {
+	checkAllowlist(t, writeOnlyFile, writeOnlyFields(t),
+		"is assigned but never read: delete it")
+}
+
+// writeOnlyFields returns the sorted "<import path> <Type>.<Field>"
+// entries of struct fields no non-test selector reads.
+func writeOnlyFields(t *testing.T) []string {
+	t.Helper()
+	type field struct{ pkg, typ, name string }
+	var declared []field
+	readIn := map[string]bool{} // "<import path> <name>"
+	readAnywhere := map[string]bool{}
+	forNonTestFiles(t, func(pkg string, f *ast.File) {
+		if pkg == "xlnand" || strings.HasPrefix(pkg, "xlnand/internal/") {
+			for _, spec := range typeSpecs(f) {
+				ast.Inspect(spec.Type, func(n ast.Node) bool {
+					st, ok := n.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					for _, fl := range st.Fields.List {
+						if fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`) {
+							continue
+						}
+						for _, id := range fl.Names {
+							declared = append(declared, field{pkg, spec.Name.Name, id.Name})
+						}
+					}
+					return true
+				})
+			}
+		}
+		for _, name := range fieldsRead(f) {
+			readIn[pkg+" "+name] = true
+			readAnywhere[name] = true
+		}
+	})
+	var out []string
+	for _, f := range declared {
+		read := readIn[f.pkg+" "+f.name]
+		if ast.IsExported(f.name) {
+			read = readAnywhere[f.name]
+		}
+		if !read {
+			out = append(out, f.pkg+" "+f.typ+"."+f.name)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// typeSpecs lists every type declaration of a file, local ones included.
+func typeSpecs(f *ast.File) []*ast.TypeSpec {
+	var specs []*ast.TypeSpec
+	ast.Inspect(f, func(n ast.Node) bool {
+		if s, ok := n.(*ast.TypeSpec); ok {
+			specs = append(specs, s)
+		}
+		return true
+	})
+	return specs
+}
+
+// fieldsRead lists the selected names of a file's selectors that are
+// not written: the left side of an assignment, op= or ++/-- is a write.
+func fieldsRead(f *ast.File) []string {
+	written := map[*ast.SelectorExpr]bool{}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					written[sel] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if sel, ok := x.X.(*ast.SelectorExpr); ok {
+				written[sel] = true
+			}
+		case *ast.SelectorExpr:
+			if !written[x] {
+				out = append(out, x.Sel.Name)
 			}
 		}
 		return true

@@ -1,3 +1,7 @@
+// Package controller implements the advanced NAND memory controller of
+// paper §3 (Fig. 1): the page-buffer RAM, the adaptive-ECC datapath glue
+// and the reliability manager that re-selects the correction capability
+// and the program algorithm at runtime to hold a target UBER.
 package controller
 
 import (
@@ -15,16 +19,21 @@ var ErrUncorrectable = errors.New("controller: uncorrectable page")
 
 // Controller drives one NAND device through a family-generic adaptive
 // codec (BCH or LDPC behind the ecc.Codec interface). It owns the page
-// buffer, the register file and (optionally) the reliability manager,
-// and accounts architectural latency for every operation with the
-// paper's timing model: page read time tR, bus transfer, and the
-// codec's own latency descriptors.
+// buffer, its runtime settings and the reliability manager, and
+// accounts architectural latency for every operation with the paper's
+// timing model: page read time tR, bus transfer, and the codec's own
+// latency descriptors.
 type Controller struct {
 	dev   *nand.Device
 	codec ecc.Codec
 	bus   nand.FlashBus
-	regs  RegisterFile
 	mgr   *ReliabilityManager
+
+	alg         nand.Algorithm // program algorithm for subsequent writes
+	level       int            // pinned capability level, used when !adaptive
+	adaptive    bool           // the manager selects each write's level
+	maxRetries  int            // read-recovery ladder budget (ReadRetry)
+	softRetries int            // soft-decision rung budget
 
 	pageBuffer []byte // controller-side page RAM (Fig. 1), size of one codeword
 	readBuffer []byte // codeword staging RAM for the read path (pooled across reads)
@@ -61,42 +70,40 @@ type Controller struct {
 // Config parametrises controller construction.
 type Config struct {
 	Bus nand.FlashBus
-	// TargetUBERExp initialises RegTargetUBERExp (e.g. 11 for 1e-11).
+	// TargetUBERExp is the manager's UBER target as a negative power of
+	// ten (e.g. 11 for 1e-11).
 	TargetUBERExp uint32
-	// Adaptive enables the reliability manager from the start.
-	Adaptive bool
-	// MaxRetries initialises RegReadRetry: how many re-reads at shifted
-	// read references a failing decode may trigger (0 disables staged
-	// recovery; negative is clamped to 0).
+	// MaxRetries is the read-recovery ladder budget: how many re-reads at
+	// shifted read references a failing decode may trigger (0 disables
+	// staged recovery; negative is clamped to 0).
 	MaxRetries int
-	// SoftRetries initialises RegSoftRetry: how many soft-sense decode
-	// attempts the recovery ladder's final rung may make once every hard
-	// reference shift has failed (ignored by codecs without a soft
-	// path; negative is clamped to 0).
+	// SoftRetries is the soft-decision rung budget: how many soft-sense
+	// decode attempts the recovery ladder's final rung may make once
+	// every hard reference shift has failed (ignored by codecs without a
+	// soft path; negative is clamped to 0).
 	SoftRetries int
 }
 
 // DefaultConfig returns the paper's baseline controller configuration:
-// default bus, UBER target 1e-11, worst-case initial capability (until
-// the manager relaxes it), manager enabled, a 4-step read-recovery
-// ladder. SoftRetries arms one soft-sense attempt as the ladder's final
-// rung, but the rung only engages on reads whose budget clears the
-// device's FULL hard ladder — with the default 4-retry budget that is
-// the FTL's deep-retry path; raise MaxRetries past the device's
-// RetrySteps (e.g. WithReadRetry(7) on the default stress model) to
-// put it on the ordinary read path.
+// default bus, UBER target 1e-11 and a 4-step read-recovery ladder.
+// SoftRetries arms one soft-sense attempt as the ladder's final rung,
+// but the rung only engages on reads whose budget clears the device's
+// FULL hard ladder — with the default 4-retry budget that is the FTL's
+// deep-retry path; raise MaxRetries past the device's RetrySteps (e.g.
+// WithReadRetry(7) on the default stress model) to put it on the
+// ordinary read path.
 func DefaultConfig() Config {
 	return Config{
 		Bus:           nand.DefaultFlashBus(),
 		TargetUBERExp: 11,
-		Adaptive:      true,
 		MaxRetries:    4,
 		SoftRetries:   1,
 	}
 }
 
 // New wires a controller to a device and an adaptive codec. The codec's
-// message length must match the device page size.
+// message length must match the device page size. The controller starts
+// adaptive, programming with ISPP-SV; SetCapability pins a level instead.
 func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 	if codec.DataBits() != dev.Calibration().PageDataBits() {
 		return nil, fmt.Errorf("controller: codec protects %d bits but page holds %d",
@@ -118,34 +125,15 @@ func New(dev *nand.Device, codec ecc.Codec, cfg Config) (*Controller, error) {
 		pageBuffer: make([]byte, bufBytes),
 		readBuffer: make([]byte, bufBytes),
 		cleanSeq:   make([]uint64, dev.Blocks()*dev.PagesPerBlock()),
+		mgr:        NewReliabilityManager(codec, dev.Calibration(), math.Pow10(-int(cfg.TargetUBERExp))),
+
+		level:       codec.MaxLevel(),
+		adaptive:    true,
+		maxRetries:  max(cfg.MaxRetries, 0),
+		softRetries: max(cfg.SoftRetries, 0),
 	}
 	if codec.SupportsSoft() {
 		c.llrBuffer = make([]int8, bufBytes*8)
-	}
-	if err := c.regs.Write(RegTargetUBERExp, cfg.TargetUBERExp); err != nil {
-		return nil, err
-	}
-	if err := c.regs.Write(RegECCCapability, uint32(codec.MaxLevel())); err != nil {
-		return nil, err
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if err := c.regs.Write(RegReadRetry, uint32(cfg.MaxRetries)); err != nil {
-		return nil, err
-	}
-	if cfg.SoftRetries < 0 {
-		cfg.SoftRetries = 0
-	}
-	if err := c.regs.Write(RegSoftRetry, uint32(cfg.SoftRetries)); err != nil {
-		return nil, err
-	}
-	c.regs.setFamily(uint32(codec.Family()))
-	c.mgr = NewReliabilityManager(codec, dev.Calibration(), c.targetUBER())
-	if cfg.Adaptive {
-		if err := c.regs.Write(RegAdaptive, 1); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }
@@ -163,52 +151,29 @@ func (c *Controller) Device() *nand.Device { return c.dev }
 // control-plane hop).
 func (c *Controller) CleanHits() uint64 { return c.cleanHits }
 
-// targetUBER decodes RegTargetUBERExp.
-func (c *Controller) targetUBER() float64 {
-	exp, _ := c.regs.Read(RegTargetUBERExp)
-	return math.Pow10(-int(exp))
-}
+// SetAlgorithm selects the program algorithm for subsequent writes —
+// the runtime program-algorithm selection this paper introduces.
+func (c *Controller) SetAlgorithm(alg nand.Algorithm) { c.alg = alg }
 
-// algorithm decodes RegAlgorithm.
-func (c *Controller) algorithm() nand.Algorithm {
-	v, _ := c.regs.Read(RegAlgorithm)
-	if v != 0 {
-		return nand.ISPPDV
-	}
-	return nand.ISPPSV
-}
-
-// SetAlgorithm writes RegAlgorithm — the runtime program-algorithm
-// selection this paper introduces.
-func (c *Controller) SetAlgorithm(alg nand.Algorithm) {
-	v := uint32(0)
-	if alg == nand.ISPPDV {
-		v = 1
-	}
-	// Only writable registers involved; error impossible by construction.
-	_ = c.regs.Write(RegAlgorithm, v)
-}
-
-// SetCapability writes RegECCCapability (clamped to the codec's level
+// SetCapability pins the capability level (clamped to the codec's level
 // range — t for BCH, rate index for LDPC) and disables the adaptive
 // manager's override for subsequent operations.
 func (c *Controller) SetCapability(level int) {
-	_ = c.regs.Write(RegECCCapability, uint32(c.codec.ClampLevel(level)))
-	_ = c.regs.Write(RegAdaptive, 0)
+	c.level = c.codec.ClampLevel(level)
+	c.adaptive = false
 }
 
 // currentLevel resolves the capability level for the next operation: the
-// manager's choice in adaptive mode, the register value otherwise.
+// manager's choice in adaptive mode, the pinned level otherwise.
 func (c *Controller) currentLevel(blockIdx int) int {
-	if v, _ := c.regs.Read(RegAdaptive); v != 0 {
-		cycles, err := c.dev.Cycles(blockIdx)
-		if err != nil {
-			cycles = 0
-		}
-		return c.mgr.SelectLevel(c.algorithm(), cycles)
+	if !c.adaptive {
+		return c.level
 	}
-	v, _ := c.regs.Read(RegECCCapability)
-	return c.codec.ClampLevel(int(v))
+	cycles, err := c.dev.Cycles(blockIdx)
+	if err != nil {
+		cycles = 0
+	}
+	return c.mgr.SelectLevel(c.alg, cycles)
 }
 
 // WriteLatency breaks down one page write.
@@ -242,7 +207,7 @@ func (c *Controller) WritePage(blockIdx, pageIdx int, data []byte) (WriteResult,
 			c.dev.Calibration().PageDataBytes, len(data))
 	}
 	res.T = c.currentLevel(blockIdx)
-	res.Alg = c.algorithm()
+	res.Alg = c.alg
 	pb, err := c.codec.ParityBytes(res.T)
 	if err != nil {
 		return res, err
@@ -260,7 +225,6 @@ func (c *Controller) WritePage(blockIdx, pageIdx int, data []byte) (WriteResult,
 
 	prog, err := c.dev.Program(blockIdx, pageIdx, data, parity, res.Alg)
 	if err != nil {
-		c.regs.setStatus(StatusProgramFail, 0)
 		return res, err
 	}
 	res.Program = prog
@@ -274,7 +238,6 @@ func (c *Controller) WritePage(blockIdx, pageIdx int, data []byte) (WriteResult,
 		Transfer: c.bus.Transfer(len(data) + len(parity)),
 		Program:  prog.Duration,
 	}
-	c.regs.setStatus(StatusOK, 0)
 	return res, nil
 }
 
@@ -383,7 +346,7 @@ func claimData(dst, src []byte) []byte {
 
 // ReadPageRetryInto reads, transfers and decodes a page through the
 // staged read-recovery ladder with an explicit retry budget (callers
-// holding no override pass ReadRetry(), the configured RegReadRetry).
+// holding no override pass ReadRetry(), the configured budget).
 // The first sense happens at the read-reference offset the reliability
 // manager's calibration cache predicts for the block's wear; a decode
 // failure walks the remaining ladder steps (nominal references first,
@@ -408,7 +371,7 @@ func claimData(dst, src []byte) []byte {
 // performs no allocation); a nil or short dst gets a fresh page.
 func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []byte) (ReadResult, error) {
 	var res ReadResult
-	res.Alg = c.algorithm()
+	res.Alg = c.alg
 	if alg, err := c.dev.WrittenAlgorithm(blockIdx, pageIdx); err == nil {
 		res.Alg = alg // report the algorithm the page actually carries
 	}
@@ -463,11 +426,7 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 	// walk entirely.
 	softAttempts := 0
 	if rem := maxRetries + 1 - n; rem > 0 && c.codec.SupportsSoft() {
-		v, _ := c.regs.Read(RegSoftRetry)
-		softAttempts = int(v)
-		if softAttempts > rem {
-			softAttempts = rem
-		}
+		softAttempts = min(c.softRetries, rem)
 	}
 	capHint := n + softAttempts
 
@@ -530,7 +489,6 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		if decErr == nil {
 			res.Corrected = nErr
 			res.Data = claimData(dst, codeword[:nData])
-			c.regs.setStatus(StatusOK, uint32(nErr))
 			c.mgr.ObserveDecode(res.Alg, c.codewordBits(level), nErr)
 			c.mgr.ObserveRetry(cycles, step, attempt, true)
 			c.noteBlockReads(blockIdx, &res)
@@ -579,7 +537,6 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		if decErr == nil {
 			res.Corrected = nErr
 			res.Data = claimData(dst, codeword[:nData])
-			c.regs.setStatus(StatusOK, uint32(nErr))
 			c.mgr.ObserveDecode(res.Alg, c.codewordBits(level), nErr)
 			c.mgr.ObserveRetry(cycles, softStep, attempt, true)
 			c.mgr.ObserveSoft(true)
@@ -592,7 +549,6 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		}
 	}
 
-	c.regs.setStatus(StatusUncorrectable, 0)
 	c.mgr.ObserveUncorrectable()
 	c.mgr.ObserveRetry(cycles, res.AppliedOffset, res.Retries, false)
 	c.noteBlockReads(blockIdx, &res)
@@ -620,10 +576,7 @@ func (c *Controller) codewordBits(level int) int {
 }
 
 // ReadRetry returns the configured recovery ladder budget.
-func (c *Controller) ReadRetry() int {
-	v, _ := c.regs.Read(RegReadRetry)
-	return int(v)
-}
+func (c *Controller) ReadRetry() int { return c.maxRetries }
 
 // EraseBlock erases a device block through the controller.
 func (c *Controller) EraseBlock(blockIdx int) error {

@@ -37,7 +37,7 @@ func softStages(res ReadResult) []ReadStage {
 func TestSoftEscalationWidens(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 103) // budget leaves room for 3 soft attempts
-	_ = c.regs.Write(RegSoftRetry, 3)
+	c.softRetries = 3
 	hopelessStress(c)
 	prepareLadderPages(t, c, softCondition, 1)
 
@@ -74,7 +74,7 @@ func TestSoftEscalationWidens(t *testing.T) {
 func TestSoftEscalationCapped(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 104)
-	_ = c.regs.Write(RegSoftRetry, 3)
+	c.softRetries = 3
 	hopelessStress(c)
 	stress := c.Device().Stress()
 	stress.SoftSensesMax = 5
@@ -102,7 +102,7 @@ func TestSoftEscalationCapped(t *testing.T) {
 func TestSoftEscalationNoCapStaysFlat(t *testing.T) {
 	steps := nand.DefaultStressConfig().RetrySteps
 	c := softRig(t, steps+3, 105)
-	_ = c.regs.Write(RegSoftRetry, 3)
+	c.softRetries = 3
 	hopelessStress(c)
 	stress := c.Device().Stress()
 	stress.SoftSensesMax = stress.SoftSenses
@@ -155,7 +155,7 @@ func TestSoftEscalationRecovers(t *testing.T) {
 	}
 
 	wide := softRig(t, steps+3, 61)
-	_ = wide.regs.Write(RegSoftRetry, 3)
+	wide.softRetries = 3
 	weakCapture(wide)
 	prepareLadderPages(t, wide, cond, pages)
 	escalatedSaves := 0

@@ -60,8 +60,7 @@ func TestReadPageSpareMismatch(t *testing.T) {
 }
 
 // TestReadPageNeverProgrammed covers the unwritten-page error path; it
-// must not consume retry budget, touch the status register, or count as
-// an uncorrectable.
+// must not consume retry budget or count as an uncorrectable.
 func TestReadPageNeverProgrammed(t *testing.T) {
 	c := retryRig(t, 4, 1)
 	res, err := c.ReadPageRetryInto(0, 3, c.ReadRetry(), nil)
@@ -341,8 +340,8 @@ func TestNegativeLadderDepthFallsBackToNominal(t *testing.T) {
 	}
 }
 
-// TestReadRetryRegister checks the socket-visible configuration surface.
-func TestReadRetryRegister(t *testing.T) {
+// TestReadRetryBudget checks the configured budget and its clamp.
+func TestReadRetryBudget(t *testing.T) {
 	c := retryRig(t, 3, 1)
 	if got := c.ReadRetry(); got != 3 {
 		t.Fatalf("ReadRetry = %d, want 3", got)
@@ -350,10 +349,6 @@ func TestReadRetryRegister(t *testing.T) {
 	c = retryRig(t, -5, 1)
 	if got := c.ReadRetry(); got != 0 {
 		t.Fatalf("negative budget clamped to %d, want 0", got)
-	}
-	v, err := c.regs.Read(RegReadRetry)
-	if err != nil || v != 0 {
-		t.Fatalf("RegReadRetry = %d (%v)", v, err)
 	}
 }
 

@@ -130,11 +130,11 @@ func TestSoftRungNeedsFullLadderBudget(t *testing.T) {
 		_ = err // losing the page is expected here
 	}
 	// Zero soft budget: even a deep walk stays hard.
-	_ = c.regs.Write(RegSoftRetry, 0)
+	c.softRetries = 0
 	for i := 0; i < pages; i++ {
 		res, _ := c.ReadPageRetryInto(0, i, 1<<20, nil)
 		if res.SoftSenses != 0 {
-			t.Fatalf("page %d: RegSoftRetry=0 still sensed soft", i)
+			t.Fatalf("page %d: zero soft budget still sensed soft", i)
 		}
 	}
 }
@@ -188,11 +188,5 @@ func TestLDPCControllerRoundTrip(t *testing.T) {
 		if rd.Data[i] != data[i] {
 			t.Fatalf("byte %d differs", i)
 		}
-	}
-	if fam, _ := c.regs.Read(RegCodecFamily); fam != 1 {
-		t.Fatalf("RegCodecFamily = %d, want 1 (LDPC)", fam)
-	}
-	if err := c.regs.Write(RegCodecFamily, 0); err == nil {
-		t.Fatal("RegCodecFamily accepted a write")
 	}
 }

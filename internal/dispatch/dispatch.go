@@ -185,7 +185,6 @@ func (c *calendar) compact() {
 // guards the controller and its device: every request and control call
 // on the die holds it.
 type die struct {
-	idx   int
 	ctrl  *controller.Controller
 	clock vclock // array occupancy (sensing / program / erase)
 
@@ -316,7 +315,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &die{idx: i, ctrl: ctrl, tid: traceTidDie0 + int32(i)}
+		w := &die{ctrl: ctrl, tid: traceTidDie0 + int32(i)}
 		if cfg.Trace != nil {
 			cfg.Trace.Thread(w.tid, fmt.Sprintf("die %d", i))
 			w.trace = cfg.Trace.Stream()
@@ -690,7 +689,7 @@ func (d *Dispatcher) AdvanceTime(hours float64) error {
 	return nil
 }
 
-// Controller exposes a die's controller for register-level access. The
+// Controller exposes a die's controller for direct access. The
 // caller must ensure no traffic is in flight on the die.
 func (d *Dispatcher) Controller(dieIdx int) *controller.Controller {
 	return d.dies[dieIdx].ctrl

@@ -82,8 +82,8 @@ type Request struct {
 	// erases.
 	Data []byte
 	// Mode overrides the sub-system's default service level for this
-	// request only (nil keeps the default). The override also suppresses
-	// any expert algorithm override installed via SetAlgorithm.
+	// request only (nil keeps the default). The resolved mode sets the
+	// write's program algorithm: ISPP-SV when nominal, ISPP-DV otherwise.
 	Mode *sim.Mode
 	// T pins the ECC capability for this write (0 resolves it from the
 	// mode: reliability manager, or the min-UBER SV schedule).

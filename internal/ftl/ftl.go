@@ -42,12 +42,6 @@ type PartitionSpec struct {
 	Mode sim.Mode
 }
 
-// ppa is a physical page address.
-type ppa struct {
-	block int
-	page  int
-}
-
 const (
 	invalidPPA = -1
 	// lostPPA marks a logical page whose only physical copy failed an

@@ -14,7 +14,6 @@ type AgedParams struct {
 	Cycles float64 // program/erase cycles N
 
 	Wear       float64 // dimensionless wear index
-	KSigma     float64 // cell-to-cell coupling-offset spread [V]
 	KSlowTail  float64 // one-sided slow-cell tail sigma [V]
 	InjSigma   float64 // per-pulse injection-granularity noise [V]
 	EraseSigma float64 // erased-distribution spread [V]
@@ -34,7 +33,6 @@ func (c Calibration) Age(cycles float64) AgedParams {
 	return AgedParams{
 		Cycles:     cycles,
 		Wear:       wear,
-		KSigma:     c.KOffsetSigma,
 		KSlowTail:  c.AgingSlowTail * decades,
 		InjSigma:   c.InjectionSigma * (1 + wear),
 		EraseSigma: c.EraseSigma * (1 + 0.3*wear),

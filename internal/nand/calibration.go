@@ -66,9 +66,8 @@ type Calibration struct {
 	OverProg   float64    // over-programming limit OP
 
 	// --- DV specifics ---
-	DVPreOffset   float64 // pre-verify level below final VFY [V]
-	DVStepFactor  float64 // effective step multiplier after pre-verify pass
-	DVExtraVerify int     // extra verify ops per still-active level per pulse (1)
+	DVPreOffset  float64 // pre-verify level below final VFY [V]
+	DVStepFactor float64 // effective step multiplier after pre-verify pass
 	// DVAgingTimeCoef scales how strongly wear lengthens the DV fine
 	// phase (noisier cells dither longer around the pre-verify level);
 	// drives the 40% -> 48% write-loss growth of Fig. 9.
@@ -98,7 +97,6 @@ type Calibration struct {
 	PageDataBytes  int // user data per page (4 KB)
 	PageSpareBytes int // spare area per page
 	PagesPerBlock  int
-	CellsPerPage   int // data cells: 2 bits/cell
 }
 
 // DefaultCalibration returns the constants used throughout the paper
@@ -121,7 +119,6 @@ func DefaultCalibration() Calibration {
 
 		DVPreOffset:     0.30,
 		DVStepFactor:    0.50,
-		DVExtraVerify:   1,
 		DVAgingTimeCoef: 1.20,
 
 		KOffsetMu:      13.8,
@@ -144,7 +141,6 @@ func DefaultCalibration() Calibration {
 		PageDataBytes:  4096,
 		PageSpareBytes: 224,
 		PagesPerBlock:  64,
-		CellsPerPage:   4096 * 8 / 2,
 	}
 }
 

@@ -78,8 +78,6 @@ type page struct {
 	seq uint64
 	// algorithm used when the page was programmed; determines its RBER
 	alg Algorithm
-	// cycles of the parent block at program time
-	cyclesAtWrite float64
 	// retention clock value at program time
 	writtenAtHours float64
 }
@@ -203,7 +201,6 @@ func (d *Device) Program(blockIdx, pageIdx int, data, spare []byte, alg Algorith
 	d.programSeq++
 	p.seq = d.programSeq
 	p.alg = alg
-	p.cyclesAtWrite = b.cycles
 	p.writtenAtHours = d.clockHours
 	res := EstimateProgram(d.cal, alg, d.cal.Age(b.cycles))
 	d.lastOpDuration = res.Duration

@@ -1,21 +1,16 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds the first two moments and extrema of a sample.
 type Summary struct {
-	N          int
-	Mean, Std  float64
-	Min, Max   float64
-	P01, P99   float64 // 1st and 99th percentiles
-	P001, P999 float64 // 0.1 and 99.9 percentiles
+	N         int
+	Mean, Std float64
+	Min, Max  float64
 }
 
-// Summarize computes moments and tail percentiles of xs. It sorts a copy;
-// xs is not modified. Returns the zero Summary for an empty slice.
+// Summarize computes the moments and extrema of xs; xs is not modified.
+// Returns the zero Summary for an empty slice.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -39,12 +34,6 @@ func Summarize(xs []float64) Summary {
 		v = 0
 	}
 	s.Std = math.Sqrt(v)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P01 = Percentile(sorted, 0.01)
-	s.P99 = Percentile(sorted, 0.99)
-	s.P001 = Percentile(sorted, 0.001)
-	s.P999 = Percentile(sorted, 0.999)
 	return s
 }
 

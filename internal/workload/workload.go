@@ -141,11 +141,9 @@ func Generate(p Profile, seed uint64) (Trace, error) {
 // Stats aggregates a trace replay.
 type Stats struct {
 	Reads, Writes, Erases int
-	BitErrorsCorrected    int
 	Uncorrectable         int
 	ReadTime              time.Duration
 	WriteTime             time.Duration
-	EraseTime             time.Duration
 	// Throughputs over the 4 KB payloads.
 	ReadMBps, WriteMBps float64
 }
@@ -181,13 +179,11 @@ func Run(c *controller.Controller, tr Trace) (Stats, error) {
 				continue
 			}
 			st.Reads++
-			st.BitErrorsCorrected += rd.Corrected
 		case OpErase:
 			if err := c.EraseBlock(req.Block); err != nil {
 				return st, fmt.Errorf("workload: op %d erase %d: %w", i, req.Block, err)
 			}
 			st.Erases++
-			st.EraseTime += c.Device().Calibration().TEraseOp
 		default:
 			return st, fmt.Errorf("workload: op %d has unknown kind %d", i, int(req.Kind))
 		}

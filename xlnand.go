@@ -172,7 +172,8 @@ func WithDies(n int) Option { return optionFunc(func(c *config) { c.dies = n }) 
 func WithSeed(seed uint64) Option { return optionFunc(func(c *config) { c.seed = seed }) }
 
 // WithTargetUBER sets the reliability target as 10^-exp (default 11, the
-// paper's 1e-11).
+// paper's 1e-11). Open rejects an exp whose target is not inside (0, 1):
+// 0, and anything above 323, where 10^-exp underflows to 0.
 func WithTargetUBER(exp uint32) Option {
 	return optionFunc(func(c *config) { c.targetUBERExp = exp })
 }
@@ -286,6 +287,9 @@ func Open(opts ...Option) (*Subsystem, error) {
 		env.HW.ClockHz = cfg.hw.clockHz
 	}
 	env.TargetUBER = math.Pow10(-int(cfg.targetUBERExp))
+	if env.TargetUBER <= 0 || env.TargetUBER >= 1 {
+		return nil, fmt.Errorf("xlnand: UBER target 10^-%d is outside (0, 1)", cfg.targetUBERExp)
+	}
 
 	ctrlCfg := controller.DefaultConfig()
 	ctrlCfg.TargetUBERExp = cfg.targetUBERExp

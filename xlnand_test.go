@@ -87,6 +87,8 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 		{"codec negative clock", WithCodecHW(8, 32, -80e6)},
 		{"codec zero width", WithCodecHW(0, 32, 80e6)},
 		{"codec zero Chien parallelism", WithCodecHW(8, 0, 80e6)},
+		{"UBER target 1", WithTargetUBER(0)},
+		{"UBER target underflows to 0", WithTargetUBER(400)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if s, err := Open(tc.opt); err == nil {
