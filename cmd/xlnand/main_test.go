@@ -50,6 +50,8 @@ func TestRun(t *testing.T) {
 		{args: []string{"fleet", "-ops-scale", "Inf"}, code: 2},
 		{args: []string{"fleet", "-ops-scale", "1e300"}, code: 2},
 		{args: []string{"fleet", "-array", "-ops", "-5"}, code: 2},
+		{args: []string{"trace", "-batch", "0"}, code: 2},
+		{args: []string{"trace", "-ops", "0"}, code: 2},
 		{args: []string{"tradeoff", "-cycles", "NaN"}, code: 1},
 		{args: []string{"tradeoff", "-cycles", "-5"}, code: 1},
 		{args: []string{"tradeoff", "-cycles", "Inf"}, code: 1},

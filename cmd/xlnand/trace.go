@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -49,6 +48,12 @@ func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}[*profile]
 	if !ok {
 		return usageErrorf("unknown profile %q", *profile)
+	}
+	if *ops < 1 {
+		return usageErrorf("-ops must be at least 1, got %d", *ops)
+	}
+	if *batch < 1 {
+		return usageErrorf("-batch must be at least 1, got %d", *batch)
 	}
 
 	s, err := xlnand.Open(
@@ -100,86 +105,29 @@ func traceCmd(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "trace %q, %d requests, mode %s, wear %.0f cycles, %d die(s), batch %d\n",
 		tr.Name, len(tr.Requests), m, *cycles, *dies, *batch)
-	return replayTrace(s, tr, *dies, *batch, stdout)
+	return replayTrace(s, tr, *batch, stdout)
 }
 
-// replayTrace drives the trace through the queue in batches, which run
+// replayTrace replays the trace through a queue in batches, which run
 // in trace order, and prints the statistics to stdout.
-func replayTrace(s *xlnand.Subsystem, tr workload.Trace, dies, batch int, stdout io.Writer) error {
-	batch = max(batch, 1)
-	q := s.NewQueue()
-	ctx := context.Background()
-	page := make([]byte, s.PageSize())
-	for i := range page {
-		page[i] = byte(i * 131)
+func replayTrace(s *xlnand.Subsystem, tr workload.Trace, batch int, stdout io.Writer) error {
+	st, err := workload.Replay(s.NewQueue(), tr, batch)
+	if err != nil {
+		return err
 	}
-	toRequest := func(r workload.Request) xlnand.Request {
-		die, block := r.Block%dies, r.Block/dies
-		switch r.Kind {
-		case workload.OpWrite:
-			return xlnand.WriteRequest(die, block, r.Page, page)
-		case workload.OpErase:
-			return xlnand.EraseRequest(die, block)
-		default:
-			return xlnand.ReadRequest(die, block, r.Page)
-		}
-	}
-	var (
-		reads, writes, erases    int
-		corrected, uncorrectable int
-		readTime, writeTime      time.Duration
-		first, last              time.Duration // modelled span of the whole replay
-	)
-	for lo := 0; lo < len(tr.Requests); lo += batch {
-		hi := min(lo+batch, len(tr.Requests))
-		reqs := make([]xlnand.Request, 0, hi-lo)
-		for _, r := range tr.Requests[lo:hi] {
-			reqs = append(reqs, toRequest(r))
-		}
-		comps, err := q.Submit(ctx, reqs)
-		if err != nil {
-			return err
-		}
-		for i, c := range comps {
-			if lo+i == 0 || c.Start < first {
-				first = c.Start
-			}
-			if c.Finish > last {
-				last = c.Finish
-			}
-			switch c.Op {
-			case xlnand.OpRead:
-				reads++
-				corrected += c.Corrected
-				readTime += c.Latency()
-			case xlnand.OpWrite:
-				writes++
-				writeTime += c.Latency()
-			case xlnand.OpErase:
-				erases++
-			}
-			if c.Err != nil {
-				if c.Op == xlnand.OpRead && c.Read != nil {
-					uncorrectable++
-					continue
-				}
-				return fmt.Errorf("op %d (%v): %w", lo+i, c.Op, c.Err)
-			}
-		}
-	}
-	// readTime and writeTime are zero when no such op ran.
-	meanRead := readTime / time.Duration(max(reads, 1))
-	meanWrite := writeTime / time.Duration(max(writes, 1))
-	makespan := last - first
+	// ReadTime and WriteTime are zero when no such op ran.
+	meanRead := st.ReadTime / time.Duration(max(st.Reads, 1))
+	meanWrite := st.WriteTime / time.Duration(max(st.Writes, 1))
+	makespan := st.Last - st.First
 	aggregateMBps := 0.0
 	if makespan > 0 {
-		aggregateMBps = float64(reads+writes) * float64(s.PageSize()) / makespan.Seconds() / 1e6
+		aggregateMBps = float64(st.Reads+st.Writes) * float64(s.PageSize()) / makespan.Seconds() / 1e6
 	}
-	fmt.Fprintf(stdout, "  reads:  %6d   (mean service latency %v, queueing included)\n", reads, meanRead)
-	fmt.Fprintf(stdout, "  writes: %6d   (mean service latency %v, queueing included)\n", writes, meanWrite)
-	fmt.Fprintf(stdout, "  erases: %6d\n", erases)
-	fmt.Fprintf(stdout, "  corrected bit errors: %d\n", corrected)
-	fmt.Fprintf(stdout, "  uncorrectable pages:  %d\n", uncorrectable)
+	fmt.Fprintf(stdout, "  reads:  %6d   (mean service latency %v, queueing included)\n", st.Reads, meanRead)
+	fmt.Fprintf(stdout, "  writes: %6d   (mean service latency %v, queueing included)\n", st.Writes, meanWrite)
+	fmt.Fprintf(stdout, "  erases: %6d\n", st.Erases)
+	fmt.Fprintf(stdout, "  corrected bit errors: %d\n", st.Corrected)
+	fmt.Fprintf(stdout, "  uncorrectable pages:  %d\n", st.Uncorrectable)
 	fmt.Fprintf(stdout, "  modelled wall time:   %v\n", makespan)
 	fmt.Fprintf(stdout, "  aggregate throughput: %.2f MB/s\n", aggregateMBps)
 	return nil

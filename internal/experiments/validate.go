@@ -1,20 +1,20 @@
 package experiments
 
 import (
-	"xlnand/internal/bch"
 	"xlnand/internal/controller"
-	"xlnand/internal/nand"
+	"xlnand/internal/dispatch"
 	"xlnand/internal/sim"
 	"xlnand/internal/workload"
 )
 
 // ExtWorkloadValidation cross-validates the analytic operating-point
 // model against the discrete-event path: a read-intensive trace is
-// replayed through the full controller+device stack in the nominal and
-// max-read modes at end of life, and the measured read throughput is
-// plotted next to the analytic prediction. The two columns agreeing is
-// the evidence that Figs. 9/11 (computed analytically, like the paper's)
-// describe what the transaction-level system actually does.
+// replayed through the dispatcher queue of a one-die stack in the
+// nominal and max-read modes at end of life, and the measured read
+// throughput is plotted next to the analytic prediction. The two
+// columns agreeing is the evidence that Figs. 9/11 (computed
+// analytically, like the paper's) describe what the transaction-level
+// system actually does.
 func ExtWorkloadValidation(env sim.Env, seed uint64) (Figure, error) {
 	f := Figure{
 		ID:     "ext-validate",
@@ -32,35 +32,30 @@ func ExtWorkloadValidation(env sim.Env, seed uint64) (Figure, error) {
 	var measured, analytic []float64
 	xs := []float64{1, 2}
 	for _, m := range modes {
-		dev := nand.NewDevice(env.Cal, blocks, seed)
+		d, err := dispatch.New(dispatch.Config{
+			Dies: 1, BlocksPerDie: blocks, Seed: seed, Env: env, Controller: controller.DefaultConfig(),
+		})
+		if err != nil {
+			return f, err
+		}
 		for b := 0; b < blocks; b++ {
-			if err := dev.SetCycles(b, cycles); err != nil {
+			if err := d.SetCycles(0, b, cycles); err != nil {
 				return f, err
 			}
 		}
-		codec, err := bch.NewCodec(env.M, env.K, env.TMin, env.TMax, env.HW)
+		d.SetDefaultMode(m)
+		geo := d.Geometry()
+		tr, err := workload.Generate(workload.ReadIntensive(240, blocks, geo.PagesPerBlock), seed)
 		if err != nil {
 			return f, err
 		}
-		ctrl, err := controller.New(dev, codec, controller.DefaultConfig())
+		// One request at a time on one die: every op finds the die, bus
+		// and codec idle, so each read's latency is its own service time.
+		st, err := workload.Replay(d.NewQueue(), tr, 1)
 		if err != nil {
 			return f, err
 		}
-		switch m {
-		case sim.ModeNominal:
-			ctrl.SetAlgorithm(nand.ISPPSV)
-		case sim.ModeMaxRead:
-			ctrl.SetAlgorithm(nand.ISPPDV)
-		}
-		tr, err := workload.Generate(workload.ReadIntensive(240, blocks, dev.PagesPerBlock()), seed)
-		if err != nil {
-			return f, err
-		}
-		st, err := workload.Run(ctrl, tr)
-		if err != nil {
-			return f, err
-		}
-		measured = append(measured, st.ReadMBps)
+		measured = append(measured, float64((st.Reads-st.Uncorrectable)*geo.PageDataBytes)/st.ReadTime.Seconds()/1e6)
 
 		op, err := env.EvaluateMode(m, cycles)
 		if err != nil {

@@ -347,15 +347,6 @@ func (f *FTL) relocPage(pg *[]byte) []byte {
 	return *pg
 }
 
-// erasePhys erases one physical block.
-func (f *FTL) erasePhys(global int) error {
-	die, block := f.addr(global)
-	_, err := f.q.Do(context.Background(), dispatch.Request{
-		Op: dispatch.OpErase, Die: die, Block: block,
-	})
-	return err
-}
-
 // cyclesOf returns a global block's program/erase wear.
 func (f *FTL) cyclesOf(global int) (float64, error) {
 	die, block := f.addr(global)
@@ -668,40 +659,19 @@ func (f *FTL) collect(p *Partition) error {
 		if lpa == invalidPPA {
 			continue
 		}
-		dst := f.relocPage(&p.gcPage)
-		res, err := f.readPhys(vb.id, page, nil, dst, nil)
-		if res != nil {
-			p.RelocRetries += res.Retries
-			vb.lastReads = res.BlockReads
-		}
+		res, lost, err := f.relocRead(p, vb, page, f.relocPage(&p.gcPage))
 		if err != nil {
-			if !errors.Is(err, controller.ErrUncorrectable) {
-				return fmt.Errorf("ftl: GC read %d.%d: %w", vb.id, page, err)
-			}
-			// Last chance before the victim is erased: one deep-retry
-			// read at the device's full recovery ladder.
-			deep, derr := f.readPhysDeep(vb.id, page, dst)
-			if deep != nil {
-				p.RelocRetries += deep.Retries
-			}
-			switch {
-			case derr == nil:
-				p.DeepRecovered++
-				res = deep
-			case errors.Is(derr, controller.ErrUncorrectable):
-				// The only copy really is unreadable: track the logical
-				// page as a media error so reads fail honestly until the
-				// host rewrites it.
-				vb.livePages--
-				vb.lbaOf[page] = invalidPPA
-				p.mapping[lpa] = lostPPA
-				p.LostPages++
-				continue
-			default:
-				// Infrastructure failure (closed queue, bad address):
-				// not media loss — propagate, never mark the page lost.
-				return fmt.Errorf("ftl: GC deep-retry read %d.%d: %w", vb.id, page, derr)
-			}
+			return fmt.Errorf("ftl: GC %w", err)
+		}
+		if lost {
+			// The only copy really is unreadable: track the logical
+			// page as a media error so reads fail honestly until the
+			// host rewrites it.
+			vb.livePages--
+			vb.lbaOf[page] = invalidPPA
+			p.mapping[lpa] = lostPPA
+			p.LostPages++
+			continue
 		}
 		if _, err := f.writePhys(p, dest.id, dest.writePtr, res.Data); err != nil {
 			return fmt.Errorf("ftl: GC program: %w", err)
@@ -714,19 +684,62 @@ func (f *FTL) collect(p *Partition) error {
 		dest.writePtr++
 		p.GCMoves++
 	}
-	if err := f.erasePhys(vb.id); err != nil {
+	if err := f.reclaim(p, victim); err != nil {
 		return err
 	}
-	vb.writePtr = 0
-	vb.livePages = 0
-	vb.lastReads = 0 // erase heals the disturb counter
-	for i := range vb.lbaOf {
-		vb.lbaOf[i] = invalidPPA
-	}
-	p.Erases++
-	p.freePool = append(p.freePool, victim)
 	p.active = destIdx
 	return nil
+}
+
+// reclaim erases a block that holds no live data and returns it to the
+// free pool.
+func (f *FTL) reclaim(p *Partition, blk int) error {
+	bs := p.blocks[blk]
+	die, block := f.addr(bs.id)
+	if _, err := f.q.Do(context.Background(), dispatch.Request{Op: dispatch.OpErase, Die: die, Block: block}); err != nil {
+		return err
+	}
+	bs.writePtr = 0
+	bs.livePages = 0
+	bs.lastReads = 0 // erase heals the disturb counter
+	for i := range bs.lbaOf {
+		bs.lbaOf[i] = invalidPPA
+	}
+	p.Erases++
+	p.freePool = append(p.freePool, blk)
+	return nil
+}
+
+// relocRead reads one page off bs for relocation into dst. A page the
+// normal ladder loses gets one deep-retry read at the device's full
+// recovery ladder before it is given up: lost reports that media loss,
+// and err an infrastructure failure (closed queue, bad address), which
+// must never be taken for a lost page.
+func (f *FTL) relocRead(p *Partition, bs *blockState, page int, dst []byte) (res *controller.ReadResult, lost bool, err error) {
+	res, err = f.readPhys(bs.id, page, nil, dst, nil)
+	if res != nil {
+		p.RelocRetries += res.Retries
+		bs.lastReads = res.BlockReads
+	}
+	if err == nil {
+		return res, false, nil
+	}
+	if !errors.Is(err, controller.ErrUncorrectable) {
+		return nil, false, fmt.Errorf("read %d.%d: %w", bs.id, page, err)
+	}
+	deep, err := f.readPhysDeep(bs.id, page, dst)
+	if deep != nil {
+		p.RelocRetries += deep.Retries
+	}
+	switch {
+	case err == nil:
+		p.DeepRecovered++
+		return deep, false, nil
+	case errors.Is(err, controller.ErrUncorrectable):
+		return nil, true, nil
+	default:
+		return nil, false, fmt.Errorf("deep-retry read %d.%d: %w", bs.id, page, err)
+	}
 }
 
 // betterVictim ranks GC candidates: fewer live pages first, then lower
@@ -805,32 +818,13 @@ func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable i
 		if bs.lbaOf[le.page] != le.lpa {
 			continue // already moved by GC during this pass
 		}
-		dst := f.relocPage(&p.movePage)
-		res, err := f.readPhys(bs.id, le.page, nil, dst, nil)
-		if res != nil {
-			p.RelocRetries += res.Retries
-			bs.lastReads = res.BlockReads
-		}
+		res, lost, err := f.relocRead(p, bs, le.page, f.relocPage(&p.movePage))
 		if err != nil {
-			if !errors.Is(err, controller.ErrUncorrectable) {
-				return moved, uncorrectable, fmt.Errorf("ftl: relocation read %d.%d: %w", bs.id, le.page, err)
-			}
-			// A page the normal ladder lost gets one deep-retry
-			// recovery attempt before scrub/retirement gives up on it.
-			deep, derr := f.readPhysDeep(bs.id, le.page, dst)
-			if deep != nil {
-				p.RelocRetries += deep.Retries
-			}
-			switch {
-			case derr == nil:
-				p.DeepRecovered++
-				res = deep
-			case errors.Is(derr, controller.ErrUncorrectable):
-				uncorrectable++
-				continue // data lost; leave the stale mapping
-			default:
-				return moved, uncorrectable, fmt.Errorf("ftl: deep-retry relocation read %d.%d: %w", bs.id, le.page, derr)
-			}
+			return moved, uncorrectable, fmt.Errorf("ftl: relocation %w", err)
+		}
+		if lost {
+			uncorrectable++
+			continue // data lost; leave the stale mapping
 		}
 		// Rewrite through the normal host path: allocation, mode
 		// configuration and mapping update all apply.

@@ -186,16 +186,9 @@ func (f *FTL) Scrub(part string) (ScrubReport, error) {
 		// A fully-dead non-frontier victim would strand outside the free
 		// pool (GC only collects sealed blocks): erase and reclaim it now.
 		if bs.livePages == 0 && blk != p.active && bs.writePtr > 0 && !bs.retired {
-			if err := f.erasePhys(bs.id); err != nil {
+			if err := f.reclaim(p, blk); err != nil {
 				return rep, err
 			}
-			bs.writePtr = 0
-			bs.lastReads = 0 // erase heals the disturb counter
-			for i := range bs.lbaOf {
-				bs.lbaOf[i] = invalidPPA
-			}
-			p.Erases++
-			p.freePool = append(p.freePool, blk)
 		}
 	}
 	return rep, nil

@@ -186,8 +186,9 @@ func (e *engine) run() (*Report, error) {
 			return nil, err
 		}
 		rep.Phases = append(rep.Phases, *pr)
+		rep.Totals.add(pr)
 	}
-	e.total(rep)
+	rep.Totals.finish()
 	if rep.Totals.UBER > e.sc.MaxUBER {
 		last := e.sc.Phases[len(e.sc.Phases)-1].Name
 		return nil, e.invariantf(last, "run UBER %.3e exceeds scenario ceiling %.3e (%d bits lost over %d read)",
@@ -650,34 +651,4 @@ func diffBits(a, b []byte) int {
 		n += bits.OnesCount8(a[i] ^ b[i])
 	}
 	return n
-}
-
-// total folds the phase series into run totals.
-func (e *engine) total(rep *Report) {
-	t := &rep.Totals
-	for _, ph := range rep.Phases {
-		t.HostReads += ph.HostReads
-		t.HostWrites += ph.HostWrites
-		t.BitsRead += ph.BitsRead
-		t.CorrectedBits += ph.CorrectedBits
-		t.UncorrectableReads += ph.UncorrectableReads
-		t.LostBits += ph.LostBits
-		t.Retries += ph.Retries
-		t.RecoveredReads += ph.RecoveredReads
-		t.RelocRetries += ph.RelocRetries
-		t.DeepRecovered += ph.DeepRecovered
-		t.SoftSenses += ph.SoftSenses
-		t.SoftRecovered += ph.SoftRecovered
-		t.ScrubPasses += ph.ScrubPasses
-		t.PagesScrubbed += ph.PagesScrubbed
-		t.GCMoves += ph.GCMoves
-		t.Erases += ph.Erases
-		t.RetiredBlocks += ph.RetiredBlocks
-		if ph.WearMax > t.FinalWearMax {
-			t.FinalWearMax = ph.WearMax
-		}
-	}
-	if t.BitsRead > 0 {
-		t.UBER = float64(t.LostBits) / float64(t.BitsRead)
-	}
 }

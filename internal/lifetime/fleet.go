@@ -211,8 +211,10 @@ func mergeFleet(fs FleetScenario, reports []*Report) *FleetResult {
 	for pi, ph := range fs.Base.Phases {
 		res.Phases[pi].Name = ph.Name
 	}
-	var bitsRead, lostBits int64
-	seen := make([]int, len(res.Phases))
+	// Each phase folds like a run's totals; WearMin is the minimum over
+	// the drives that ran the phase.
+	phases := make([]Totals, len(res.Phases))
+	ran := make([]bool, len(res.Phases))
 	for di, rep := range reports {
 		fd := FleetDrive{Drive: di, Seed: rep.Seed, Totals: rep.Totals}
 		if len(rep.Phases) < len(res.Phases) {
@@ -224,68 +226,28 @@ func mergeFleet(fs FleetScenario, reports []*Report) *FleetResult {
 		res.PerDrive = append(res.PerDrive, fd)
 		for pi := range rep.Phases {
 			ph := &rep.Phases[pi]
+			phases[pi].add(ph)
+			res.Totals.add(ph)
 			m := &res.Phases[pi]
-			m.HostReads += ph.HostReads
-			m.HostWrites += ph.HostWrites
-			m.CorrectedBits += ph.CorrectedBits
-			m.UncorrectableReads += ph.UncorrectableReads
-			m.LostBits += ph.LostBits
-			m.Retries += ph.Retries
-			m.RecoveredReads += ph.RecoveredReads
-			m.SoftSenses += ph.SoftSenses
-			m.SoftRecovered += ph.SoftRecovered
-			m.PagesScrubbed += ph.PagesScrubbed
-			m.RetiredBlocks += ph.RetiredBlocks
-			if seen[pi] == 0 || ph.WearMin < m.WearMin {
+			if !ran[pi] || ph.WearMin < m.WearMin {
 				m.WearMin = ph.WearMin
 			}
-			if ph.WearMax > m.WearMax {
-				m.WearMax = ph.WearMax
-			}
-			seen[pi]++
+			ran[pi] = true
 		}
-		t := &res.Totals
-		rt := rep.Totals
-		t.HostReads += rt.HostReads
-		t.HostWrites += rt.HostWrites
-		t.BitsRead += rt.BitsRead
-		t.CorrectedBits += rt.CorrectedBits
-		t.UncorrectableReads += rt.UncorrectableReads
-		t.LostBits += rt.LostBits
-		t.Retries += rt.Retries
-		t.RecoveredReads += rt.RecoveredReads
-		t.RelocRetries += rt.RelocRetries
-		t.DeepRecovered += rt.DeepRecovered
-		t.SoftSenses += rt.SoftSenses
-		t.SoftRecovered += rt.SoftRecovered
-		t.ScrubPasses += rt.ScrubPasses
-		t.PagesScrubbed += rt.PagesScrubbed
-		t.GCMoves += rt.GCMoves
-		t.Erases += rt.Erases
-		t.RetiredBlocks += rt.RetiredBlocks
-		if rt.FinalWearMax > t.FinalWearMax {
-			t.FinalWearMax = rt.FinalWearMax
-		}
-		bitsRead += rt.BitsRead
-		lostBits += rt.LostBits
 	}
-	// Per-phase and fleet UBER recompute from merged counts rather than
+	// Per-phase and fleet UBER come from merged counts rather than
 	// averaging per-drive rates.
-	for pi := range res.Phases {
-		var phBits, phLost int64
-		for _, rep := range reports {
-			if pi >= len(rep.Phases) {
-				continue // drive fail-stopped before this phase
-			}
-			phBits += rep.Phases[pi].BitsRead
-			phLost += rep.Phases[pi].LostBits
-		}
-		if phBits > 0 {
-			res.Phases[pi].UBER = float64(phLost) / float64(phBits)
-		}
-	}
-	if bitsRead > 0 {
-		res.Totals.UBER = float64(lostBits) / float64(bitsRead)
+	res.Totals.finish()
+	for pi := range phases {
+		t := &phases[pi]
+		t.finish()
+		m := &res.Phases[pi]
+		m.HostReads, m.HostWrites = t.HostReads, t.HostWrites
+		m.CorrectedBits, m.UncorrectableReads, m.LostBits = t.CorrectedBits, t.UncorrectableReads, t.LostBits
+		m.Retries, m.RecoveredReads = t.Retries, t.RecoveredReads
+		m.SoftSenses, m.SoftRecovered = t.SoftSenses, t.SoftRecovered
+		m.PagesScrubbed, m.RetiredBlocks = t.PagesScrubbed, t.RetiredBlocks
+		m.WearMax, m.UBER = t.FinalWearMax, t.UBER
 	}
 	return res
 }

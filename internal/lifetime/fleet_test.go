@@ -213,3 +213,81 @@ func TestFleetValidate(t *testing.T) {
 		t.Fatal("duplicate fail-stop drive validated")
 	}
 }
+
+// mergePhase is a phase report whose counted fields are distinct
+// multiples of k (BitsRead grows with k², so the phases' UBERs differ).
+func mergePhase(k int, wearMin, wearMax float64) PhaseReport {
+	return PhaseReport{
+		HostReads: k, HostWrites: 2 * k, BitsRead: 4096 * int64(k*k), CorrectedBits: 4 * k,
+		UncorrectableReads: 5 * k, LostBits: 6 * int64(k), Retries: 7 * k, RecoveredReads: 8 * k,
+		RelocRetries: 9 * k, DeepRecovered: 10 * k, SoftSenses: 11 * k, SoftRecovered: 12 * k,
+		ScrubPasses: 13 * k, PagesScrubbed: 14 * k, GCMoves: 15 * k, Erases: 16 * k, RetiredBlocks: 17 * k,
+		WearMin: wearMin, WearMax: wearMax,
+	}
+}
+
+// TestFleetMergeFoldsEveryField merges hand-built reports, no
+// simulation: three drives over two phases, drive 0 fail-stopped after
+// phase 0. Every merged field must equal the sum (or extreme) written
+// out below, and phase 1 must see drives 1 and 2 only. Each report's
+// own Totals is a marker that PerDrive must carry unchanged; the fleet
+// totals fold the phases.
+func TestFleetMergeFoldsEveryField(t *testing.T) {
+	fs := FleetScenario{
+		Name: "merge", Drives: 3,
+		Base: Scenario{Name: "base", Phases: []Phase{{Name: "p0"}, {Name: "p1"}}},
+	}
+	// k per (drive, phase): d0 {1}, d1 {2, 3}, d2 {4, 5}. Phase 0 sums
+	// k = 7, phase 1 k = 8, the fleet k = 15.
+	reports := []*Report{
+		{Seed: 10, Totals: Totals{HostReads: 1000},
+			Phases: []PhaseReport{mergePhase(1, 300, 900)}},
+		{Seed: 11, Totals: Totals{HostReads: 1001},
+			Phases: []PhaseReport{mergePhase(2, 200, 1000), mergePhase(3, 600, 1500)}},
+		{Seed: 12, Totals: Totals{HostReads: 1002},
+			Phases: []PhaseReport{mergePhase(4, 250, 950), mergePhase(5, 550, 1400)}},
+	}
+	res := mergeFleet(fs, reports)
+
+	wantPhases := []FleetPhase{
+		{Name: "p0", HostReads: 7, HostWrites: 14, CorrectedBits: 28, UncorrectableReads: 35,
+			LostBits: 42, Retries: 49, RecoveredReads: 56, SoftSenses: 77, SoftRecovered: 84,
+			PagesScrubbed: 98, RetiredBlocks: 119, WearMin: 200, WearMax: 1000,
+			UBER: 42.0 / (4096 * 21)},
+		{Name: "p1", HostReads: 8, HostWrites: 16, CorrectedBits: 32, UncorrectableReads: 40,
+			LostBits: 48, Retries: 56, RecoveredReads: 64, SoftSenses: 88, SoftRecovered: 96,
+			PagesScrubbed: 112, RetiredBlocks: 136, WearMin: 550, WearMax: 1500,
+			UBER: 48.0 / (4096 * 34)},
+	}
+	if len(res.Phases) != len(wantPhases) {
+		t.Fatalf("%d merged phases, want %d", len(res.Phases), len(wantPhases))
+	}
+	for i, want := range wantPhases {
+		if res.Phases[i] != want {
+			t.Errorf("phase %d:\n got  %+v\n want %+v", i, res.Phases[i], want)
+		}
+	}
+	wantTotals := Totals{
+		HostReads: 15, HostWrites: 30, BitsRead: 4096 * 55, CorrectedBits: 60,
+		UncorrectableReads: 75, LostBits: 90, UBER: 90.0 / (4096 * 55), Retries: 105,
+		RecoveredReads: 120, RelocRetries: 135, DeepRecovered: 150, SoftSenses: 165,
+		SoftRecovered: 180, ScrubPasses: 195, PagesScrubbed: 210, GCMoves: 225, Erases: 240,
+		RetiredBlocks: 255, FinalWearMax: 1500,
+	}
+	if res.Totals != wantTotals {
+		t.Errorf("totals:\n got  %+v\n want %+v", res.Totals, wantTotals)
+	}
+	wantDrives := []FleetDrive{
+		{Drive: 0, Seed: 10, Totals: Totals{HostReads: 1000}, Health: "dead", PhasesRun: 1},
+		{Drive: 1, Seed: 11, Totals: Totals{HostReads: 1001}},
+		{Drive: 2, Seed: 12, Totals: Totals{HostReads: 1002}},
+	}
+	if len(res.PerDrive) != len(wantDrives) {
+		t.Fatalf("%d per-drive entries, want %d", len(res.PerDrive), len(wantDrives))
+	}
+	for i, want := range wantDrives {
+		if res.PerDrive[i] != want {
+			t.Errorf("drive %d:\n got  %+v\n want %+v", i, res.PerDrive[i], want)
+		}
+	}
+}

@@ -160,6 +160,36 @@ type Totals struct {
 	FinalWearMax       float64 `json:"final_wear_max"`
 }
 
+// add folds one phase into the totals.
+func (t *Totals) add(ph *PhaseReport) {
+	t.HostReads += ph.HostReads
+	t.HostWrites += ph.HostWrites
+	t.BitsRead += ph.BitsRead
+	t.CorrectedBits += ph.CorrectedBits
+	t.UncorrectableReads += ph.UncorrectableReads
+	t.LostBits += ph.LostBits
+	t.Retries += ph.Retries
+	t.RecoveredReads += ph.RecoveredReads
+	t.RelocRetries += ph.RelocRetries
+	t.DeepRecovered += ph.DeepRecovered
+	t.SoftSenses += ph.SoftSenses
+	t.SoftRecovered += ph.SoftRecovered
+	t.ScrubPasses += ph.ScrubPasses
+	t.PagesScrubbed += ph.PagesScrubbed
+	t.GCMoves += ph.GCMoves
+	t.Erases += ph.Erases
+	t.RetiredBlocks += ph.RetiredBlocks
+	t.FinalWearMax = max(t.FinalWearMax, ph.WearMax)
+}
+
+// finish derives the error rate from the folded counts: lost bits /
+// bits read (0 when nothing was read).
+func (t *Totals) finish() {
+	if t.BitsRead > 0 {
+		t.UBER = float64(t.LostBits) / float64(t.BitsRead)
+	}
+}
+
 // Report is the full deterministic output of one scenario run.
 type Report struct {
 	Scenario     string        `json:"scenario"`

@@ -1,15 +1,16 @@
-// Package workload provides synthetic workload generation and trace-driven
-// simulation over the full controller+device stack. The generators model
-// the application classes the paper's §6.3 motivates: read-intensive
+// Package workload provides synthetic workload generation and trace
+// replay through the dispatcher queue. The generators model the
+// application classes the paper's §6.3 motivates: read-intensive
 // multimedia streaming, mission-critical writes (OS upgrade, secure
 // transactions) and mixed general-purpose traffic.
 package workload
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"xlnand/internal/controller"
+	"xlnand/internal/dispatch"
 	"xlnand/internal/stats"
 )
 
@@ -36,8 +37,8 @@ func (k OpKind) String() string {
 	}
 }
 
-// Request is one trace record. Data is lazily generated for writes from
-// the trace's seed, so traces stay compact.
+// Request is one trace record. It carries no data (Replay writes one
+// fixed page pattern), so traces stay compact.
 type Request struct {
 	Kind  OpKind
 	Block int
@@ -138,61 +139,80 @@ func Generate(p Profile, seed uint64) (Trace, error) {
 	return tr, nil
 }
 
-// Stats aggregates a trace replay.
+// Stats aggregates a trace replay on the modelled timeline.
 type Stats struct {
-	Reads, Writes, Erases int
-	Uncorrectable         int
-	ReadTime              time.Duration
-	WriteTime             time.Duration
-	// Throughputs over the 4 KB payloads.
-	ReadMBps, WriteMBps float64
+	// Reads counts every read, Uncorrectable the ones that failed to
+	// decode; Corrected sums the raw bit errors the reads repaired.
+	Reads, Writes, Erases    int
+	Corrected, Uncorrectable int
+	// ReadTime and WriteTime sum each op's Completion.Latency(),
+	// queueing included.
+	ReadTime, WriteTime time.Duration
+	// First and Last are the earliest Start and the latest Finish of the
+	// replay's completions.
+	First, Last time.Duration
 }
 
-// Run replays a trace against a controller, generating deterministic
-// page contents from the trace seed and verifying data integrity on
-// every read (mismatches beyond ECC are counted, not fatal).
-func Run(c *controller.Controller, tr Trace) (Stats, error) {
+// Replay drives a trace through the queue in batches of batch requests,
+// which run in trace order. The trace addresses a flat block space that
+// is striped round-robin across the dispatcher's dies. Every write
+// carries one fixed page pattern: the device's injected errors do not
+// depend on the data. An uncorrectable read is counted; any other failed
+// request ends the replay with its error.
+func Replay(q *dispatch.Queue, tr Trace, batch int) (Stats, error) {
 	var st Stats
-	pageBytes := c.Device().Calibration().PageDataBytes
-	content := func(b, pg int) []byte {
-		r := stats.NewRNG(tr.Seed ^ uint64(b)<<32 ^ uint64(pg))
-		data := make([]byte, pageBytes)
-		for i := range data {
-			data[i] = byte(r.Intn(256))
+	if batch < 1 {
+		return st, fmt.Errorf("workload: batch size %d < 1", batch)
+	}
+	geo := q.Dispatcher().Geometry()
+	page := make([]byte, geo.PageDataBytes)
+	for i := range page {
+		page[i] = byte(i * 131)
+	}
+	ctx := context.Background()
+	reqs := make([]dispatch.Request, 0, min(batch, len(tr.Requests)))
+	for lo := 0; lo < len(tr.Requests); lo += batch {
+		reqs = reqs[:0]
+		for _, r := range tr.Requests[lo:min(lo+batch, len(tr.Requests))] {
+			req := dispatch.Request{Die: r.Block % geo.Dies, Block: r.Block / geo.Dies, Page: r.Page}
+			switch r.Kind {
+			case OpWrite:
+				req.Op, req.Data = dispatch.OpWrite, page
+			case OpErase:
+				req.Op = dispatch.OpErase
+			default:
+				req.Op = dispatch.OpRead
+			}
+			reqs = append(reqs, req)
 		}
-		return data
-	}
-	for i, req := range tr.Requests {
-		switch req.Kind {
-		case OpWrite:
-			wr, err := c.WritePage(req.Block, req.Page, content(req.Block, req.Page))
-			if err != nil {
-				return st, fmt.Errorf("workload: op %d (%v %d.%d): %w", i, req.Kind, req.Block, req.Page, err)
-			}
-			st.Writes++
-			st.WriteTime += wr.Latency.Program // pipelined write path
-		case OpRead:
-			rd, err := c.ReadPageRetryInto(req.Block, req.Page, c.ReadRetry(), nil)
-			st.ReadTime += rd.Latency.Total()
-			if err != nil {
-				st.Uncorrectable++
-				continue
-			}
-			st.Reads++
-		case OpErase:
-			if err := c.EraseBlock(req.Block); err != nil {
-				return st, fmt.Errorf("workload: op %d erase %d: %w", i, req.Block, err)
-			}
-			st.Erases++
-		default:
-			return st, fmt.Errorf("workload: op %d has unknown kind %d", i, int(req.Kind))
+		comps, err := q.Submit(ctx, reqs)
+		if err != nil {
+			return st, err
 		}
-	}
-	if st.ReadTime > 0 {
-		st.ReadMBps = float64(st.Reads*pageBytes) / st.ReadTime.Seconds() / 1e6
-	}
-	if st.WriteTime > 0 {
-		st.WriteMBps = float64(st.Writes*pageBytes) / st.WriteTime.Seconds() / 1e6
+		for i, c := range comps {
+			if lo+i == 0 || c.Start < st.First {
+				st.First = c.Start
+			}
+			st.Last = max(st.Last, c.Finish)
+			switch c.Op {
+			case dispatch.OpRead:
+				st.Reads++
+				st.Corrected += c.Corrected
+				st.ReadTime += c.Latency()
+			case dispatch.OpWrite:
+				st.Writes++
+				st.WriteTime += c.Latency()
+			case dispatch.OpErase:
+				st.Erases++
+			}
+			if c.Err != nil {
+				if c.Op == dispatch.OpRead && c.Read != nil {
+					st.Uncorrectable++
+					continue
+				}
+				return st, fmt.Errorf("workload: op %d (%v): %w", lo+i, c.Op, c.Err)
+			}
+		}
 	}
 	return st, nil
 }

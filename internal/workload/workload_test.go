@@ -1,25 +1,25 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
-	"xlnand/internal/bch"
 	"xlnand/internal/controller"
-	"xlnand/internal/nand"
+	"xlnand/internal/dispatch"
+	"xlnand/internal/sim"
 )
 
-func newController(t *testing.T) *controller.Controller {
+// newDispatcher builds a one-die, four-block stack.
+func newDispatcher(t *testing.T) *dispatch.Dispatcher {
 	t.Helper()
-	dev := nand.NewDevice(nand.DefaultCalibration(), 4, 99)
-	codec, err := bch.NewPageCodec()
+	d, err := dispatch.New(dispatch.Config{
+		Dies: 1, BlocksPerDie: 4, Seed: 99,
+		Env: sim.DefaultEnv(), Controller: controller.DefaultConfig(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := controller.New(dev, codec, controller.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return d
 }
 
 func TestGenerateValidation(t *testing.T) {
@@ -94,16 +94,15 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunReadIntensiveTrace(t *testing.T) {
+func TestReplayReadIntensiveTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace replay skipped in -short mode")
 	}
-	c := newController(t)
 	tr, err := Generate(ReadIntensive(120, 2, 64), 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(c, tr)
+	st, err := Replay(newDispatcher(t).NewQueue(), tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +112,15 @@ func TestRunReadIntensiveTrace(t *testing.T) {
 	if st.Uncorrectable != 0 {
 		t.Fatalf("%d uncorrectable pages on a fresh device", st.Uncorrectable)
 	}
-	if st.ReadMBps <= 0 || st.WriteMBps <= 0 {
-		t.Fatal("throughputs not computed")
+	if st.ReadTime <= 0 || st.WriteTime <= 0 || st.Last <= st.First {
+		t.Fatalf("replay took no modelled time: %+v", st)
 	}
 }
 
-func TestRunWrapsWithErase(t *testing.T) {
+func TestReplayWrapsWithErase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace replay skipped in -short mode")
 	}
-	c := newController(t)
 	// Tiny address space forces wrap-around erases: 2 blocks × 64 pages
 	// = 128 pages; 200 writes must trigger at least one erase.
 	p := WriteIntensive(260, 2, 64)
@@ -130,13 +128,81 @@ func TestRunWrapsWithErase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(c, tr)
+	st, err := Replay(newDispatcher(t).NewQueue(), tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Erases == 0 {
 		t.Fatal("wrap-around produced no erases")
 	}
+}
+
+func TestReplayRejectsEmptyBatch(t *testing.T) {
+	tr, err := Generate(Mixed(10, 1, 4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{0, -1} {
+		if _, err := Replay(newDispatcher(t).NewQueue(), tr, batch); err == nil {
+			t.Errorf("batch %d accepted", batch)
+		}
+	}
+}
+
+// TestIdleQueueAddsNoQueueing: on one die, a request submitted alone
+// finds the die, bus and codec idle, so a read's completion latency is
+// exactly its controller-reported service time, every retry included.
+// Figure ext-validate rests on this: it measures read throughput from
+// Replay(q, tr, 1) latencies.
+func TestIdleQueueAddsNoQueueing(t *testing.T) {
+	d := newDispatcher(t)
+	for b := 0; b < 4; b++ {
+		if err := d.SetCycles(0, b, 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := d.NewQueue()
+	tr, err := Generate(ReadIntensive(200, 4, d.Geometry().PagesPerBlock), 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes, reads Trace
+	for _, r := range tr.Requests {
+		if r.Kind == OpRead {
+			reads.Requests = append(reads.Requests, r)
+		} else {
+			writes.Requests = append(writes.Requests, r)
+		}
+	}
+	if _, err := Replay(q, writes, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AdvanceTime(1e5); err != nil {
+		t.Fatal(err)
+	}
+	retried := 0
+	for i, r := range reads.Requests {
+		comps, err := q.Submit(context.Background(), []dispatch.Request{
+			{Op: dispatch.OpRead, Block: r.Block, Page: r.Page},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := comps[0]
+		if c.Read == nil {
+			t.Fatalf("read %d failed outright: %v", i, c.Err)
+		}
+		if got, want := c.Latency(), c.Read.Latency.Total(); got != want {
+			t.Fatalf("read %d (%d retries): completion latency %v, service time %v", i, c.Retries, got, want)
+		}
+		if c.Retries > 0 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no read retried; the recovery ladder was not exercised")
+	}
+	t.Logf("%d of %d reads retried", retried, len(reads.Requests))
 }
 
 func TestOpKindString(t *testing.T) {
