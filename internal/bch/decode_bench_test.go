@@ -6,6 +6,7 @@ package bch
 // must stay at 0.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -96,10 +97,12 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkDecodeSensed is BenchmarkDecode's t = 65 rows at EOL-sized
-// error counts through DecodeSensed: the syndromes come from the flip
-// positions, so the page is never divided. The rest of the pipeline
-// (BM, roots, correction, re-check) is the same, so the gap to the
-// matching BenchmarkDecode row is the division and the syndrome pass.
+// error counts through DecodeSensed. Up to t flips, the bounded-distance
+// shortcut undoes them with no syndrome, BM or root finding, so those
+// rows time only that. The errs=t+1 row times the tail a read past the
+// capability runs: syndromes from the flip positions (the page is never
+// divided), then BM, which finds the word uncorrectable; the buffer is
+// rolled back, so it stays the same received word every iteration.
 func BenchmarkDecodeSensed(b *testing.B) {
 	const tcap = 65
 	codec := benchCodec(b, tcap)
@@ -132,6 +135,19 @@ func BenchmarkDecodeSensed(b *testing.B) {
 			}
 		})
 	}
+	positions := r.SampleK(code.CodewordBits(), tcap+1)
+	b.Run(fmt.Sprintf("t=%d/errs=%d", tcap, tcap+1), func(b *testing.B) {
+		b.SetBytes(int64(codec.K / 8))
+		b.ReportAllocs()
+		flipBits(cw, positions)
+		defer flipBits(cw, positions)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.DecodeSensed(tcap, cw, positions); !errors.Is(err, ErrUncorrectable) {
+				b.Fatalf("t+1 errors: %v, want ErrUncorrectable", err)
+			}
+		}
+	})
 }
 
 // BenchmarkEncode measures the steady-state parity computation through

@@ -6,6 +6,7 @@ import (
 
 	"xlnand/internal/freelist"
 	"xlnand/internal/gf"
+	"xlnand/internal/reference"
 )
 
 // ErrUncorrectable is returned when the decoder detects more errors than
@@ -18,7 +19,9 @@ var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 // bound to one code (one t); the adaptive Codec multiplexes between them.
 // The stages' results are the modelled datapath's; how the host computes
 // them is not (the third stage factors the locator, see locatorRoots,
-// where the hardware of HWConfig.ChienCycles scans positions).
+// where the hardware of HWConfig.ChienCycles scans positions). A sensed
+// decode of at most t known flips runs none of the three stages on the
+// host (see DecodeSensed); the modelled datapath still runs all three.
 //
 // Decoder is safe for concurrent use: all mutable per-decode state lives
 // in scratch contexts taken from a free list for the length of one
@@ -71,6 +74,10 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 		sc.bm.grow(2 * t)
 		return sc
 	}
+	// One scratch up front: a sensed decode with at most t flips takes
+	// none, so the first decode that does may be a rare read past t on
+	// an otherwise steady-state path.
+	d.pool.Put(d.pool.New())
 	return d
 }
 
@@ -85,7 +92,7 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 // the post-correction verification updates the syndromes algebraically
 // from the flipped positions (O(errors·t)) instead of re-reading the
 // page. DecodeSensed skips the page read altogether when the error
-// positions are known.
+// positions are known, and every stage when they number at most t.
 func (d *Decoder) Decode(codeword []byte) (int, error) {
 	nbits, err := d.checkLen(codeword)
 	if err != nil {
@@ -113,15 +120,26 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 
 // DecodeSensed is Decode for a word whose error pattern is known: the
 // codeword this code encoded with exactly the bits at flips (distinct
-// codeword bit positions, numbered as in Decode) inverted. Syndromes
-// are linear, and a codeword's are zero, so the received word's odd
-// syndromes are the flips' own contributions (O(len(flips)·t), the
-// re-check's algebra) and the even ones follow by squaring; the page is
-// never divided. The rest — Berlekamp-Massey, root finding, in-place
-// correction, the re-check and its rollback — is Decode's, so the count,
+// codeword bit positions, numbered as in Decode) inverted. The count,
 // the error and the bytes left in codeword are exactly Decode's on the
-// same buffer. A word that is not such a codeword gets no such
-// guarantee: the flips are trusted, not checked against the bytes.
+// same buffer, by one of two routes:
+//
+//   - At most t flips: the code's design distance is at least 2t+1, so
+//     a pattern of weight at most t is the only one within t of the
+//     received word. Decode would find exactly these positions and its
+//     re-check would pass, so the flips are undone in place and their
+//     count returned, with no syndrome, Berlekamp-Massey or root finding.
+//   - More than t flips: syndromes are linear, and a codeword's are
+//     zero, so the received word's odd syndromes are the flips' own
+//     contributions (O(len(flips)·t), the re-check's algebra) and the
+//     even ones follow by squaring; the page is never divided. The rest
+//     — Berlekamp-Massey, root finding, in-place correction, the
+//     re-check and its rollback — is Decode's. Every miscorrection and
+//     detected failure lives on this route.
+//
+// A word that is not such a codeword gets no such guarantee: the flips
+// are trusted, not checked against the bytes. In the reference build
+// (reference.On) DecodeSensed checks its arguments and then runs Decode.
 func (d *Decoder) DecodeSensed(codeword []byte, flips []int) (int, error) {
 	nbits, err := d.checkLen(codeword)
 	if err != nil {
@@ -131,6 +149,15 @@ func (d *Decoder) DecodeSensed(codeword []byte, flips []int) (int, error) {
 		if p < 0 || p >= nbits {
 			return 0, fmt.Errorf("bch: flip position %d outside codeword of %d bits", p, nbits)
 		}
+	}
+	if reference.On {
+		return d.Decode(codeword)
+	}
+	if len(flips) <= d.code.T {
+		for _, p := range flips {
+			codeword[p/8] ^= 1 << uint(7-p%8)
+		}
+		return len(flips), nil
 	}
 	sc := d.pool.Get()
 	defer d.pool.Put(sc)

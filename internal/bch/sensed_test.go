@@ -13,8 +13,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"xlnand/internal/reference"
 	"xlnand/internal/stats"
 )
 
@@ -130,12 +132,147 @@ func TestDecodeSensedMatchesDecode(t *testing.T) {
 				seen[out]++
 			})
 		}
+		// The support of a random codeword c' with k <= t of its bits
+		// toggled, in and out of it: thousands of flips from clean, k
+		// from clean+c', where both decodes must land.
+		other, err := codec.EncodeCodeword(tcap, randMsg(r, codec.K/8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range dedupeCounts(1, tcap/2, tcap) {
+			t.Run(fmt.Sprintf("t=%d/other-codeword-%d", tcap, k), func(t *testing.T) {
+				near := append([]byte(nil), other...)
+				flipBits(near, r.SampleK(nbits, k))
+				if out := checkSensed(t, codec, tcap, clean, supportOf(near)); out != outMiscorrect {
+					t.Fatalf("%d bits from clean+c': outcome %d, want a miscorrection", k, out)
+				}
+				seen[outMiscorrect]++
+			})
+		}
 	}
 	for _, o := range []sensedOutcome{outCorrected, outMiscorrect, outUndetected, outUncorrected} {
 		if seen[o] == 0 {
 			t.Errorf("no pattern reached outcome %d (seen %v)", o, seen)
 		}
 	}
+}
+
+// TestDecodeSensedShortcutBoundary pins where the bounded-distance
+// shortcut stops, on a decoder whose scratch list is drained and whose
+// refills are counted. Exactly t flips must take no scratch: a shortcut
+// taken only below t leaves the same bytes and count, so only the
+// scratch count tells it apart. t+1 flips must run the tail (one refill)
+// and, like Decode, report the word uncorrectable.
+func TestDecodeSensedShortcutBoundary(t *testing.T) {
+	if reference.On {
+		t.Skip("the reference build has no shortcut")
+	}
+	codec, err := NewPageCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tcap := range []int{3, 65} {
+		code, err := codec.Code(tcap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDecoder(code, nil)
+		d.pool.Get() // the scratch NewDecoder parks
+		built := 0
+		build := d.pool.New
+		d.pool.New = func() *decodeScratch { built++; return build() }
+
+		nbits := code.CodewordBits()
+		r := stats.NewRNG(uint64(7300 + tcap))
+		clean, err := codec.EncodeCodeword(tcap, randMsg(r, codec.K/8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flips := r.SampleK(nbits, tcap)
+		cw := append([]byte(nil), clean...)
+		flipBits(cw, flips)
+		if n, err := d.DecodeSensed(cw, flips); err != nil || n != tcap || !bytes.Equal(cw, clean) {
+			t.Fatalf("t=%d, t flips: DecodeSensed = (%d, %v), restored %v", tcap, n, err, bytes.Equal(cw, clean))
+		}
+		if built != 0 {
+			t.Fatalf("t=%d, t flips: the decode took scratch; the shortcut stops below t", tcap)
+		}
+
+		flips = r.SampleK(nbits, tcap+1)
+		cw = append(cw[:0], clean...)
+		flipBits(cw, flips)
+		received := append([]byte(nil), cw...)
+		if n, err := d.DecodeSensed(cw, flips); !errors.Is(err, ErrUncorrectable) || !bytes.Equal(cw, received) {
+			t.Fatalf("t=%d, t+1 flips: DecodeSensed = (%d, %v), rolled back %v; want ErrUncorrectable",
+				tcap, n, err, bytes.Equal(cw, received))
+		}
+		if built != 1 {
+			t.Fatalf("t=%d, t+1 flips: %d scratch builds, want 1 (the full tail)", tcap, built)
+		}
+	}
+}
+
+// TestDecodeSensedZeroAlloc pins NewDecoder's parked scratch. Sensed
+// decodes of at most t flips take none, so on a fresh codec the first
+// decode that does is a read past t; it must not build one. The count
+// is runtime.MemStats', not testing.AllocsPerRun's, which warms up with
+// an uncounted call: here the first call is the one under test. MemStats
+// counts the whole process, so the test keeps the best of three fresh
+// codecs; building the scratch costs 11 allocations every time.
+func TestDecodeSensedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	best := uint64(1 << 63)
+	for trial := range 3 {
+		best = min(best, freshSensedMallocs(t, uint64(7500+trial)))
+	}
+	if best != 0 {
+		t.Fatalf("sensed decodes on a fresh codec made %d allocations, want 0", best)
+	}
+}
+
+// freshSensedMallocs builds a fresh t = 65 codec and counts the mallocs
+// of sensed decodes at 1, t/2 and t flips followed by one at t+1.
+func freshSensedMallocs(t *testing.T, seed uint64) uint64 {
+	const tcap = 65
+	codec, err := NewPageCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := codec.Code(tcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbits := code.CodewordBits()
+	r := stats.NewRNG(seed)
+	cw, err := codec.EncodeCodeword(tcap, randMsg(r, codec.K/8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	few := [][]int{r.SampleK(nbits, 1), r.SampleK(nbits, tcap/2), r.SampleK(nbits, tcap)}
+	past := r.SampleK(nbits, tcap+1)
+	counts := make([]int, len(few))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, flips := range few {
+		flipBits(cw, flips)
+		counts[i], _ = codec.DecodeSensed(tcap, cw, flips)
+	}
+	flipBits(cw, past)
+	_, pastErr := codec.DecodeSensed(tcap, cw, past)
+	runtime.ReadMemStats(&after)
+
+	for i, flips := range few {
+		if counts[i] != len(flips) {
+			t.Fatalf("%d flips: corrected %d", len(flips), counts[i])
+		}
+	}
+	if !errors.Is(pastErr, ErrUncorrectable) {
+		t.Fatalf("t+1 flips: %v, want ErrUncorrectable", pastErr)
+	}
+	return after.Mallocs - before.Mallocs
 }
 
 // TestDecodeSensedRejectsBadInput checks the argument errors: a flip

@@ -12,6 +12,7 @@ import (
 
 	"xlnand/internal/ecc"
 	"xlnand/internal/nand"
+	"xlnand/internal/reference"
 )
 
 // ErrUncorrectable is surfaced when the decoder cannot repair a page.
@@ -43,13 +44,18 @@ type Controller struct {
 	// the last codeword this controller encoded and programmed there.
 	// A sense whose stamp matches came back as exactly that codeword
 	// with the device's reported flips inverted, which gives the read
-	// path two fast paths, each bit-identical to the full decode:
+	// path three fast paths, each bit-identical to the full decode:
 	//   - zero flips: a valid codeword decodes to itself with zero
 	//     corrections, so the decode is skipped outright (the
 	//     FEMU-style emulation fast path);
 	//   - any flips: the codec decodes from the positions
 	//     (ecc.Codec.DecodeSensed); an algebraic codec takes the
-	//     syndromes of the flips alone instead of dividing the page.
+	//     syndromes of the flips alone instead of dividing the page;
+	//   - at most the correction capability in flips, for a
+	//     bounded-distance codec (BCH): the flips are the unique decode,
+	//     so DecodeSensed undoes them without locating anything.
+	// The reference build (reference.On) runs the full decode on all
+	// three; cleanHits counts the zero-flip condition either way.
 	// Any reprogram, through this controller or not, bumps the device
 	// stamp and voids the mark.
 	cleanSeq []uint64
@@ -460,6 +466,9 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 			// walking the page. Bit-identical to the full decode: same
 			// result fields, same latency booking, no RNG involved.
 			nErr, decErr = 0, nil
+			if reference.On {
+				nErr, decErr = c.codec.Decode(level, codeword)
+			}
 			c.cleanHits++
 		case stamped:
 			// Sensed decode: the buffer is this controller's codeword

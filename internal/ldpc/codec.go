@@ -215,7 +215,11 @@ func (c *Codec) Decode(level int, codeword []byte) (int, error) {
 }
 
 // DecodeSensed implements ecc.Codec: min-sum gains nothing from the
-// known flip positions, so it is Decode.
+// known flip positions, so it is Decode. It takes no bounded-distance
+// shortcut either: min-sum is not a bounded-distance decoder (HardCap
+// is a calibrated rating, not a distance bound), so nothing guarantees
+// that a word within the cap of its codeword decodes back to it; only
+// the decode itself says whether it does.
 func (c *Codec) DecodeSensed(level int, codeword []byte, _ []int) (int, error) {
 	return c.Decode(level, codeword)
 }

@@ -1,0 +1,6 @@
+//go:build xlnand_reference
+
+package reference
+
+// On reports whether this is the reference build.
+const On = true
