@@ -48,8 +48,8 @@ type DriveReport struct {
 	LostPages  int `json:"lost_pages"`
 
 	// Recovery climate, summed over the drive's dies. CleanReads counts
-	// reads the controller's stamped-page short-circuit served without
-	// touching the decoder.
+	// read attempts that sensed a page its controller programmed with no
+	// bit in error (controller.CleanHits).
 	RetryHist      []int `json:"retry_hist"`
 	RetryRecovered int   `json:"retry_recovered"`
 	Uncorrectable  int   `json:"uncorrectable"`

@@ -12,7 +12,6 @@ import (
 
 	"xlnand/internal/ecc"
 	"xlnand/internal/nand"
-	"xlnand/internal/reference"
 )
 
 // ErrUncorrectable is surfaced when the decoder cannot repair a page.
@@ -43,34 +42,16 @@ type Controller struct {
 	// cleanSeq records, per physical page, the device content stamp of
 	// the last codeword this controller encoded and programmed there.
 	// A sense whose stamp matches came back as exactly that codeword
-	// with the device's reported flips inverted, which gives the read
-	// path three fast paths, each bit-identical to the full decode:
-	//   - zero flips: a valid codeword decodes to itself with zero
-	//     corrections, so the decode is skipped outright (the
-	//     FEMU-style emulation fast path);
-	//   - any flips: the codec decodes from the positions
-	//     (ecc.Codec.DecodeSensed); an algebraic codec takes the
-	//     syndromes of the flips alone instead of dividing the page;
-	//   - at most the correction capability in flips, for a
-	//     bounded-distance codec (BCH): the flips are the unique decode,
-	//     so DecodeSensed undoes them without locating anything.
-	// The reference build (reference.On) runs the full decode on all
-	// three; cleanHits counts the zero-flip condition either way.
-	// Any reprogram, through this controller or not, bumps the device
-	// stamp and voids the mark.
+	// with the device's reported flips inverted, so the read decodes
+	// from the positions (ecc.Codec.DecodeSensed): how much of the
+	// decode that saves, a zero-flip read included, is the codec's
+	// affair. Any reprogram, through this controller or not, bumps the
+	// device stamp and voids the mark.
 	cleanSeq []uint64
-	// cleanHits counts reads resolved by the clean-read short-circuit —
+	// cleanHits counts stamped reads whose sense injected no errors —
 	// the observability layer surfaces it per drive so fleet reports
-	// show how much of the read load the emulation fast path absorbs.
+	// show how much of the read load needed no correction at all.
 	cleanHits uint64
-	// decodeWarm tracks (one bit per capability level) whether this
-	// controller has run the shared codec's real decoder at that level.
-	// The first clean read per level decodes anyway: the codec builds
-	// its per-capability machinery lazily on first use, and warming it
-	// on the predictable first read keeps that construction out of the
-	// steady-state (zero-allocation) path a rare corrupted read would
-	// otherwise hit.
-	decodeWarm uint64
 }
 
 // Config parametrises controller construction.
@@ -150,11 +131,11 @@ func (c *Controller) Manager() *ReliabilityManager { return c.mgr }
 // Device exposes the attached NAND device.
 func (c *Controller) Device() *nand.Device { return c.dev }
 
-// CleanHits reports how many reads the clean-read short-circuit
-// resolved without a decoder walk (zero-flip reads only; sensed-syndrome
-// decodes are not counted). Like the rest of the controller it
-// must be read with the die quiescent (or via the dispatcher's
-// control-plane hop).
+// CleanHits reports how many read attempts sensed a page this
+// controller programmed with no bit in error (stamped, zero flips),
+// whatever the codec's decode then did with it. Like the rest of the
+// controller it must be read with the die quiescent (or via the
+// dispatcher's control-plane hop).
 func (c *Controller) CleanHits() uint64 { return c.cleanHits }
 
 // SetAlgorithm selects the program algorithm for subsequent writes —
@@ -455,31 +436,18 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		codeword := c.readBuffer[:nData+nSpare]
 		var nErr int
 		var decErr error
-		seq, flips := c.dev.LastSense()
-		stamped := seq != 0 && c.cleanSeq[blockIdx*c.dev.PagesPerBlock()+pageIdx] == seq
-		switch {
-		case stamped && flips == 0 && c.decodeWarm&(1<<(uint(level)&63)) != 0:
-			// Clean-read short-circuit: the sense injected no errors and
-			// the stored bytes are the codeword this controller encoded,
-			// so the decoder would compute an all-zero syndrome and
-			// return the buffer unchanged — report that verdict without
-			// walking the page. Bit-identical to the full decode: same
-			// result fields, same latency booking, no RNG involved.
-			nErr, decErr = 0, nil
-			if reference.On {
-				nErr, decErr = c.codec.Decode(level, codeword)
-			}
-			c.cleanHits++
-		case stamped:
+		if seq, flips := c.dev.LastSense(); seq != 0 && c.cleanSeq[blockIdx*c.dev.PagesPerBlock()+pageIdx] == seq {
 			// Sensed decode: the buffer is this controller's codeword
 			// with exactly the device's reported flips inverted, so the
-			// codec may take its syndromes from the positions; the
-			// count, error and corrected bytes are Decode's.
+			// codec decodes from the positions; the count, error and
+			// corrected bytes are Decode's.
+			if flips == 0 {
+				c.cleanHits++
+			}
 			nErr, decErr = c.codec.DecodeSensed(level, codeword, c.dev.LastSenseFlips())
-		default:
+		} else {
 			nErr, decErr = c.codec.Decode(level, codeword)
 		}
-		c.decodeWarm |= 1 << (uint(level) & 63) // set already on a clean hit
 
 		// A successful decode's cost is booked at the observed error
 		// weight (measured min-sum iterations for LDPC); a failure pays

@@ -200,3 +200,44 @@ func TestSensedDecodeMatchesFullDecode(t *testing.T) {
 	t.Logf("%d reads: %d sensed decodes (%d failed), %d clean hits, %d retried, %d uncorrectable",
 		reads, counter.calls, counter.failed, fast.CleanHits(), retried, uncorrectable)
 }
+
+// TestEveryCleanReadCounted pins CleanHits to its condition: every read
+// of a page this controller programmed whose sense injected no errors
+// counts, the first read at each capability level included. Pages are
+// written at two pinned levels on a fresh device and each is read once
+// with no retry budget.
+func TestEveryCleanReadCounted(t *testing.T) {
+	c := newRig(t, false)
+	const pages = 8
+	levels := []int{8, 32}
+	for b, level := range levels {
+		c.SetCapability(level)
+		for p := 0; p < pages; p++ {
+			if _, err := c.WritePage(b, p, randPage(uint64(100*b+p))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dst := make([]byte, c.Device().Calibration().PageDataBytes)
+	clean := 0
+	for b, level := range levels {
+		for p := 0; p < pages; p++ {
+			res, err := c.ReadPageRetryInto(b, p, 0, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.T != level {
+				t.Fatalf("page %d.%d read at level %d, written at %d", b, p, res.T, level)
+			}
+			_, flips := c.Device().LastSense()
+			if flips == 0 {
+				clean++
+			} else if p == 0 {
+				t.Fatalf("level %d: the first read sensed %d flips; the test needs it clean", level, flips)
+			}
+		}
+	}
+	if got := c.CleanHits(); got != uint64(clean) {
+		t.Fatalf("CleanHits = %d, want %d: every stamped zero-flip read counts", got, clean)
+	}
+}

@@ -739,8 +739,8 @@ func (d *Dispatcher) PublishMetrics(reg *obs.Registry, labels string) {
 	reg.SetGauge(series("dispatch_vtime_seconds"), d.Now().Seconds())
 }
 
-// CleanHits sums the clean-read short-circuit counters across dies. It
-// keeps working after Close.
+// CleanHits sums the controllers' clean-read counters (stamped reads
+// sensed with no flips) across dies. It keeps working after Close.
 func (d *Dispatcher) CleanHits() uint64 {
 	var total uint64
 	d.each(func(c *controller.Controller) {

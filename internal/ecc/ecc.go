@@ -101,16 +101,19 @@ type Codec interface {
 	// is the MSB-first bit i%8 of byte i/8 of msg ++ parity. For such a
 	// codeword DecodeSensed returns what Decode returns and leaves the
 	// buffer exactly as Decode leaves it, rollback included; for any
-	// other word its result is unspecified. An algebraic decoder, whose
-	// syndromes are linear in the received word, takes them from the
-	// positions alone and need not read the page. A bounded-distance
-	// decoder of capability t (CorrectionCap) does not even need that when
-	// len(flips) <= t: its code's distance is at least 2t+1, so the
-	// flips are the one pattern of weight <= t that explains the word,
-	// Decode returns exactly them, and undoing them in place with count
-	// len(flips) and no error is Decode's result. A decoder that gains
-	// nothing from the positions (an iterative one, whose cap bounds
-	// nothing) simply decodes.
+	// other word its result is unspecified. With no flips the word is
+	// that codeword, which every decoder accepts as it stands: the
+	// result is count 0, no error, buffer untouched, and no decoder
+	// need run. An algebraic decoder, whose syndromes are linear in the
+	// received word, takes them from the positions alone and need not
+	// read the page. A bounded-distance decoder of capability t
+	// (CorrectionCap) does not even need that when len(flips) <= t: its
+	// code's distance is at least 2t+1, so the flips are the one
+	// pattern of weight <= t that explains the word, Decode returns
+	// exactly them, and undoing them in place with count len(flips) and
+	// no error is Decode's result. A decoder that gains nothing from
+	// the positions (an iterative one, whose cap bounds nothing) decodes
+	// any other word in full.
 	DecodeSensed(level int, codeword []byte, flips []int) (int, error)
 	// DecodeSoft decodes with per-bit confidence: llr holds one signed
 	// log-likelihood per codeword bit (positive = bit 0, magnitude =

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
+
+	"xlnand/internal/freelist"
 )
 
 // Decoding parameters. Min-sum is scale-invariant in the channel LLRs,
@@ -30,10 +31,12 @@ const (
 // Decoder is the min-sum engine of one capability level: a layered
 // normalized min-sum whose check pass works on float32 bit patterns
 // without a data-dependent branch. It is safe for concurrent use: all
-// mutable state lives in pooled scratch.
+// mutable state lives in scratch taken from a free list for the length
+// of one decode (a free list, not a sync.Pool, so that the
+// zero-allocation tests do not depend on when the collector runs).
 type Decoder struct {
 	c    *code
-	pool sync.Pool
+	pool freelist.List[decodeScratch]
 }
 
 // decodeScratch is one decode's working set: posterior LLRs, per-edge
@@ -61,7 +64,7 @@ func newDecoder(c *code) *Decoder {
 			maxDeg = deg
 		}
 	}
-	d.pool.New = func() any {
+	d.pool.New = func() *decodeScratch {
 		return &decodeScratch{
 			post: make([]float32, c.n),
 			r:    make([]float32, c.edges),
@@ -72,6 +75,10 @@ func newDecoder(c *code) *Decoder {
 			q:    make([]float32, maxDeg),
 		}
 	}
+	// One scratch up front: a sensed decode of a clean read takes none,
+	// so the first decode that does may be a rare corrupted read on an
+	// otherwise steady-state path.
+	d.pool.Put(d.pool.New())
 	return d
 }
 
@@ -105,7 +112,7 @@ func (d *Decoder) decode(cw []byte, llr []int8, maxIter, flipGuard int) (int, er
 // latency model).
 func (d *Decoder) decodeIter(cw []byte, llr []int8, maxIter, flipGuard int) (int, int, error) {
 	c := d.c
-	s := d.pool.Get().(*decodeScratch)
+	s := d.pool.Get()
 	defer d.pool.Put(s)
 
 	// Fast path: the stored codeword may already be consistent — one

@@ -38,8 +38,8 @@ type Device struct {
 	// programSeq stamps stored page contents: it increments on every
 	// Program, so a content identity (page.seq) is never reused even
 	// across erase/re-program of the same page. Controllers use the
-	// stamp to prove a sensed page still holds bytes they have already
-	// verified (the clean-read decode short-circuit).
+	// stamp to prove a sensed page still holds the codeword they
+	// programmed (the sensed decode, ecc.Codec.DecodeSensed).
 	programSeq uint64
 
 	// senseFlips and lastSenseSeq describe the most recent ReadInto: the
@@ -292,8 +292,7 @@ func (d *Device) LastProgramSeq() uint64 { return d.programSeq }
 // LastSense reports the most recent ReadInto: the content stamp of the
 // page it sensed and the number of bit errors injected into the
 // returned buffer. flips == 0 means the buffer is byte-identical to the
-// stored content — the observation behind the controller's clean-read
-// decode short-circuit.
+// stored content — the observation the controller's CleanHits counts.
 func (d *Device) LastSense() (seq uint64, flips int) {
 	return d.lastSenseSeq, len(d.senseFlips)
 }
