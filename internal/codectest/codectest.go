@@ -7,9 +7,12 @@
 // encode/decode round trips across the error-count matrix
 // {0, 1, cap/2, cap, cap+1}, rollback on failure, steady-state
 // allocation freedom and descriptor sanity. The round trips, the
-// rollback and the allocation check run through both hard-decode
-// paths, Decode and DecodeSensed, the latter fed the positions the
-// suite flipped.
+// rollback and the allocation check run through every decode path:
+// Decode, DecodeSensed fed the positions the suite flipped, and
+// DecodeSoft on families with a soft path. Every successful decode must
+// leave a codeword of its level — parity equal to EncodeInto's for the
+// message it returns — bounded-distance miscorrections onto another
+// codeword included.
 package codectest
 
 import (
@@ -61,18 +64,55 @@ func levelName(c ecc.Codec, lvl int) string {
 	return fmt.Sprintf("%s-level-%d", c.Family(), lvl)
 }
 
-// decodePath is one hard-decode entry point. flips lists the bit
-// positions the suite inverted in a codeword the codec encoded.
+// decodePath is one decode entry point. flips lists the bit positions
+// the suite inverted in a codeword the codec encoded.
 type decodePath struct {
 	name   string
 	decode func(lvl int, cw []byte, flips []int) (int, error)
 }
 
-// decodePaths lists Decode and DecodeSensed.
+// softConfidence is the magnitude of the suite's soft input: every bit
+// at one confidence, the hard decision in soft form.
+const softConfidence = 4
+
+// decodePaths lists Decode, DecodeSensed and, on a family with a soft
+// path, DecodeSoft fed uniform-confidence LLRs of the received word.
 func decodePaths(c ecc.Codec) []decodePath {
-	return []decodePath{
+	paths := []decodePath{
 		{"Decode", func(lvl int, cw []byte, _ []int) (int, error) { return c.Decode(lvl, cw) }},
 		{"DecodeSensed", c.DecodeSensed},
+	}
+	if c.SupportsSoft() {
+		var llr []int8 // reused, so the allocation check measures the decoder
+		paths = append(paths, decodePath{"DecodeSoft", func(lvl int, cw []byte, _ []int) (int, error) {
+			if len(llr) < len(cw)*8 {
+				llr = make([]int8, len(cw)*8)
+			}
+			for i := range llr[:len(cw)*8] {
+				llr[i] = softConfidence
+				if cw[i/8]>>uint(7-i%8)&1 == 1 {
+					llr[i] = -softConfidence
+				}
+			}
+			return c.DecodeSoft(lvl, cw, llr[:len(cw)*8])
+		}})
+	}
+	return paths
+}
+
+// requireCodeword fails the test unless cw, just decoded successfully
+// at lvl, is a codeword of lvl: its parity bytes are exactly
+// EncodeInto's for its message bytes. A copy-back relocation programs
+// that parity as it stands.
+func requireCodeword(t *testing.T, c ecc.Codec, dp decodePath, lvl int, cw []byte, what string) {
+	t.Helper()
+	k := c.DataBits() / 8
+	parity := make([]byte, len(cw)-k)
+	if err := c.EncodeInto(lvl, parity, cw[:k]); err != nil {
+		t.Fatalf("level %d: EncodeInto: %v", lvl, err)
+	}
+	if !bytes.Equal(cw[k:], parity) {
+		t.Fatalf("level %d %s: successful %s left a word that is not a codeword", lvl, what, dp.name)
 	}
 }
 
@@ -137,7 +177,8 @@ func codeword(t *testing.T, c ecc.Codec, lvl int, seed uint64) (cw []byte) {
 // matrix drives the error-count grid {0, 1, cap/2, cap, cap+1} through
 // one decode path. A bounded-distance family also gets exactly cap
 // errors placed only in the parity bytes: the decoder must locate them
-// there and hand the message back untouched.
+// there and hand the message back untouched; and miscorrection rows,
+// where it must land on another codeword (see miscorrection).
 func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 	t.Helper()
 	cap := c.CorrectionCap(lvl)
@@ -166,6 +207,9 @@ func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 		}
 		dirty := append([]byte(nil), cw...)
 		n, err := dp.decode(lvl, cw, flips)
+		if err == nil {
+			requireCodeword(t, c, dp, lvl, cw, fmt.Sprintf("nerr %d%s", nerr, where))
+		}
 		switch {
 		case nerr <= cap:
 			if err != nil {
@@ -188,6 +232,45 @@ func matrix(t *testing.T, c ecc.Codec, dp decodePath, lvl int, opt Options) {
 				t.Fatalf("level %d nerr %d: %s succeeded with wrong data", lvl, nerr, dp.name)
 			}
 		}
+	}
+	if opt.StrictCapPlusOne {
+		miscorrection(t, c, dp, lvl)
+	}
+}
+
+// miscorrection feeds a bounded-distance decoder words k <= cap bits
+// away from clean+other, where other is another codeword: by linearity
+// clean+other is a codeword too, thousands of bits from clean, and the
+// only one within cap of the word, so the decode must succeed onto it.
+// The flips are the support of other with the k bits toggled — the
+// sensed path's route for more than cap known flips.
+func miscorrection(t *testing.T, c ecc.Codec, dp decodePath, lvl int) {
+	t.Helper()
+	cap := c.CorrectionCap(lvl)
+	for _, k := range []int{1, cap / 2, cap} {
+		seed := uint64(9000 + lvl*977 + k)
+		clean := codeword(t, c, lvl, seed)
+		other := codeword(t, c, lvl, seed+1)
+		rng := stats.NewRNG(seed)
+		for _, p := range rng.SampleK(len(other)*8, k) {
+			other[p/8] ^= 1 << uint(7-p%8)
+		}
+		cw := append([]byte(nil), clean...)
+		var flips []int
+		for i := 0; i < len(other)*8; i++ {
+			if other[i/8]>>uint(7-i%8)&1 == 1 {
+				cw[i/8] ^= 1 << uint(7-i%8)
+				flips = append(flips, i)
+			}
+		}
+		n, err := dp.decode(lvl, cw, flips)
+		if err != nil || n != k {
+			t.Fatalf("level %d: %s of a word %d bits from another codeword = (%d, %v), want (%d, nil)", lvl, dp.name, k, n, err, k)
+		}
+		if bytes.Equal(cw, clean) {
+			t.Fatalf("level %d: %s restored the sent codeword from %d flips", lvl, dp.name, len(flips))
+		}
+		requireCodeword(t, c, dp, lvl, cw, fmt.Sprintf("miscorrection k=%d", k))
 	}
 }
 

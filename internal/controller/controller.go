@@ -186,8 +186,22 @@ type WriteResult struct {
 
 // WritePage encodes data (exactly one page) at the current capability and
 // programs it with the current algorithm. The modelled latency covers
-// encode, codeword transfer and the ISPP run.
+// encode, codeword transfer and the ISPP run. It is WritePageParity with
+// no parity.
 func (c *Controller) WritePage(blockIdx, pageIdx int, data []byte) (WriteResult, error) {
+	return c.WritePageParity(blockIdx, pageIdx, data, nil)
+}
+
+// WritePageParity is WritePage for a caller that may already hold the
+// parity of data: a copy-back relocation, whose read decoded the page it
+// moves (a successful decode leaves a codeword of the page's level, see
+// ecc.Codec). When len(parity) is ParityBytes of the level this write
+// resolves — equal length means equal level, ParityBytes being strictly
+// monotone — parity is programmed as it stands and EncodeInto does not
+// run; any other length, nil included, encodes. The level, the algorithm
+// and the modelled latency, encode included, are WritePage's either way.
+// parity is read only during the call.
+func (c *Controller) WritePageParity(blockIdx, pageIdx int, data, parity []byte) (WriteResult, error) {
 	var res WriteResult
 	if len(data) != c.dev.Calibration().PageDataBytes {
 		return res, fmt.Errorf("controller: page write needs %d bytes, got %d",
@@ -203,10 +217,12 @@ func (c *Controller) WritePage(blockIdx, pageIdx int, data []byte) (WriteResult,
 	// flash interface): the parity is encoded straight into the buffer's
 	// spare region, so the steady-state write path allocates nothing —
 	// the device copies on Program.
-	copy(c.pageBuffer, data)
-	parity := c.pageBuffer[len(data) : len(data)+pb]
-	if err := c.codec.EncodeInto(res.T, parity, data); err != nil {
-		return res, err
+	if len(parity) != pb {
+		copy(c.pageBuffer, data)
+		parity = c.pageBuffer[len(data) : len(data)+pb]
+		if err := c.codec.EncodeInto(res.T, parity, data); err != nil {
+			return res, err
+		}
 	}
 	res.ParityBy = len(parity)
 
@@ -276,6 +292,9 @@ type ReadResult struct {
 	// rung paid (0 when the read never went soft).
 	Soft       bool
 	SoftSenses int
+	// ParityBy is the stored page's parity length (the spare bytes its
+	// level was recovered from); 0 when the read failed before that.
+	ParityBy int
 	// BlockReads is the block's reads-since-erase counter after this
 	// read (its senses included) — the disturb telemetry the FTL's
 	// retry guard budgets against without a control-plane round trip.
@@ -331,6 +350,14 @@ func claimData(dst, src []byte) []byte {
 	return dst
 }
 
+// claimParity copies a decoded codeword's parity src into the caller's
+// dst when dst can hold it; a nil or short dst asked for none.
+func claimParity(dst, src []byte) {
+	if len(dst) >= len(src) {
+		copy(dst, src)
+	}
+}
+
 // ReadPageRetryInto reads, transfers and decodes a page through the
 // staged read-recovery ladder with an explicit retry budget (callers
 // holding no override pass ReadRetry(), the configured budget).
@@ -355,8 +382,22 @@ func claimData(dst, src []byte) []byte {
 //
 // The decoded page lands in dst when it is at least the page's data
 // size (the result's Data then aliases dst and the steady-state read
-// performs no allocation); a nil or short dst gets a fresh page.
+// performs no allocation); a nil or short dst gets a fresh page. Nothing
+// is written to dst past the page data. ReadPageRetryInto is
+// ReadPageParityInto with no parity.
 func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []byte) (ReadResult, error) {
+	return c.ReadPageParityInto(blockIdx, pageIdx, maxRetries, dst, nil)
+}
+
+// ReadPageParityInto is ReadPageRetryInto that also hands back the
+// parity its decode left: when the read succeeds and parity holds at
+// least ParityBy bytes, the decoded codeword's parity is copied into
+// parity[:ParityBy] — EncodeInto's output for the returned data at the
+// page's level, which WritePageParity programs without encoding. parity
+// is caller-owned: it is never a view of the controller's read buffer,
+// which the next read on this die overwrites. A failed read, or a parity
+// shorter than ParityBy, leaves it untouched.
+func (c *Controller) ReadPageParityInto(blockIdx, pageIdx, maxRetries int, dst, parity []byte) (ReadResult, error) {
 	var res ReadResult
 	res.Alg = c.alg
 	if alg, err := c.dev.WrittenAlgorithm(blockIdx, pageIdx); err == nil {
@@ -432,6 +473,7 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 					blockIdx, pageIdx, nSpare, err)
 			}
 			res.T = level
+			res.ParityBy = nSpare
 		}
 		codeword := c.readBuffer[:nData+nSpare]
 		var nErr int
@@ -466,6 +508,7 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		if decErr == nil {
 			res.Corrected = nErr
 			res.Data = claimData(dst, codeword[:nData])
+			claimParity(parity, codeword[nData:])
 			c.mgr.ObserveDecode(res.Alg, c.codewordBits(level), nErr)
 			c.mgr.ObserveRetry(cycles, step, attempt, true)
 			c.noteBlockReads(blockIdx, &res)
@@ -514,6 +557,7 @@ func (c *Controller) ReadPageRetryInto(blockIdx, pageIdx, maxRetries int, dst []
 		if decErr == nil {
 			res.Corrected = nErr
 			res.Data = claimData(dst, codeword[:nData])
+			claimParity(parity, codeword[nData:])
 			c.mgr.ObserveDecode(res.Alg, c.codewordBits(level), nErr)
 			c.mgr.ObserveRetry(cycles, softStep, attempt, true)
 			c.mgr.ObserveSoft(true)

@@ -522,7 +522,7 @@ func (d *Dispatcher) execute(w *die, j *job) Completion {
 		if rp == nil {
 			rp = new(controller.WriteResult)
 		}
-		res, err := w.ctrl.WritePage(req.Block, req.Page, req.Data)
+		res, err := w.ctrl.WritePageParity(req.Block, req.Page, req.Data, req.Parity)
 		*rp = res
 		comp.Write = rp
 		comp.T, comp.Alg, comp.ParityBytes = res.T, res.Alg, res.ParityBy
@@ -547,10 +547,11 @@ func (d *Dispatcher) execute(w *die, j *job) Completion {
 		if req.Retries != nil {
 			retries = *req.Retries
 		}
-		res, err := w.ctrl.ReadPageRetryInto(req.Block, req.Page, retries, j.dst)
+		res, err := w.ctrl.ReadPageParityInto(req.Block, req.Page, retries, j.dst, req.Parity)
 		*rp = res
 		comp.Read = rp
 		comp.Data, comp.T, comp.Alg, comp.Corrected = res.Data, res.T, res.Alg, res.Corrected
+		comp.ParityBytes = res.ParityBy
 		comp.Retries = res.Retries
 		comp.SoftSenses = res.SoftSenses
 		// Book every recovery-ladder stage on the calendars: each

@@ -1,9 +1,11 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -349,5 +351,62 @@ func TestRetryChargesTimeline(t *testing.T) {
 	if comp2.Latency() >= comp.Latency() {
 		t.Fatalf("calibrated single-sense read (%v) not cheaper than the %d-stage walk (%v)",
 			comp2.Latency(), comp.Retries+1, comp.Latency())
+	}
+}
+
+// TestRequestParityCopyBack: a read with Request.Parity hands back the
+// page's parity (Completion.ParityBytes of it) and a write given that
+// parity programs it; against a twin dispatcher that encodes, every
+// completion — level, parity length, results, modelled stamps — and
+// every page read back are the same.
+func TestRequestParityCopyBack(t *testing.T) {
+	ctx := context.Background()
+	run := func(copyBack bool) []Completion {
+		d := newTestDispatcher(t, 1, 2, 61)
+		q := d.NewQueue()
+		data := testPage(61, d.Geometry().PageDataBytes)
+		var parity []byte
+		if copyBack {
+			parity = make([]byte, 256)
+		}
+		var comps []Completion
+		do := func(req Request) Completion {
+			c, err := q.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps = append(comps, c)
+			return c
+		}
+		do(Request{Op: OpWrite, Page: 0, Data: data})
+		rd := do(Request{Op: OpRead, Page: 0, Parity: parity})
+		if copyBack {
+			want := make([]byte, rd.ParityBytes)
+			if err := d.Codec().EncodeInto(rd.T, want, data); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(parity[:rd.ParityBytes], want) {
+				t.Fatal("the read's parity is not EncodeInto's")
+			}
+			parity = parity[:rd.ParityBytes]
+		}
+		do(Request{Op: OpWrite, Page: 1, Data: rd.Data, Parity: parity})
+		do(Request{Op: OpRead, Page: 1})
+		return comps
+	}
+	enc, cb := run(false), run(true)
+	for i := range enc {
+		a, b := enc[i], cb[i]
+		same := a.T == b.T && a.ParityBytes == b.ParityBytes && a.Start == b.Start &&
+			a.Finish == b.Finish && bytes.Equal(a.Data, b.Data)
+		switch {
+		case a.Write != nil:
+			same = same && reflect.DeepEqual(*a.Write, *b.Write)
+		case a.Read != nil:
+			same = same && a.Read.Corrected == b.Read.Corrected && a.Read.Latency == b.Read.Latency
+		}
+		if !same || a.ParityBytes == 0 {
+			t.Fatalf("completion %d: encoding %+v, copy-back %+v", i, a, b)
+		}
 	}
 }

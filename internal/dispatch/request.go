@@ -94,6 +94,14 @@ type Request struct {
 	// ladder, no predicted offset; budgets beyond the device's
 	// calibrated depth are clamped). Ignored by writes and erases.
 	Retries *int
+	// Parity is caller-owned parity memory (nil: none, and the request
+	// behaves as without the field). A read that decodes copies the
+	// page's decoded parity into its head when it holds
+	// Completion.ParityBytes bytes (controller.ReadPageParityInto); a
+	// write programs it in place of an encode when its length is the
+	// resolved level's parity length, and encodes otherwise
+	// (controller.WritePageParity). Ignored by erases.
+	Parity []byte
 	// Tag is an opaque caller token echoed in the completion.
 	Tag uint64
 }
@@ -125,7 +133,8 @@ type Completion struct {
 	// soft-decision rung paid (0 when the read never went soft); every
 	// sense was charged on the modelled timeline.
 	SoftSenses int
-	// ParityBytes is the spare-area consumption of a write.
+	// ParityBytes is the spare-area consumption of a write, or of the
+	// page a read sensed (its parity length).
 	ParityBytes int
 
 	// Start and Finish place the operation on the sub-system's modelled

@@ -59,6 +59,17 @@ var ErrNoSoftPath = errors.New("ecc: codec has no soft-decision decode path")
 // concurrent use (one hardware codec is shared by every die) and
 // allocation-free on the steady-state EncodeInto, Decode, DecodeSensed
 // and DecodeSoft paths.
+//
+// A successful Decode, DecodeSensed or DecodeSoft at level leaves a
+// codeword of level in the buffer: its parity bytes are exactly what
+// EncodeInto(level, ...) computes for its message bytes, miscorrections
+// included (a miscorrected word is another codeword). BCH accepts a word
+// only when its syndromes vanish after the re-check, or, in
+// DecodeSensed, when undoing the flips restores the codeword it encoded;
+// LDPC only when every check is satisfied (its dual-diagonal parity part
+// makes the parity unique given the message and CRC) and the CRC holds.
+// A copy-back relocation relies on it: it programs the parity its read
+// decoded instead of encoding again.
 type Codec interface {
 	// Family identifies the code family.
 	Family() Family

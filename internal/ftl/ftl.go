@@ -28,6 +28,7 @@ import (
 	"xlnand/internal/controller"
 	"xlnand/internal/dispatch"
 	"xlnand/internal/obs"
+	"xlnand/internal/reference"
 	"xlnand/internal/sim"
 )
 
@@ -128,18 +129,47 @@ type Partition struct {
 	readRes    controller.ReadResult
 	capRetries int
 
-	// Relocation read pages (guarded by mu, made on first use): GC and
-	// scrub/retirement decode a live page into one and program it at
-	// once. They are two because a relocation's rewrite can run a GC
+	// Relocation scratch (guarded by mu, made on first use): GC and
+	// scrub/retirement each decode a live page into one and program it
+	// at once. They are two because a relocation's rewrite can run a GC
 	// round before its own program.
-	gcPage, movePage []byte
+	gc, move reloc
+	// live is relocateLive's snapshot of a block's live pages.
+	live []liveEntry
 }
+
+// reloc is one relocation path's scratch: the page and parity a move's
+// read decodes into and its write programs from, and the results of
+// both, so a move allocates nothing in the dispatcher. parity is empty
+// in the reference build, where every move encodes.
+type reloc struct {
+	page, parity []byte
+	rres         controller.ReadResult
+	wres         controller.WriteResult
+}
+
+// decodedParity is the parity the move's read res decoded into r, or
+// nil when r offers none.
+func (r *reloc) decodedParity(res *controller.ReadResult) []byte {
+	if len(r.parity) < res.ParityBy {
+		return nil
+	}
+	return r.parity[:res.ParityBy]
+}
+
+// liveEntry is one live page of a block being relocated.
+type liveEntry struct{ page, lpa int }
 
 // FTL is the translation layer over one multi-die dispatcher.
 type FTL struct {
 	q     *dispatch.Queue
 	geo   dispatch.Geometry
 	parts []*Partition
+
+	// relocParity is the length of a relocation's parity buffer: the
+	// codec's largest parity, or 0 in the reference build, which offers
+	// moves no parity (see relocBuf).
+	relocParity int
 
 	// noDeepRetry disables the last-chance full-ladder relocation read
 	// (SetDeepRetry): recovery ablations need relocation losses to be
@@ -221,6 +251,14 @@ func New(d *dispatch.Dispatcher, _ sim.Env, specs []PartitionSpec) (*FTL, error)
 			total, geo.Dies*geo.BlocksPerDie)
 	}
 	f := &FTL{q: d.NewQueue(), geo: geo}
+	if !reference.On {
+		codec := d.Codec()
+		n, err := codec.ParityBytes(codec.MaxLevel())
+		if err != nil {
+			return nil, err
+		}
+		f.relocParity = n
+	}
 	next := 0
 	pages := geo.PagesPerBlock
 	for _, s := range specs {
@@ -261,16 +299,19 @@ func (f *FTL) addr(global int) (die, block int) {
 
 // writePhys programs one physical page under the partition's service
 // level (the dispatcher resolves algorithm and capability per request).
-// Called with the partition lock held.
-func (f *FTL) writePhys(p *Partition, global, page int, data []byte) (*controller.WriteResult, error) {
+// A relocation passes the parity its read decoded, which the controller
+// programs when the write resolves the same level; the result lands in
+// out, or in a fresh result when out is nil. Called with the partition
+// lock held.
+func (f *FTL) writePhys(p *Partition, global, page int, data, parity []byte, out *controller.WriteResult) (*controller.WriteResult, error) {
 	die, block := f.addr(global)
 	// p.Mode is stable for the duration of the call (mu held, and the
 	// dispatcher reads it before DoWrite returns), so its address goes
 	// straight in — no per-write boxing.
 	comp, err := f.q.DoWrite(context.Background(), dispatch.Request{
 		Op: dispatch.OpWrite, Die: die, Block: block, Page: page,
-		Data: data, Mode: &p.Mode,
-	}, nil)
+		Data: data, Parity: parity, Mode: &p.Mode,
+	}, out)
 	if err != nil {
 		return comp.Write, err
 	}
@@ -279,13 +320,14 @@ func (f *FTL) writePhys(p *Partition, global, page int, data []byte) (*controlle
 
 // readPhys reads one physical page through the ECC path. A non-nil
 // retries overrides the controller's recovery budget for this read. The
-// result lands in out (data in dst when it is page-sized) with no
-// allocation; a nil out gets a freshly allocated result.
-func (f *FTL) readPhys(global, page int, retries *int, dst []byte, out *controller.ReadResult) (*controller.ReadResult, error) {
+// result lands in out (data in dst when it is page-sized, decoded parity
+// in parity when it is long enough) with no allocation; a nil out gets
+// a freshly allocated result.
+func (f *FTL) readPhys(global, page int, retries *int, dst, parity []byte, out *controller.ReadResult) (*controller.ReadResult, error) {
 	die, block := f.addr(global)
 	comp, err := f.q.DoRead(context.Background(), dispatch.Request{
 		Op: dispatch.OpRead, Die: die, Block: block, Page: page,
-		Retries: retries,
+		Retries: retries, Parity: parity,
 	}, dst, out)
 	return comp.Read, err
 }
@@ -316,9 +358,10 @@ func (f *FTL) SetDeepRetry(on bool) { f.noDeepRetry = !on }
 
 // readPhysDeep is the last-chance read before a page is declared lost:
 // one attempt with the recovery ladder opened to the device's full
-// calibrated depth, regardless of the configured per-read budget. With
-// deep retry disabled it reports the page uncorrectable immediately.
-func (f *FTL) readPhysDeep(global, page int, dst []byte) (*controller.ReadResult, error) {
+// calibrated depth, regardless of the configured per-read budget, into
+// the relocation scratch r. With deep retry disabled it reports the page
+// uncorrectable immediately.
+func (f *FTL) readPhysDeep(global, page int, r *reloc) (*controller.ReadResult, error) {
 	if f.noDeepRetry {
 		return nil, fmt.Errorf("ftl: deep retry disabled: %w", controller.ErrUncorrectable)
 	}
@@ -326,7 +369,7 @@ func (f *FTL) readPhysDeep(global, page int, dst []byte) (*controller.ReadResult
 	if f.trace != nil {
 		start = f.vnow()
 	}
-	res, err := f.readPhys(global, page, &deepRetryBudget, dst, nil)
+	res, err := f.readPhys(global, page, &deepRetryBudget, r.page, r.parity, &r.rres)
 	if f.trace != nil {
 		rescued := int64(0)
 		if err == nil {
@@ -339,12 +382,20 @@ func (f *FTL) readPhysDeep(global, page int, dst []byte) (*controller.ReadResult
 	return res, err
 }
 
-// relocPage returns the relocation read page *pg, making it on first use.
-func (f *FTL) relocPage(pg *[]byte) []byte {
-	if *pg == nil {
-		*pg = make([]byte, f.geo.PageDataBytes)
+// relocBuf returns the relocation scratch r, making its page and parity
+// on first use. The parity buffer holds the codec's largest parity, so a
+// move's read can hand back the parity of any level and its write can
+// program it instead of encoding (copy-back); the reference build gets
+// none, so every move there encodes. It is partition-owned memory, never
+// a view of a controller's read buffer: a read of another partition on
+// the same die overwrites that buffer between the move's read and its
+// write.
+func (f *FTL) relocBuf(r *reloc) *reloc {
+	if r.page == nil {
+		r.page = make([]byte, f.geo.PageDataBytes)
+		r.parity = make([]byte, f.relocParity)
 	}
-	return *pg
+	return r
 }
 
 // cyclesOf returns a global block's program/erase wear.
@@ -440,12 +491,13 @@ func (f *FTL) Write(part string, lpa int, data []byte) (*controller.WriteResult,
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return f.write(p, lpa, data)
+	return f.write(p, lpa, data, nil, nil)
 }
 
 // write is Write with the partition lock held (scrub and retirement
-// relocate live data through the same path).
-func (f *FTL) write(p *Partition, lpa int, data []byte) (*controller.WriteResult, error) {
+// relocate live data through the same path, with the parity their read
+// decoded and their own result scratch out; see writePhys).
+func (f *FTL) write(p *Partition, lpa int, data, parity []byte, out *controller.WriteResult) (*controller.WriteResult, error) {
 	if lpa < 0 || lpa >= p.userPages {
 		return nil, fmt.Errorf("ftl: lpa %d outside partition %q capacity %d", lpa, p.Name, p.userPages)
 	}
@@ -459,7 +511,7 @@ func (f *FTL) write(p *Partition, lpa int, data []byte) (*controller.WriteResult
 	if err != nil {
 		return nil, err
 	}
-	wr, err := f.writePhys(p, bs.id, page, data)
+	wr, err := f.writePhys(p, bs.id, page, data, parity, out)
 	if err != nil {
 		return nil, fmt.Errorf("ftl: program %d.%d: %w", bs.id, page, err)
 	}
@@ -514,14 +566,14 @@ func (f *FTL) ReadInto(part string, lpa int, dst []byte) ([]byte, *controller.Re
 		// it only unlocks past the full hard walk) and queue the block
 		// for relocation, which heals the disturb count outright.
 		p.capRetries = f.retryGuard.DisturbRetryCap
-		res, err = f.readPhys(bs.id, enc%p.pages, &p.capRetries, dst, &p.readRes)
+		res, err = f.readPhys(bs.id, enc%p.pages, &p.capRetries, dst, nil, &p.readRes)
 		p.DisturbCapped++
 		if p.scrubMarks == nil {
 			p.scrubMarks = make(map[int]bool)
 		}
 		p.scrubMarks[blk] = true
 	} else {
-		res, err = f.readPhys(bs.id, enc%p.pages, nil, dst, &p.readRes)
+		res, err = f.readPhys(bs.id, enc%p.pages, nil, dst, nil, &p.readRes)
 	}
 	if res != nil {
 		bs.lastReads = res.BlockReads
@@ -594,8 +646,7 @@ func (f *FTL) allocate(p *Partition) (*blockState, int, error) {
 	}
 	// Frontier sealed. Take a pool block if the reserve stays intact.
 	if len(p.freePool) >= 2 {
-		p.active = p.freePool[0]
-		p.freePool = p.freePool[1:]
+		p.active = p.takeFree()
 		nb := p.blocks[p.active]
 		if nb.writePtr != 0 {
 			return nil, 0, fmt.Errorf("ftl: fresh frontier block %d not empty", nb.id)
@@ -615,6 +666,15 @@ func (f *FTL) allocate(p *Partition) (*blockState, int, error) {
 	page := nb.writePtr
 	nb.writePtr++
 	return nb, page, nil
+}
+
+// takeFree removes and returns the oldest free-pool block. The pool
+// shifts down in place, so reclaim's append reuses its capacity instead
+// of reallocating every GC round.
+func (p *Partition) takeFree() int {
+	blk := p.freePool[0]
+	p.freePool = p.freePool[:copy(p.freePool, p.freePool[1:])]
+	return blk
 }
 
 // collect performs one garbage-collection round: the sealed block with
@@ -649,17 +709,17 @@ func (f *FTL) collect(p *Partition) error {
 	if vb.livePages == p.pages {
 		return fmt.Errorf("ftl: partition %q full of live data; over-provisioning exhausted", p.Name)
 	}
-	destIdx := p.freePool[0]
-	p.freePool = p.freePool[1:]
+	destIdx := p.takeFree()
 	dest := p.blocks[destIdx]
 	if dest.writePtr != 0 {
 		return fmt.Errorf("ftl: GC destination block %d not erased", dest.id)
 	}
+	r := f.relocBuf(&p.gc)
 	for page, lpa := range vb.lbaOf {
 		if lpa == invalidPPA {
 			continue
 		}
-		res, lost, err := f.relocRead(p, vb, page, f.relocPage(&p.gcPage))
+		res, lost, err := f.relocRead(p, vb, page, r)
 		if err != nil {
 			return fmt.Errorf("ftl: GC %w", err)
 		}
@@ -673,7 +733,7 @@ func (f *FTL) collect(p *Partition) error {
 			p.LostPages++
 			continue
 		}
-		if _, err := f.writePhys(p, dest.id, dest.writePtr, res.Data); err != nil {
+		if _, err := f.writePhys(p, dest.id, dest.writePtr, res.Data, r.decodedParity(res), &r.wres); err != nil {
 			return fmt.Errorf("ftl: GC program: %w", err)
 		}
 		vb.livePages--
@@ -710,13 +770,14 @@ func (f *FTL) reclaim(p *Partition, blk int) error {
 	return nil
 }
 
-// relocRead reads one page off bs for relocation into dst. A page the
-// normal ladder loses gets one deep-retry read at the device's full
-// recovery ladder before it is given up: lost reports that media loss,
-// and err an infrastructure failure (closed queue, bad address), which
-// must never be taken for a lost page.
-func (f *FTL) relocRead(p *Partition, bs *blockState, page int, dst []byte) (res *controller.ReadResult, lost bool, err error) {
-	res, err = f.readPhys(bs.id, page, nil, dst, nil)
+// relocRead reads one page off bs for relocation into the scratch r:
+// data, decoded parity and result. A page the normal ladder loses gets
+// one deep-retry read at the device's full recovery ladder before it is
+// given up: lost reports that media loss, and err an infrastructure
+// failure (closed queue, bad address), which must never be taken for a
+// lost page.
+func (f *FTL) relocRead(p *Partition, bs *blockState, page int, r *reloc) (res *controller.ReadResult, lost bool, err error) {
+	res, err = f.readPhys(bs.id, page, nil, r.page, r.parity, &r.rres)
 	if res != nil {
 		p.RelocRetries += res.Retries
 		bs.lastReads = res.BlockReads
@@ -727,7 +788,7 @@ func (f *FTL) relocRead(p *Partition, bs *blockState, page int, dst []byte) (res
 	if !errors.Is(err, controller.ErrUncorrectable) {
 		return nil, false, fmt.Errorf("read %d.%d: %w", bs.id, page, err)
 	}
-	deep, err := f.readPhysDeep(bs.id, page, dst)
+	deep, err := f.readPhysDeep(bs.id, page, r)
 	if deep != nil {
 		p.RelocRetries += deep.Retries
 	}
@@ -807,18 +868,18 @@ var errRetireSkip = fmt.Errorf("ftl: block cannot retire right now")
 // skipped). A page whose read fails uncorrectably is left in place with
 // its stale mapping and counted, never invented from thin air.
 func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable int, err error) {
-	type liveEntry struct{ page, lpa int }
-	var live []liveEntry
+	r := f.relocBuf(&p.move)
+	p.live = p.live[:0]
 	for page, lpa := range bs.lbaOf {
 		if lpa != invalidPPA {
-			live = append(live, liveEntry{page, lpa})
+			p.live = append(p.live, liveEntry{page, lpa})
 		}
 	}
-	for _, le := range live {
+	for _, le := range p.live {
 		if bs.lbaOf[le.page] != le.lpa {
 			continue // already moved by GC during this pass
 		}
-		res, lost, err := f.relocRead(p, bs, le.page, f.relocPage(&p.movePage))
+		res, lost, err := f.relocRead(p, bs, le.page, r)
 		if err != nil {
 			return moved, uncorrectable, fmt.Errorf("ftl: relocation %w", err)
 		}
@@ -828,7 +889,7 @@ func (f *FTL) relocateLive(p *Partition, bs *blockState) (moved, uncorrectable i
 		}
 		// Rewrite through the normal host path: allocation, mode
 		// configuration and mapping update all apply.
-		if _, err := f.write(p, le.lpa, res.Data); err != nil {
+		if _, err := f.write(p, le.lpa, res.Data, r.decodedParity(res), &r.wres); err != nil {
 			return moved, uncorrectable, fmt.Errorf("ftl: relocation rewrite lpa %d: %w", le.lpa, err)
 		}
 		p.HostWrites-- // relocation traffic is not host traffic

@@ -167,8 +167,7 @@ func (f *FTL) Scrub(part string) (ScrubReport, error) {
 		// land on a different block (otherwise the refresh would chase
 		// its own writes and heal nothing).
 		if p.active == blk && len(p.freePool) >= 2 {
-			p.active = p.freePool[0]
-			p.freePool = p.freePool[1:]
+			p.active = p.takeFree()
 			nb := p.blocks[p.active]
 			nb.writePtr = 0
 		}
